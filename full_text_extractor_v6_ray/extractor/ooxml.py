@@ -218,21 +218,26 @@ _OPF_ATTR_HREF = re.compile(r"\bhref=\"([^\"]+)\"")
 _OPF_ITEMREF = re.compile(r"<itemref\b[^>]*?idref=\"([^\"]+)\"")
 
 
-def _extract_epub(zf: zipfile.ZipFile
-                  ) -> tuple[str, list[tuple[str, str]]]:
+def _extract_epub(zf: zipfile.ZipFile, depth: int
+                  ) -> tuple[str, list[tuple[str, str]]] | None:
     """EPUB: META-INF/container.xml -> OPF -> spine order; each xhtml
-    chapter re-enters the HTML extractor (epub is zip+xhtml — the OCF/
-    OPF spec shape); chapter texts joined in reading order."""
+    chapter re-enters the HTML extractor one container level deeper
+    (epub is zip+xhtml — the OCF/OPF spec shape); chapter texts joined
+    in reading order. None when container.xml exists but names no
+    readable OPF, or the OPF spine resolves to no member: the caller
+    then iterates the archive like any other zip."""
     import posixpath
 
     from .document import extract_document
 
-    container = _read_member(zf, "META-INF/container.xml") or ""
-    rm = _EPUB_ROOTFILE.search(container)
-    if not rm:
+    container = _read_member(zf, "META-INF/container.xml")
+    if container is None:
         return "", []
+    rm = _EPUB_ROOTFILE.search(container)
+    opf = _read_member(zf, rm.group(1)) if rm else None
+    if opf is None:
+        return None
     opf_path = rm.group(1)
-    opf = _read_member(zf, opf_path) or ""
     hrefs: dict[str, str] = {}
     for item in _OPF_ITEM.finditer(opf):
         im = _OPF_ATTR_ID.search(item.group(0))
@@ -242,6 +247,7 @@ def _extract_epub(zf: zipfile.ZipFile
     base = posixpath.dirname(opf_path)
     texts: list[str] = []
     links: list[tuple[str, str]] = []
+    resolved = 0
     for sm in _OPF_ITEMREF.finditer(opf):
         href = hrefs.get(sm.group(1))
         if not href:
@@ -252,12 +258,15 @@ def _extract_epub(zf: zipfile.ZipFile
             info = zf.getinfo(path)
         except KeyError:
             continue
+        resolved += 1
         if info.file_size > _MAX_MEMBER_BYTES:
             raise ValueError("zip_member_too_large")
-        res = extract_document(zf.read(path))
+        res = extract_document(zf.read(path), _depth=depth + 1)
         if res.extracted_text:
             texts.append(res.extracted_text)
         links.extend(res.links)
+    if not resolved:
+        return None
     return "\n\n".join(texts), links
 
 
@@ -317,8 +326,9 @@ def extract_zip(payload: bytes, depth: int = 0
         is_epub = "META-INF/container.xml" in names or (
             "mimetype" in names
             and zf.read("mimetype").strip() == b"application/epub+zip")
-        if is_epub:
-            text, links = _extract_epub(zf)
+        epub = _extract_epub(zf, depth) if is_epub else None
+        if epub is not None:
+            text, links = epub
             return text, links, "epub", "" if text or links else "epub_empty"
         text, links = _extract_zip_generic(zf, depth)
         return text, links, "zip", "" if text or links else "zip_empty"

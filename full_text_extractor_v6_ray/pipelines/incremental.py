@@ -45,7 +45,7 @@ import ray.data
 from ..config import DEFAULT_CONFIG, DEFAULT_PIPELINE_CONFIG, ExtractConfig, PipelineConfig
 from ..stages.crawl import snapshot_diff
 from ..stages.hashing import md5_hex
-from ..stages.joins import lookup_hash_join
+from ..stages.joins import BROADCAST_MAX, filter_to_keys
 from .extract_pipeline import extract_pages
 
 
@@ -96,7 +96,7 @@ def incremental_extraction_round(
     state_dir: str,
     cfg: ExtractConfig = DEFAULT_CONFIG,
     pcfg: PipelineConfig = DEFAULT_PIPELINE_CONFIG,
-    broadcast_max: int = 2_000_000,
+    broadcast_max: int = BROADCAST_MAX,
     hash_col: str | None = None,
     slim: "ray.data.Dataset | None" = None,
     slim_hash_kind: str = "md5",
@@ -208,35 +208,15 @@ def incremental_extraction_round(
     if not done:
         # bootstrap: every page is work — no filter at all
         work_pages = pages
-    elif n_work <= broadcast_max:
+    else:
         # the normal recrawl regime: the delta is a few percent of the
-        # corpus, so broadcast the work urls ONCE and filter pages
+        # corpus, so the work urls broadcast once and pages filter
         # map-side — the wide html rows never enter a shuffle (shipping
         # all pages through the semi-join exchange measured 10.6 s vs
-        # full extraction's 11.0 s at 500k pages; this path cuts it to
-        # the hash+diff+delta-extract floor). Same size dispatch as the
-        # decontamination stage (fuzzy_dedup.contamination_counts).
-        work_urls = pa.concat_tables(
-            [b for b in work.iter_batches(batch_format="pyarrow")],
-        ).column("url").combine_chunks() if n_work else \
-            pa.array([], pa.string())
-        ref = ray.put(work_urls)
-
-        def keep_work(batch: pa.Table) -> pa.Table:
-            vs = ray.get(ref)
-            return batch.filter(pc.is_in(batch.column("url"),
-                                         value_set=vs))
-
-        work_pages = pages.map_batches(keep_work, batch_format="pyarrow",
-                                       zero_copy_batch=True)
-    else:
-        # bootstrap / mass-change regime: the work list is corpus-sized,
-        # fall back to the bucketed semi-join (pages cross once). Static
-        # right schema: a schema() probe on the shuffle-derived work
-        # list would re-run the whole diff exchange.
-        work_pages = lookup_hash_join(
-            pages, work, "url", "url",
-            right_schema=pa.schema([("url", pa.string())]))
+        # full extraction's 11.0 s at 500k pages). A mass-change round
+        # falls back to the bucketed semi-join (pages cross once).
+        work_pages = filter_to_keys(pages, work, "url", n_work,
+                                    broadcast_max=broadcast_max)
     delta = extract_pages(work_pages, cfg=cfg, pcfg=pcfg)
     delta = delta.map_batches(
         lambda b, _k=k: b.append_column(

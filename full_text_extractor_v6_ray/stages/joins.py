@@ -274,6 +274,50 @@ def lookup_hash_join(left: "ray.data.Dataset", right: "ray.data.Dataset",
         join_bucket, batch_format="pyarrow")
 
 
+# Key lists up to this many rows broadcast to a map-side filter; longer
+# ones take the bucketed semi-join (``filter_to_keys``).
+BROADCAST_MAX = 2_000_000
+
+
+def filter_to_keys(ds: "ray.data.Dataset",
+                   keys: "ray.data.Dataset | pa.Array",
+                   key: str, n_keys: int,
+                   broadcast_max: int = BROADCAST_MAX,
+                   left_schema: pa.Schema | None = None
+                   ) -> "ray.data.Dataset":
+    """Keep the rows of ``ds`` whose string column ``key`` is in
+    ``keys``: the size-dispatched work-list filter.
+
+    ``keys`` is a Dataset with one unique string column named ``key``
+    (or, under the threshold only, the values already collected on the
+    driver); ``n_keys`` is its row count or an upper bound of it. At or
+    below ``broadcast_max`` the values are ``ray.put`` once and every
+    batch of ``ds`` is filtered map-side (``pc.is_in``), so the wide
+    rows never enter a shuffle. Above it the key list is corpus-sized:
+    ``ds`` and the keys meet in ONE bucketed ``lookup_hash_join``
+    semi-join (``left_schema`` skips its schema probe of ``ds``).
+    """
+    if n_keys <= broadcast_max:
+        if isinstance(keys, pa.Array):
+            vals = keys
+        elif n_keys:
+            vals = pa.chunked_array(
+                [b.column(key) for b in keys.iter_batches(
+                    batch_format="pyarrow")], pa.string()).combine_chunks()
+        else:
+            vals = pa.array([], pa.string())
+        ref = ray.put(vals)
+
+        def keep(batch: pa.Table) -> pa.Table:
+            return batch.filter(pc.is_in(batch.column(key),
+                                         value_set=ray.get(ref)))
+
+        return ds.map_batches(keep, batch_format="pyarrow",
+                              zero_copy_batch=True)
+    return lookup_hash_join(ds, keys, key, key, left_schema=left_schema,
+                            right_schema=pa.schema([(key, pa.string())]))
+
+
 def _stable_bucket_multi(batch: pa.Table, keys: list[str],
                          num_buckets: int) -> pa.Array:
     """Deterministic bucket over a COMPOSITE key: per-column stable

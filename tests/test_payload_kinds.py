@@ -130,6 +130,60 @@ def test_epub_without_container_reports_empty():
     assert res.method == "error" and res.error == "epub_empty"
 
 
+_CONTAINER = ('<container><rootfiles><rootfile full-path="content.opf"/>'
+              '</rootfiles></container>')
+
+
+def test_nested_epub_stops_at_container_depth(monkeypatch):
+    """Each chapter is the next epub: the walk spends one container
+    level per epub and stops at the depth bound, it never restarts it."""
+    from full_text_extractor_v6_ray.extractor import document
+
+    payload = b"<html><body><p>deepest chapter</p></body></html>"
+    for _ in range(8):
+        buf = io.BytesIO()
+        with zipfile.ZipFile(buf, "w") as zf:
+            zf.writestr("META-INF/container.xml", _CONTAINER)
+            zf.writestr("content.opf",
+                        '<package><manifest><item id="c" href="ch.xhtml"/>'
+                        '</manifest><spine><itemref idref="c"/></spine>'
+                        '</package>')
+            zf.writestr("ch.xhtml", payload)
+        payload = buf.getvalue()
+
+    calls = []
+    real = document.extract_document
+
+    def spy(data, *args, _depth=0, **kwargs):
+        res = real(data, *args, _depth=_depth, **kwargs)
+        calls.append((_depth, res.error))
+        return res
+
+    monkeypatch.setattr(document, "extract_document", spy)
+    res = document.extract_document(payload)
+    limit = document._MAX_CONTAINER_DEPTH
+    assert sorted(calls) == [(d, "epub_empty") for d in range(limit)] + [
+        (limit, "container_depth")]
+    assert "deepest chapter" not in res.extracted_text
+
+
+def test_epub_with_unreadable_opf_iterates_members():
+    """container.xml present but its OPF missing, or an OPF whose spine
+    names no member: the archive's members are still extracted."""
+    for opf in (None, '<package><spine><itemref idref="x"/></spine>'
+                      '</package>'):
+        buf = io.BytesIO()
+        with zipfile.ZipFile(buf, "w") as zf:
+            zf.writestr("META-INF/container.xml", _CONTAINER)
+            if opf is not None:
+                zf.writestr("content.opf", opf)
+            zf.writestr("notes.html",
+                        "<html><body><p>Recovered notes.</p></body></html>")
+        res = extract_document(buf.getvalue())
+        assert res.method == "zip" and res.error == ""
+        assert "## notes.html\n\nRecovered notes." in res.extracted_text
+
+
 def test_generic_zip_iterates_members():
     # the reference's "ZIP (iterates over contents)" category: members
     # route back through the extractor under per-member headers, in

@@ -155,9 +155,8 @@ def test_warc_extraction_pipeline_dedup_across_segments(
         ray_session, tmp_path):
     """Composed crawl front-end: two segments carry the SAME url at
     different warc_ts (a recrawl landing in a later segment); the
-    pipeline extracts every record and url-dedup keeps the latest
-    crawl — the flagship semantics, fed from raw WARC instead of
-    parquet."""
+    pipeline keeps the latest crawl — the flagship semantics, fed from
+    raw WARC instead of parquet."""
     from full_text_extractor_v6_ray.pipelines import (
         warc_extraction_pipeline,
     )
@@ -182,6 +181,103 @@ def test_warc_extraction_pipeline_dedup_across_segments(
     dup_text = out.set_index("url").loc["https://ex.com/dup",
                                         "extracted_text"]
     assert "version new" in dup_text and "version old" not in dup_text
+
+
+POISON = b"\x00POISON" * 64
+TIE_TS = EPOCH + datetime.timedelta(days=2)
+
+
+def _page(marker):
+    return (f"<html><body><h1>V</h1><p>version {marker}</p>"
+            f"</body></html>").encode()
+
+
+def _recrawl_segments(folder):
+    """Two segments: ``dup``'s older capture is a poison payload; ``tie``
+    has one capture per segment at the SAME max warc_ts, the second
+    with the longer text."""
+    (folder / "s0.warc").write_bytes(build_warc_segment([
+        ("https://ex.com/dup", EPOCH, POISON),
+        ("https://ex.com/a", EPOCH, _page("a")),
+        ("https://ex.com/tie", TIE_TS, _page("short"))]))
+    (folder / "s1.warc.gz").write_bytes(build_warc_segment([
+        ("https://ex.com/dup", EPOCH + datetime.timedelta(days=1),
+         _page("new")),
+        ("https://ex.com/tie", EPOCH, _page("stale")),
+        ("https://ex.com/tie", TIE_TS, _page("tied and much longer"))],
+        gzip_members=True))
+
+
+def _sorted_rows(ds, cols):
+    return sorted(tuple(r[c] for c in cols) for r in ds.take_all())
+
+
+def test_latest_captures_filters_before_extraction(ray_session, tmp_path):
+    """The election keeps only max-warc_ts captures: the poison older
+    capture and the stale tie capture never reach extraction, and both
+    captures tied at the max survive, flagged for the post-extract
+    dedup."""
+    from full_text_extractor_v6_ray.pipelines.extract_pipeline import (
+        latest_captures,
+    )
+
+    _recrawl_segments(tmp_path)
+    pages, ties = latest_captures(str(tmp_path))
+    rows = _sorted_rows(pages, ["url", "warc_ts", "html"])
+    assert ties
+    assert [(u, t) for u, t, _ in rows] == [
+        ("https://ex.com/a", EPOCH),
+        ("https://ex.com/dup", EPOCH + datetime.timedelta(days=1)),
+        ("https://ex.com/tie", TIE_TS), ("https://ex.com/tie", TIE_TS)]
+    assert all(b"POISON" not in h and b"stale" not in h
+               for _, _, h in rows)
+
+
+def test_latest_captures_semi_join_branch_matches_broadcast(
+        ray_session, tmp_path):
+    """broadcast_max=0 forces the bucketed election + semi-join: the
+    same pages survive, and the post-extract dedup is always run."""
+    from full_text_extractor_v6_ray.pipelines.extract_pipeline import (
+        latest_captures,
+    )
+
+    _recrawl_segments(tmp_path)
+    cols = ["url", "warc_ts", "html"]
+    bcast, _ = latest_captures(str(tmp_path))
+    shuffled, ties = latest_captures(str(tmp_path), broadcast_max=0)
+    assert ties
+    assert _sorted_rows(shuffled, cols) == _sorted_rows(bcast, cols)
+    assert shuffled.schema().names == ["url", "warc_ts", "html", "text",
+                                       "lang"]
+
+
+def test_warc_pipeline_equal_ts_tie_keeps_longer_text(ray_session,
+                                                      tmp_path):
+    """Captures tied at the max warc_ts are both extracted; the
+    post-extract dedup keeps the one with more characters."""
+    from full_text_extractor_v6_ray.pipelines import (
+        warc_extraction_pipeline,
+    )
+
+    _recrawl_segments(tmp_path)
+    out = warc_extraction_pipeline(str(tmp_path)).to_pandas()
+    assert sorted(out["url"]) == ["https://ex.com/a", "https://ex.com/dup",
+                                  "https://ex.com/tie"]
+    text = out.set_index("url")["extracted_text"]
+    assert "version tied and much longer" in text["https://ex.com/tie"]
+    assert "version new" in text["https://ex.com/dup"]
+
+
+def test_warc_pipeline_empty_dir_keeps_extracted_schema(ray_session,
+                                                        tmp_path):
+    from full_text_extractor_v6_ray.pipelines import (
+        warc_extraction_pipeline,
+    )
+    from full_text_extractor_v6_ray.stages.extract import EXTRACTED_SCHEMA
+
+    out = warc_extraction_pipeline(str(tmp_path / "missing"))
+    assert out.count() == 0
+    assert out.schema().base_schema == EXTRACTED_SCHEMA
 
 
 def test_wet_sink_roundtrip_and_determinism(ray_session, tmp_path):
