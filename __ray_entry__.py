@@ -19,7 +19,7 @@ from typing import Any
 def entry() -> Any:
     """Flagship pipeline on /root/testdata/sf0.001.
 
-    documents -> synthetic pages (streaming) -> extract (actor pool) ->
+    documents -> synthetic pages (streaming) -> extract (task pool) ->
     url dedup (keep latest crawl) -> Dataset of
     (url, warc_ts, lang, extracted_text, spans, links, metrics...).
     """

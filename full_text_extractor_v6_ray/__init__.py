@@ -6,7 +6,7 @@ extraction over Parquet-backed Common-Crawl-style pages
 ``(url, warc_ts, html, text, lang)``, expressed as a streaming
 ``ray.data.Dataset`` pipeline:
 
-    read_parquet -> map_batches(ExtractBatch actor pool, pyarrow, zero-copy)
+    read_parquet -> map_batches(ExtractBatch task pool, pyarrow, zero-copy)
                  -> groupby(url) first-by-warc_ts dedup (salted for hot hosts)
                  -> write_parquet (partitioned, manifest-checkpointed)
 

@@ -44,11 +44,6 @@ class ExtractConfig:
     bullet_indent: str = "  "
     heading_max_level: int = 6
 
-    # --- parser selection ---
-    # regex-tokenizer front-end (1.7x parse speedup); byte-identical to the
-    # stdlib html.parser path — parity pinned by tests/test_fast_parser.py
-    use_fast_parser: bool = True
-
     # --- payload guards ---
     max_html_bytes: int = 8 * 1024 * 1024   # parse cap; larger rows -> error path
     # in-process replacement for the reference's 60 s subprocess timeout
@@ -57,34 +52,3 @@ class ExtractConfig:
 
 DEFAULT_CONFIG = ExtractConfig()
 
-
-@dataclass(frozen=True)
-class PipelineConfig:
-    """Ray-side execution knobs (scale tuning, not semantics)."""
-
-    batch_size: int = 128           # pages per batch; html rows are wide (~100 KB avg)
-    # documents per page-synthesis task: small so the fused synth->extract
-    # chain yields many fine-grained tasks (load balance / short tail);
-    # with replicate=R one task carries ~doc_batch_size*R pages
-    doc_batch_size: int = 32
-    # extractor actor-pool size; None -> autoscale (1, cluster_cpus - 2) so
-    # the pool NEVER reserves every CPU (a fixed pool == cluster size
-    # deadlocks the read stage — observed: 8 actors on 4 CPUs starved
-    # ReadParquet forever)
-    concurrency: int | None = None
-    num_cpus_per_actor: float = 1.0
-    # Extractor execution mode. The extractor's state is module-level
-    # compiled regexes — paid once per WORKER PROCESS at import either
-    # way — so the task pool (False) reuses Ray's prestarted workers and
-    # skips the 5-14 s per-execution actor-pool spawn (measured at 32
-    # cpus: tasks 11.6 s vs actors 16-26 s on the 223k-page bench).
-    # Set True for a variant with genuinely expensive per-actor state
-    # (e.g. a model load), where amortizing setup across batches wins.
-    use_actor_pool: bool = False
-    dedup_salt_buckets: int = 16    # two-phase salted dedup for hot hosts
-    dedup_hot_threshold: int = 10_000  # rows per url-key before salting engages
-    output_partitions: int = 0      # 0 = leave to Ray block sizing
-    drop_html_after_extract: bool = True
-
-
-DEFAULT_PIPELINE_CONFIG = PipelineConfig()

@@ -6,8 +6,9 @@ fallback predicate, /root/reference/src/processors/powerpoint/
 powerpoint_processor.py:46-55, and the extension router
 file_converter.py:64-100) with web semantics:
 
-  sniff(payload):  pdf   -> minimal in-process PDF parse (extractor.pdf)
-                   html  -> DOM walk -> block score/strip -> render
+  sniff(payload):  html  -> DOM walk -> block score/strip -> render
+                   gzip/warc -> unwrap, re-enter the router one level deeper
+                   zip/csv/json/xml/ole2/pdf -> one builtin converter table
                    empty/unknown or failed parse, with a non-empty upstream
                    ``text`` column -> normalized plain-text fallback
                    (the MarkItDown-fallback analog, S8)
@@ -22,11 +23,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..config import DEFAULT_CONFIG, ExtractConfig
-from .html_blocks import parse_html_blocks, score_and_filter
+from .charset import decode_html_payload
+from .containers import gzip_inner, warc_inner
+from .html_blocks import score_and_filter
+from .html_fast import parse_html_blocks_fast
 from .normalize import normalize_text
+from .ole2 import extract_ole2
+from .ooxml import extract_zip
 from .pdf import extract_pdf
 from .render import render_blocks
 from .sniff import sniff_payload
+from .textdata import csv_to_text, json_to_text, xml_to_text
 
 
 @dataclass
@@ -78,6 +85,49 @@ def _fallback_text(text: str) -> ExtractResult:
     )
 
 
+def _fallback_or_error(text_fallback: str, err: str) -> ExtractResult:
+    if text_fallback:
+        return _fallback_text(text_fallback)
+    return ExtractResult(method="error", error=err)
+
+
+def _textdata(kind: str, conv):
+    def convert(payload: bytes, _depth: int):
+        text, err = conv(payload)
+        return text, [], kind, err
+    return convert
+
+
+def _pdf(payload: bytes, _depth: int):
+    text, links, err = extract_pdf(payload)
+    # an unreadable pdf keeps none of its links
+    return text, links if text or not err else [], "pdf", err
+
+
+# Builtin payload kinds (S8 breadth; the reference's extension router,
+# file_converter.py:64-100): kind -> (converter, fallback). A converter
+# is ``fn(payload, depth) -> (text, links, method, error)``; an error
+# with neither text nor links yields to ``text_fallback`` when
+# ``fallback`` is set, else becomes the error row. Kept apart from
+# EXTRACTOR_REGISTRY so unregistering an override restores the builtin.
+#   zip       OOXML docx/xlsx/pptx, epub; other archives iterate their
+#             members back through the router (depth-bounded)
+#   csv/json/xml  standalone structured text (the reference's "Others"
+#             MarkItDown category, config.py:55-58)
+#   ole2      legacy binary Office .doc/.xls/.ppt via the in-process
+#             MS-CFB walker (config.py:78-92 / file_converter.py:90-97)
+#   pdf       in-process PDF parse; never falls back to upstream text
+_BUILTIN_EXTRACTORS = {
+    "zip": (lambda payload, depth: extract_zip(payload, depth=depth), True),
+    "csv": (_textdata("csv", csv_to_text), True),
+    "json": (_textdata("json", json_to_text), True),
+    "xml": (_textdata("xml", xml_to_text), True),
+    "ole2": (lambda payload, _depth: extract_ole2(payload), True),
+    "pdf": (_pdf, False),
+}
+
+# kinds whose members re-enter the router
+_CONTAINERS = ("gzip", "warc", "zip")
 _MAX_CONTAINER_DEPTH = 3
 
 
@@ -98,13 +148,28 @@ def extract_document(
         if handler is not None:
             return handler(payload, text_fallback, cfg)
 
+        if kind in _CONTAINERS and _depth >= _MAX_CONTAINER_DEPTH:
+            return ExtractResult(method="error", error="container_depth")
+
+        builtin = _BUILTIN_EXTRACTORS.get(kind)
+        if builtin is not None:
+            convert, fallback = builtin
+            text, links, method, err = convert(payload, _depth)
+            if err and not text and not links:
+                return _fallback_or_error(text_fallback if fallback else "",
+                                          err)
+            return ExtractResult(   # one block per paragraph
+                extracted_text=text,
+                links=list(links),
+                method=method,
+                n_blocks_kept=text.count("\n\n") + 1 if text else 0,
+                quality_score=1.0 if text else 0.0,
+                error=err,
+            )
+
         if kind in ("gzip", "warc"):
             # container unwrap (S7 breadth): gzip members and WARC
-            # records re-enter the router at bounded depth
-            from .containers import gzip_inner, warc_inner
-
-            if _depth >= _MAX_CONTAINER_DEPTH:
-                return ExtractResult(method="error", error="container_depth")
+            # records re-enter the router one level deeper
             if kind == "gzip":
                 try:
                     inner = gzip_inner(payload, cfg.max_html_bytes)
@@ -114,102 +179,19 @@ def extract_document(
             else:
                 inner = warc_inner(payload)
             if inner is None:
-                if text_fallback:
-                    return _fallback_text(text_fallback)
-                return ExtractResult(method="error", error=f"{kind}_empty")
-            res = extract_document(inner, text_fallback, cfg, _depth + 1)
+                return _fallback_or_error(text_fallback, f"{kind}_empty")
+            res = extract_document(inner, text_fallback, cfg,
+                                   _depth=_depth + 1)
             res.method = f"{kind}>{res.method}"   # container lineage
             return res
-
-        if kind == "zip":
-            # OOXML fallback family (S8 breadth): docx / xlsx / pptx /
-            # epub; any other archive iterates members back through the
-            # router (depth-bounded like gzip/warc)
-            from .ooxml import extract_zip
-
-            if _depth >= _MAX_CONTAINER_DEPTH:
-                return ExtractResult(method="error", error="container_depth")
-            text, link_pairs, method, err = extract_zip(payload,
-                                                        depth=_depth)
-            if err and not text and not link_pairs:
-                if text_fallback:
-                    return _fallback_text(text_fallback)
-                return ExtractResult(method="error", error=err)
-            return ExtractResult(
-                extracted_text=text,
-                links=list(link_pairs),
-                method=method,
-                n_blocks_kept=text.count("\n\n") + 1 if text else 0,
-                quality_score=1.0 if text else 0.0,
-                error=err,
-            )
-
-        if kind in ("csv", "json", "xml"):
-            # standalone structured-text payloads (S8 breadth, the
-            # reference's "Others" MarkItDown category, config.py:55-58)
-            from .textdata import csv_to_text, json_to_text, xml_to_text
-
-            conv = {"csv": csv_to_text, "json": json_to_text,
-                    "xml": xml_to_text}[kind]
-            text, err = conv(payload)
-            if err and not text:
-                if text_fallback:
-                    return _fallback_text(text_fallback)
-                return ExtractResult(method="error", error=err)
-            return ExtractResult(
-                extracted_text=text,
-                method=kind,
-                n_blocks_kept=text.count("\n\n") + 1 if text else 0,
-                quality_score=1.0 if text else 0.0,
-                error=err,
-            )
-
-        if kind == "ole2":
-            # legacy binary Office family (S8 breadth): .doc/.xls/.ppt
-            # via the in-process MS-CFB walker (reference routes these
-            # to MarkItDown, config.py:78-92 / file_converter.py:90-97)
-            from .ole2 import extract_ole2
-
-            text, link_pairs, method, err = extract_ole2(payload)
-            if err and not text and not link_pairs:
-                if text_fallback:
-                    return _fallback_text(text_fallback)
-                return ExtractResult(method="error", error=err)
-            return ExtractResult(
-                extracted_text=text,
-                links=list(link_pairs),
-                method=method,
-                n_blocks_kept=text.count("\n\n") + 1 if text else 0,
-                quality_score=1.0 if text else 0.0,
-                error=err,
-            )
-
-        if kind == "pdf":
-            text, link_pairs, err = extract_pdf(payload)
-            if err and not text:
-                return ExtractResult(method="error", error=err)
-            return ExtractResult(
-                extracted_text=text,
-                links=list(link_pairs),
-                method="pdf",
-                n_blocks_kept=text.count("\n\n") + 1 if text else 0,
-                quality_score=1.0 if text else 0.0,
-                error=err,
-            )
 
         if kind == "html":
             # charset sniff (BOM > strict UTF-8 > declared > cp1252):
             # Common-Crawl HTML has a long legacy-encoding tail that a
             # bare utf-8 decode would mojibake (extractor/charset.py)
-            from .charset import decode_html_payload
-
             html_text, _enc = decode_html_payload(payload)
-            if cfg.use_fast_parser:
-                from .html_fast import parse_html_blocks_fast
-                blocks, title, boiler_chars = parse_html_blocks_fast(
-                    html_text, cfg)
-            else:
-                blocks, title, boiler_chars = parse_html_blocks(html_text, cfg)
+            blocks, title, boiler_chars = parse_html_blocks_fast(html_text,
+                                                                 cfg)
             kept, dropped_score = score_and_filter(blocks, cfg)
             text, spans, links = render_blocks(kept, title, cfg)
             if text:
@@ -225,10 +207,7 @@ def extract_document(
                     quality_score=round(kept_chars / total, 6) if total else 0.0,
                 )
             # parse produced nothing -> fallback
-        if text_fallback:
-            return _fallback_text(text_fallback)
-        if kind == "empty":
-            return ExtractResult(method="error", error="empty_payload")
-        return ExtractResult(method="error", error="no_content")
+        return _fallback_or_error(
+            text_fallback, "empty_payload" if kind == "empty" else "no_content")
     except Exception as exc:  # absolute backstop: degradation principle
         return ExtractResult(method="error", error=f"extract_error:{type(exc).__name__}")

@@ -5,10 +5,9 @@ The reference extracts PDF text/links via PyMuPDF
 decks through a LibreOffice *subprocess* (app_v5.py:377-390) — the rebuild
 replaces both with pure in-process parsing (north_star requirement).
 
-PyMuPDF is not available in this environment, so this module implements a
-minimal, deterministic parser covering the PDF shapes our synthetic corpus
-generates (FIXTURES.md) plus the structural features a real crawl hits
-first:
+PyMuPDF is not a dependency: this module implements a minimal,
+deterministic parser covering the PDF shapes our synthetic corpus generates
+(FIXTURES.md) plus the structural features a real crawl hits first:
 
   - object scan: stream-aware (``/Length`` jumps past binary stream data,
     so payload bytes that happen to spell ``endobj`` cannot truncate an
@@ -38,8 +37,9 @@ first:
         (hyperlink_extractor.py:283-296), deduped per (url, page) (J2).
 
 Payloads with no recognizable structure take the error path with
-``error='pdf_unsupported'`` rather than wrong output; if PyMuPDF is
-installed it is used instead (import-try gate).
+``error='pdf_unsupported'`` rather than wrong output. The parser is the
+only PDF path, so the extracted bytes never depend on which packages the
+host has installed.
 """
 
 from __future__ import annotations
@@ -48,13 +48,6 @@ import base64
 import binascii
 import re
 import zlib
-
-try:  # pragma: no cover - not present in this environment
-    import fitz  # type: ignore
-    _HAVE_FITZ = True
-except Exception:  # pragma: no cover
-    fitz = None
-    _HAVE_FITZ = False
 
 from .normalize import normalize_text
 
@@ -936,9 +929,6 @@ def extract_pdf(payload: bytes) -> tuple[str, list[tuple[str, str]], str]:
     annotation /Rect neighborhood holds text, the reference's
     placeholders otherwise, or the +/-50-char context of a regex match.
     """
-    if _HAVE_FITZ:  # pragma: no cover
-        return _extract_pdf_fitz(payload)
-
     paragraphs: list[str] = []
     links: list[tuple[str, str]] = []
     seen: set[tuple[str, int]] = set()
@@ -976,22 +966,3 @@ def extract_pdf(payload: bytes) -> tuple[str, list[tuple[str, str]], str]:
         return "", [], "pdf_unsupported"
     return "\n\n".join(paragraphs), links, ""
 
-
-def _extract_pdf_fitz(payload: bytes):  # pragma: no cover
-    """PyMuPDF path (matches reference hyperlink_extractor.py:224-247)."""
-    try:
-        doc = fitz.open(stream=payload, filetype="pdf")
-        paragraphs, links = [], []
-        seen = set()
-        for pno, page in enumerate(doc, start=1):
-            t = normalize_text(page.get_text())
-            if t:
-                paragraphs.append(t)
-            for lnk in page.get_links():
-                uri = lnk.get("uri")
-                if uri and (uri, pno) not in seen:
-                    seen.add((uri, pno))
-                    links.append((f"Link on page {pno}", uri))
-        return "\n\n".join(paragraphs), links, ""
-    except Exception as exc:
-        return "", [], f"pdf_parse_error:{type(exc).__name__}"

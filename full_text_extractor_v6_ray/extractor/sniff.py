@@ -23,8 +23,8 @@ OLE2_MAGIC = b"\xd0\xcf\x11\xe0\xa1\xb1\x1a\xe1"
 # registry in document.py): custom sniffers run BEFORE the builtin
 # rules, in registration order; the first non-empty kind wins. A sniffer
 # is ``fn(payload: bytes) -> str`` returning '' to pass. Pair a custom
-# kind with ``register_extractor(kind, handler)`` to route new payload
-# families (e.g. WARC records, gzip members) end-to-end.
+# kind with ``register_extractor(kind, handler)`` to route a payload
+# family the builtin kinds below do not cover end-to-end.
 _SNIFFERS: list = []
 
 

@@ -28,9 +28,9 @@ import pyarrow.parquet as pq
 
 import ray.data
 
-from ..config import DEFAULT_CONFIG, DEFAULT_PIPELINE_CONFIG, ExtractConfig, PipelineConfig
+from ..config import DEFAULT_CONFIG, ExtractConfig
 from ..sources.pages_gen import PageGenBatch
-from .extract_pipeline import extract_pages
+from .extract_pipeline import BATCH_SIZE, extract_pages
 
 
 def _partition_ranges(n_rows: int, n_parts: int) -> list[tuple[int, int]]:
@@ -60,7 +60,6 @@ def run_checkpointed_extraction(
     n_partitions: int = 8,
     seed: int = 42,
     cfg: ExtractConfig = DEFAULT_CONFIG,
-    pcfg: PipelineConfig = DEFAULT_PIPELINE_CONFIG,
     fail_after_partition: int | None = None,
 ) -> dict:
     """Extract all partitions not yet checkpointed; return run summary.
@@ -127,8 +126,8 @@ def run_checkpointed_extraction(
                             ).slice(start, stop - start)
         ds = ray.data.from_arrow(tbl)
         pages = ds.map_batches(PageGenBatch(seed), batch_format="pyarrow",
-                               batch_size=pcfg.batch_size)
-        extracted = extract_pages(pages, cfg=cfg, pcfg=pcfg)
+                               batch_size=BATCH_SIZE)
+        extracted = extract_pages(pages, cfg=cfg)
 
         part_tmp = os.path.join(out_dir, f"part-{pid:05d}.tmp")
         part_final = os.path.join(out_dir, f"part-{pid:05d}")

@@ -41,7 +41,7 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 
-from ..config import DEFAULT_CONFIG, DEFAULT_PIPELINE_CONFIG, ExtractConfig, PipelineConfig
+from ..config import DEFAULT_CONFIG, ExtractConfig
 from ..sources.warc import read_warc_dir
 from ..stages.crawl import (
     RobotsParseBatch,
@@ -103,8 +103,7 @@ def _filter_class(pages: "ray.data.Dataset", which: str
 def crawl_round(warc_dir: str, state_dir: str, agent: str = "*",
                 default_priority: float = 0.5,
                 default_delay: int = 1,
-                cfg: ExtractConfig = DEFAULT_CONFIG,
-                pcfg: PipelineConfig = DEFAULT_PIPELINE_CONFIG) -> dict:
+                cfg: ExtractConfig = DEFAULT_CONFIG) -> dict:
     """Run one crawl round; returns ``{summary, schedule, rules}``.
 
     ``summary`` is the CDC round record plus crawl counts; ``schedule``
@@ -184,7 +183,7 @@ def crawl_round(warc_dir: str, state_dir: str, agent: str = "*",
                             "payload_digest"]),
         batch_format="pyarrow", zero_copy_batch=True)
     summary = incremental_extraction_round(
-        allowed_pages, state_dir, cfg=cfg, pcfg=pcfg,
+        allowed_pages, state_dir, cfg=cfg,
         hash_col="payload_digest")
 
     # frontier = allowed content urls (recrawl) ∪ sitemap-discovered

@@ -4,7 +4,7 @@ Engine lifecycle (SURVEY.md §3.4):
 
     read_parquet (column-pruned)
       -> [synthesize pages from documents, streaming, when no pages table]
-      -> map_batches(ExtractBatch, actor pool, pyarrow, zero-copy)
+      -> map_batches(ExtractBatch, task pool, pyarrow, zero-copy)
       -> dedup_latest_by_ts (local combine + one groupby shuffle)
       -> write_parquet (partitioned) / Dataset back to caller
 
@@ -38,15 +38,21 @@ import pyarrow.compute as pc
 
 import ray.data
 
-from ..config import DEFAULT_CONFIG, DEFAULT_PIPELINE_CONFIG, ExtractConfig, PipelineConfig
+from ..config import DEFAULT_CONFIG, ExtractConfig
 from ..sources.pages_gen import PAGES_SCHEMA, PageGenBatch
 from ..stages.dedup import bucketed_group_agg, dedup_latest_by_ts
 from ..stages.extract import EXTRACTED_SCHEMA, ExtractBatch
 from ..stages.joins import BROADCAST_MAX, filter_to_keys
 
+# pages per extraction batch; html rows are wide (~100 KB avg)
+BATCH_SIZE = 128
+# documents per page-synthesis task: small so the fused synth->extract
+# chain yields many fine-grained tasks (load balance / short tail); with
+# replicate=R one task carries ~DOC_BATCH_SIZE*R pages
+DOC_BATCH_SIZE = 32
+
 
 def pages_dataset_from_documents(sf_dir: str, seed: int = 42,
-                                 pcfg: PipelineConfig = DEFAULT_PIPELINE_CONFIG,
                                  replicate: int = 1,
                                  ) -> "ray.data.Dataset":
     """Streaming synthetic pages over the driver's documents table.
@@ -61,72 +67,36 @@ def pages_dataset_from_documents(sf_dir: str, seed: int = 42,
     )
     return docs.map_batches(PageGenBatch(seed, replicate),
                             batch_format="pyarrow",
-                            batch_size=pcfg.doc_batch_size,
+                            batch_size=DOC_BATCH_SIZE,
                             zero_copy_batch=True)
 
 
-def _pool_size(pcfg: PipelineConfig) -> tuple[int, int]:
-    """Actor-pool bounds: autoscale (1, cluster_cpus - 2).
-
-    Leaving >=2 CPUs free keeps the read and shuffle stages schedulable —
-    a pool reserving every CPU deadlocks the streaming executor (the read
-    task gets backpressured behind pending actors forever).
-    """
-    if pcfg.concurrency is not None:
-        return (1, pcfg.concurrency)
-    import ray
-    try:
-        total = int(ray.cluster_resources().get("CPU", 8))
-    except Exception:
-        total = 8
-    cap = max(1, total - 2)
-    # FIXED pool at cap: the autoscaler is too conservative (observed
-    # plateau at ~half the cap on a 220k-page run), and autoscaling from a
-    # low floor pays actor-startup latency serially. cap = cpus-2 keeps the
-    # read/shuffle stages schedulable (full-width pool deadlocks the read).
-    return (cap, cap)
-
-
 def extract_pages(pages: "ray.data.Dataset",
-                  cfg: ExtractConfig = DEFAULT_CONFIG,
-                  pcfg: PipelineConfig = DEFAULT_PIPELINE_CONFIG
-                  ) -> "ray.data.Dataset":
+                  cfg: ExtractConfig = DEFAULT_CONFIG) -> "ray.data.Dataset":
     """Extraction stage: Arrow zero-copy, html column dropped.
 
-    Default is a TASK pool: extractor state is module-level compiled
-    regexes, paid once per worker process at import under either mode,
-    and tasks reuse Ray's prestarted workers — the actor pool's 5-14 s
-    per-execution spawn (measured, 30 actors at 32 cpus) buys nothing
-    here. ``pcfg.use_actor_pool`` keeps the A1 actor shape available for
-    variants with genuinely expensive per-actor state (model loads).
+    A TASK pool: extractor state is module-level compiled regexes, paid
+    once per worker process at import, and tasks reuse Ray's prestarted
+    workers — an actor pool's 5-14 s per-execution spawn (measured, 30
+    actors at 32 cpus: tasks 11.6 s vs actors 16-26 s on the 223k-page
+    bench) buys nothing here.
     """
-    if pcfg.use_actor_pool:
-        return pages.map_batches(
-            ExtractBatch,
-            fn_constructor_kwargs={"cfg": cfg},
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-            batch_size=pcfg.batch_size,
-            concurrency=_pool_size(pcfg),
-            num_cpus=pcfg.num_cpus_per_actor,
-        )
     return pages.map_batches(
         ExtractBatch(cfg),
         batch_format="pyarrow",
         zero_copy_batch=True,
-        batch_size=pcfg.batch_size,
+        batch_size=BATCH_SIZE,
     )
 
 
 def extraction_pipeline(sf_dir: str,
                         dedup: bool = True,
                         out_dir: str | None = None,
-                        cfg: ExtractConfig = DEFAULT_CONFIG,
-                        pcfg: PipelineConfig = DEFAULT_PIPELINE_CONFIG
+                        cfg: ExtractConfig = DEFAULT_CONFIG
                         ) -> "ray.data.Dataset":
     """documents.parquet -> pages -> extracted (optionally deduped/written)."""
-    pages = pages_dataset_from_documents(sf_dir, pcfg=pcfg)
-    extracted = extract_pages(pages, cfg=cfg, pcfg=pcfg)
+    pages = pages_dataset_from_documents(sf_dir)
+    extracted = extract_pages(pages, cfg=cfg)
     if dedup:
         extracted = dedup_latest_by_ts(extracted)
     if out_dir:
@@ -209,8 +179,7 @@ def latest_captures(warc_dir: str, broadcast_max: int = BROADCAST_MAX
 def warc_extraction_pipeline(warc_dir: str,
                              dedup: bool = True,
                              out_dir: str | None = None,
-                             cfg: ExtractConfig = DEFAULT_CONFIG,
-                             pcfg: PipelineConfig = DEFAULT_PIPELINE_CONFIG
+                             cfg: ExtractConfig = DEFAULT_CONFIG
                              ) -> "ray.data.Dataset":
     """Raw crawl segments -> corpus: the Common-Crawl front-end of the
     flagship pipeline.
@@ -239,7 +208,7 @@ def warc_extraction_pipeline(warc_dir: str,
         # empty would carry no schema
         extracted = ray.data.from_arrow(EXTRACTED_SCHEMA.empty_table())
     else:
-        extracted = extract_pages(pages, cfg=cfg, pcfg=pcfg)
+        extracted = extract_pages(pages, cfg=cfg)
     if ties:
         extracted = dedup_latest_by_ts(extracted)
     if out_dir:

@@ -42,7 +42,7 @@ import pyarrow.compute as pc
 
 import ray.data
 
-from ..config import DEFAULT_CONFIG, DEFAULT_PIPELINE_CONFIG, ExtractConfig, PipelineConfig
+from ..config import DEFAULT_CONFIG, ExtractConfig
 from ..stages.crawl import snapshot_diff
 from ..stages.hashing import md5_hex
 from ..stages.joins import BROADCAST_MAX, filter_to_keys
@@ -95,7 +95,6 @@ def incremental_extraction_round(
     pages: "ray.data.Dataset",
     state_dir: str,
     cfg: ExtractConfig = DEFAULT_CONFIG,
-    pcfg: PipelineConfig = DEFAULT_PIPELINE_CONFIG,
     broadcast_max: int = BROADCAST_MAX,
     hash_col: str | None = None,
     slim: "ray.data.Dataset | None" = None,
@@ -217,7 +216,7 @@ def incremental_extraction_round(
         # falls back to the bucketed semi-join (pages cross once).
         work_pages = filter_to_keys(pages, work, "url", n_work,
                                     broadcast_max=broadcast_max)
-    delta = extract_pages(work_pages, cfg=cfg, pcfg=pcfg)
+    delta = extract_pages(work_pages, cfg=cfg)
     delta = delta.map_batches(
         lambda b, _k=k: b.append_column(
             "round", pa.array([_k] * b.num_rows, pa.int64())),

@@ -1,11 +1,11 @@
 """The extraction stage: pages batch -> (url, warc_ts, extracted_text, spans, …).
 
-Actor-pool ``map_batches`` UDF (SURVEY.md §2.3 A1): the reference builds a
+Task-pool ``map_batches`` UDF (SURVEY.md §2.3 A1): the reference builds a
 new ``PowerPointProcessor`` (and a new MarkItDown instance) PER FILE
 (/root/reference/src/processors/powerpoint/powerpoint_processor.py:359-365)
 — the central architectural fix here is that all compiled state (regex
-tables, tag whitelists, config) is created once per actor in ``__init__``
-and reused for every batch.
+tables, tag whitelists) is module-level, created once per worker process
+at import and reused for every batch.
 
 Arrow in / Arrow out (``batch_format="pyarrow"``, zero-copy from the object
 store). The wide ``html`` binary column is DROPPED on output so the dedup
@@ -50,21 +50,15 @@ EXTRACTED_SCHEMA = pa.schema([
 
 
 class ExtractBatch:
-    """Callable class for ``map_batches(ExtractBatch, concurrency=N, ...)``.
+    """Callable for ``map_batches(ExtractBatch(cfg), ...)``, once per batch.
 
-    __init__ runs once per actor (compile-once state); __call__ per batch.
     The per-row DOM walk is inherently a Python loop over payloads — each
     iteration is a full HTML parse (the vectorizable work: the parse itself),
     not a row-wise arithmetic op, so this is the correct grain.
     """
 
-    def __init__(self, cfg: ExtractConfig = DEFAULT_CONFIG,
-                 keep_html: bool = False):
+    def __init__(self, cfg: ExtractConfig = DEFAULT_CONFIG):
         self.cfg = cfg
-        self.keep_html = keep_html
-        # touch compiled module-level regexes so import cost lands here,
-        # once per actor, not in the first batch's critical path
-        from ..extractor import html_blocks, normalize, links, pdf  # noqa: F401
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         cfg = self.cfg
@@ -134,7 +128,7 @@ class ExtractBatch:
                  pa.array(lk_href, pa.string())],
                 names=["text", "href"])).cast(LINKS_TYPE)
 
-        cols = {
+        return pa.table({
             "url": urls,
             "warc_ts": ts,
             "lang": langs,
@@ -149,7 +143,4 @@ class ExtractBatch:
             "n_chars": pa.array(n_chars, pa.int64()),
             "n_words": pa.array(n_words, pa.int64()),
             "quality_score": pa.array(quality, pa.float64()),
-        }
-        if self.keep_html:
-            cols["html"] = batch.column("html")
-        return pa.table(cols)
+        })

@@ -10,9 +10,8 @@ via the in-repo pure-stdlib codecs (``extractor/codecs.py`` — zlib
 inflate + unfilter, RIFF walk; no PIL/ffmpeg needed). The deterministic
 FAKEIMG/FAKEVID/FAKEAUD containers remain as the synthetic-fixture path
 (and stand in for formats whose codecs the sandbox genuinely lacks:
-JPEG, compressed video). If PIL is importable it is the last-resort
-fallback for other containers; anything undecodable lands on the error
-column (degradation principle, same as the extractor).
+JPEG, compressed video). Anything undecodable lands on the error column
+(degradation principle, same as the extractor).
 """
 
 from __future__ import annotations
@@ -24,13 +23,6 @@ import numpy as np
 import pyarrow as pa
 
 from ..extractor import codecs as _codecs
-
-try:  # pragma: no cover - not installed here
-    from PIL import Image  # type: ignore
-    _HAVE_PIL = True
-except Exception:  # pragma: no cover
-    Image = None
-    _HAVE_PIL = False
 
 FAKEIMG_MAGIC = b"FAKEIMG1"
 
@@ -62,11 +54,11 @@ def _decode_fake(payload: bytes):
 # day the environment gains libjpeg-turbo/PIL/cv2, registering a
 # native decoder here swaps the hot kernel WITHOUT touching any stage:
 # ``decode_image_payload`` consults the registry first and falls back
-# to the in-repo codecs on any native error. ``enable_native_codecs``
-# auto-registers PIL for the LOSSLESS formats (png/bmp/gif — output is
-# bit-specified, so results are identical by construction); JPEG stays
-# explicit opt-in because IDCT rounding is not bit-specified across
-# decoders and the repo's oracles pin exact pixel stats.
+# to the in-repo codecs on any native error. Registration is always
+# explicit: a decoder must return the same pixels as the pure codec
+# (RGB/RGBA, not palette indices), and JPEG IDCT rounding is not
+# bit-specified across decoders while the repo's oracles pin exact
+# pixel stats.
 # ---------------------------------------------------------------------------
 
 _NATIVE_DECODERS: dict = {}
@@ -81,23 +73,6 @@ def register_native_decoder(fmt: str, fn) -> None:
 def unregister_native_decoder(fmt: str) -> None:
     _NATIVE_DECODERS.pop(fmt, None)
 
-
-def enable_native_codecs() -> list[str]:
-    """Auto-register PIL (when importable) for the lossless formats;
-    returns the formats that got a native decoder."""
-    if not _HAVE_PIL:
-        return []
-    import io  # pragma: no cover - PIL absent in this sandbox
-
-    def _pil(payload: bytes) -> np.ndarray:  # pragma: no cover
-        return np.asarray(Image.open(io.BytesIO(payload)))
-
-    for fmt in ("png", "bmp", "gif"):  # pragma: no cover
-        register_native_decoder(fmt, _pil)
-    return ["png", "bmp", "gif"]  # pragma: no cover
-
-
-enable_native_codecs()
 
 _PURE_DECODERS = {
     "png": lambda p: _codecs.png_decode(p),
@@ -122,8 +97,8 @@ def _sniff_image_format(payload: bytes) -> str | None:
 def decode_image_payload(payload: bytes) -> np.ndarray:
     """Container-sniffing image decode: FAKEIMG / PNG / BMP / GIF /
     baseline JPEG. A registered native decoder is preferred per format
-    (pure-codec fallback on native error); PIL last-resort for unknown
-    containers if present. Returns uint8 (h, w) gray or (h, w, c).
+    (pure-codec fallback on native error). Returns uint8 (h, w) gray or
+    (h, w, c).
     Raises on anything undecodable."""
     if payload.startswith(FAKEIMG_MAGIC):
         return _decode_fake(payload)
@@ -138,9 +113,6 @@ def decode_image_payload(payload: bytes) -> np.ndarray:
             except Exception:
                 pass            # degrade to the in-repo codec
         return _PURE_DECODERS[fmt](payload)
-    if _HAVE_PIL:  # pragma: no cover
-        import io
-        return np.asarray(Image.open(io.BytesIO(payload)))
     raise ValueError("unsupported image container")
 
 
@@ -160,9 +132,6 @@ class DecodeImageBatch:
     container header; undecodable payloads land on the error column
     (degradation principle, same as the extractor).
     """
-
-    def __init__(self):
-        self.have_pil = _HAVE_PIL
 
     def _decode(self, payload: bytes) -> np.ndarray:
         return decode_image_payload(payload)

@@ -1,9 +1,5 @@
 import pyarrow as pa
 
-from full_text_extractor_v6_ray.functions.file_utils import (
-    safe_filename,
-    url_to_artifact_name,
-)
 from full_text_extractor_v6_ray.stages.metadata import (
     DataIslandBatch,
     PageMetadataBatch,
@@ -15,18 +11,6 @@ def _pages(htmls):
         "url": pa.array([f"u{i}" for i in range(len(htmls))], pa.string()),
         "html": pa.array([h.encode() for h in htmls], pa.binary()),
     })
-
-
-def test_safe_filename():
-    assert safe_filename("a/b:c*d") == "a_b_c_d"
-    assert safe_filename("normal-name.txt") == "normal-name.txt"
-    assert safe_filename("") == "unnamed"
-    assert safe_filename("///") == "unnamed"
-    assert len(safe_filename("x" * 400)) == 255
-
-
-def test_url_to_artifact_name():
-    assert url_to_artifact_name("https://h.com/a/b") == "h.com_a_b"
 
 
 def test_page_metadata_completeness():
