@@ -7,7 +7,8 @@ extraction over Parquet-backed Common-Crawl-style pages
 ``ray.data.Dataset`` pipeline:
 
     read_parquet -> map_batches(ExtractBatch task pool, pyarrow, zero-copy)
-                 -> groupby(url) first-by-warc_ts dedup (salted for hot hosts)
+                 -> url dedup, latest warc_ts wins (batch-local combine,
+                    then one bucketed exchange; hot urls cost O(batches))
                  -> write_parquet (partitioned, manifest-checkpointed)
 
 Layout:

@@ -6,16 +6,28 @@ at 10^12 urls a recrawl round touches a few percent of the corpus and
 re-extracting the rest is the dominant wasted cost. This pipeline makes
 the delta the unit of work:
 
-  round k:  pages_k  ──(url, md5(html)) slim rows──┐
-            manifest_{k-1} (url → hash) ───────────┤
-                                                   ▼
-                      snapshot_diff (ONE bucketed exchange)
-                                                   ▼
-            new+changed urls ── lookup semi-join ──▶ extract ONLY those
-                                                   ▼
-            out/<state>/delta/round-k/   (extracted rows, + round col)
+  round k:  pages_k ──(url, md5(html)) slim rows──▶ manifest/round-k.tmp
+            manifest/round-{k-1} (url → hash) ──────────┤
+                                                         ▼
+            diff, dispatched on prev + cur slim rows vs BROADCAST_MAX:
+              ≤ : one Arrow hash probe on the driver (snapshot_diff_table)
+              > : snapshot_diff (ONE bucketed exchange); its blocks
+                  write the tombstones and keep only the work urls
+                                                         ▼
+            new+changed urls ── filter_to_keys ──▶ extract ONLY those
+                                                         ▼
+            out/<state>/delta/round-k/      (extracted rows, + round col)
             out/<state>/tombstones/round-k/ (gone urls)
-            out/<state>/manifest/round-k/ (url → hash, full, dir-atomic)
+            out/<state>/manifest/round-k/   (url → hash, full; the tmp
+                                             dir's rename commits)
+
+Ray executions per round: the slim pass (which writes the manifest
+rows) and extract + delta write — 2 at or below the threshold and at
+bootstrap; above it add the diff, which also writes the tombstones and
+materializes the work urls — 3, plus ``filter_to_keys``'s one-row
+schema probe when the work urls join lazily built pages. The status
+counts need no pass of their own: they follow from the manifest,
+tombstone and work row counts.
 
 Consumers read base+deltas (``read_current_corpus``) — the standard CDC
 contract; unchanged rows are never copied forward, so a round's compute
@@ -24,14 +36,15 @@ filtered pass — measured 1.98× vs full re-extraction at 500k×5 KB
 pages with a 5% delta, scripts/incremental_bench.py). A WARC source
 can skip the first scan by trusting the WARC-Payload-Digest record
 header instead of hashing payloads. Scale shape: the slim hash rows are
-~50 B/url (vs ~KB pages); the only corpus-wide exchanges move those slim
+~50 B/url (vs ~KB pages); the only corpus-wide exchange moves those slim
 rows; pages cross the cluster once, filtered to the work list BEFORE
-extraction via a bucketed lookup join. Everything is deterministic and
-a re-run of the same round is a no-op (idempotence test).
+extraction. Everything is deterministic and a re-run of the same round
+is a no-op (idempotence test).
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import shutil
@@ -39,11 +52,12 @@ import warnings
 
 import pyarrow as pa
 import pyarrow.compute as pc
+import pyarrow.parquet as pq
 
 import ray.data
 
 from ..config import DEFAULT_CONFIG, ExtractConfig
-from ..stages.crawl import snapshot_diff
+from ..stages.crawl import snapshot_diff, snapshot_diff_table
 from ..stages.hashing import md5_hex
 from ..stages.joins import BROADCAST_MAX, filter_to_keys
 from .extract_pipeline import extract_pages
@@ -79,16 +93,7 @@ def _fresh_dir(path: str) -> str:
     return path
 
 
-def _status_filter(ds: "ray.data.Dataset", statuses: set[str]
-                   ) -> "ray.data.Dataset":
-    wanted = pa.array(sorted(statuses), pa.string())
-
-    def filt(batch: pa.Table) -> pa.Table:
-        return batch.filter(pc.is_in(batch.column("status"),
-                                     value_set=wanted))
-
-    return ds.map_batches(filt, batch_format="pyarrow",
-                          zero_copy_batch=True)
+_WORK = pa.array(["changed", "new"], pa.string())
 
 
 def incremental_extraction_round(
@@ -102,9 +107,15 @@ def incremental_extraction_round(
 ) -> dict:
     """Run one incremental round over url-unique ``pages`` (url, warc_ts,
     html[, text, lang]); returns the round summary. Writes are atomic:
-    delta/tombstones parquet first, the manifest (the commit record)
-    last via tmp→rename, so a crashed round is invisible and re-runs
+    the manifest rows, tombstones and delta go into per-round dirs
+    first, then ``_meta.json`` and one tmp→rename of the manifest dir
+    (the commit record), so a crashed round is invisible and re-runs
     cleanly.
+
+    The diff is size-dispatched like ``latest_captures``: when the
+    previous and current slim rows together are at most
+    ``broadcast_max`` it runs on the driver in Arrow, else as one
+    bucketed exchange that moves no url row to the driver.
 
     ``hash_col`` names a crawler-recorded content-hash column (e.g. the
     ``payload_digest`` column ``read_warc_dir(include_digest=True)``
@@ -150,64 +161,47 @@ def incremental_extraction_round(
 
     def _slim(batch: pa.Table) -> pa.Table:
         if hash_col is not None:
-            given = batch.column(hash_col)
-            if given.null_count == 0:
-                h = given
-            else:
-                # rare path: md5 only the digest-less payloads, stitch
-                # back in row order (digest coverage in real crawls is
-                # ~total, so the boxing here touches few rows)
-                mask = pc.is_null(given).to_numpy(zero_copy_only=False)
-                fb = iter(md5_hex(batch.column("html").filter(
-                    pa.array(mask))).to_pylist())
-                vals = given.to_pylist()
-                h = pa.array([next(fb) if m else v
-                              for v, m in zip(vals, mask)], pa.string())
+            # md5 only the digest-less payloads (digest coverage in real
+            # crawls is ~total, so the fallback touches few rows)
+            given = pc.cast(batch.column(hash_col).combine_chunks(),
+                            pa.string())
+            miss = pc.is_null(given)
+            h = pc.replace_with_mask(
+                given, miss, md5_hex(batch.column("html").filter(miss)))
         else:
             h = md5_hex(batch.column("html"))
-        return pa.table({"url": batch.column("url"),
-                         "hash_b": pc.cast(h, pa.string())})
+        return pa.table({"url": batch.column("url"), "hash": h})
 
-    # slim rows materialize ONCE: the diff and the manifest write both
-    # consume them, and recomputing would re-hash the wide pages
+    # the slim pass writes the round's manifest rows straight into the
+    # uncommitted tmp dir: the diff reads them back from there, so the
+    # wide pages are hashed once and no separate manifest write runs
+    man_tmp = _fresh_dir(
+        os.path.join(state_dir, "manifest", f"round-{k}.tmp"))
     if slim is not None:
-        cur = slim.map_batches(
-            lambda b: pa.table({
-                "url": b.column("url"),
-                "hash_b": pc.cast(b.column("hash"), pa.string())}),
-            batch_format="pyarrow", zero_copy_batch=True).materialize()
-    else:
-        cur = pages.map_batches(_slim, batch_format="pyarrow",
-                                zero_copy_batch=True).materialize()
-
-    if not done:
-        # bootstrap: everything is 'new'
-        diff = cur.map_batches(
+        slim.map_batches(
             lambda b: pa.table({"url": b.column("url"),
-                                "status": pa.array(["new"] * b.num_rows,
-                                                   pa.string())}),
-            batch_format="pyarrow", zero_copy_batch=True)
+                                "hash": pc.cast(b.column("hash"),
+                                                pa.string())}),
+            batch_format="pyarrow", zero_copy_batch=True
+        ).write_parquet(man_tmp)
     else:
-        prev = ray.data.read_parquet(
-            os.path.join(state_dir, "manifest", f"round-{done[-1]}"))
-        prev = prev.map_batches(
-            lambda b: pa.table({"url": b.column("url"),
-                                "hash_a": b.column("hash")}),
-            batch_format="pyarrow", zero_copy_batch=True)
-        diff = snapshot_diff(prev, cur)
+        pages.map_batches(_slim, batch_format="pyarrow",
+                          zero_copy_batch=True).write_parquet(man_tmp)
+    n_cur = _parquet_rows(man_tmp)
 
-    # pin the slim (url, status) rows once: counts + two filters read
-    # them (slim rows spill fine at corpus scale)
-    diff = diff.materialize()
-    counts = {r["status"]: r["count()"]
-              for r in diff.groupby("status").count().take_all()}
-
-    work = _status_filter(diff, {"new", "changed"}).drop_columns(["status"])
-    n_work = counts.get("new", 0) + counts.get("changed", 0)
+    tomb_dir = _fresh_dir(
+        os.path.join(state_dir, "tombstones", f"round-{k}"))
     if not done:
-        # bootstrap: every page is work — no filter at all
+        # bootstrap: every page is new and is work — no diff, no filter
+        counts = {"new": n_cur}
         work_pages = pages
     else:
+        prev_dir = os.path.join(state_dir, "manifest", f"round-{done[-1]}")
+        n_prev = _parquet_rows(prev_dir)
+        diff = (_diff_on_driver if n_prev + n_cur <= broadcast_max
+                else _diff_distributed)
+        work, n_work = diff(prev_dir, man_tmp, tomb_dir, k)
+        counts = _counts(n_prev, n_cur, n_work, _parquet_rows(tomb_dir))
         # the normal recrawl regime: the delta is a few percent of the
         # corpus, so the work urls broadcast once and pages filter
         # map-side — the wide html rows never enter a shuffle (shipping
@@ -224,29 +218,13 @@ def incremental_extraction_round(
     delta_dir = _fresh_dir(os.path.join(state_dir, "delta", f"round-{k}"))
     delta.write_parquet(delta_dir)
 
-    gone = _status_filter(diff, {"gone"})
-    tomb_dir = _fresh_dir(
-        os.path.join(state_dir, "tombstones", f"round-{k}"))
-    gone.map_batches(
-        lambda b, _k=k: pa.table({
-            "url": b.column("url"),
-            "round": pa.array([_k] * b.num_rows, pa.int64())}),
-        batch_format="pyarrow", zero_copy_batch=True).write_parquet(tomb_dir)
-
-    # manifest last = the commit point (distributed parquet write into a
-    # tmp dir, then one atomic dir rename — never driver-materialized)
-    man_tmp = _fresh_dir(
-        os.path.join(state_dir, "manifest", f"round-{k}.tmp"))
-    man_final = os.path.join(state_dir, "manifest", f"round-{k}")
-    cur.map_batches(
-        lambda b: pa.table({"url": b.column("url"),
-                            "hash": b.column("hash_b")}),
-        batch_format="pyarrow", zero_copy_batch=True).write_parquet(man_tmp)
-    # the underscore prefix keeps parquet readers (pyarrow dataset
+    # the manifest rename is the commit point: until it lands, readers
+    # (``_rounds``) see neither this round's delta nor its tombstones.
+    # The underscore prefix keeps parquet readers (pyarrow dataset
     # ignore_prefixes) from treating the meta file as data
     with open(os.path.join(man_tmp, "_meta.json"), "w") as f:
         json.dump({"hash_kind": hash_kind, "round": k}, f)
-    os.rename(man_tmp, man_final)
+    os.rename(man_tmp, os.path.join(state_dir, "manifest", f"round-{k}"))
 
     return {
         "round": k,
@@ -257,6 +235,83 @@ def incremental_extraction_round(
         "extracted_rows": counts.get("new", 0) + counts.get("changed", 0),
         "state_dir": state_dir,
     }
+
+
+def _parquet_rows(path: str) -> int:
+    """Row count of a parquet dir, from the file footers alone."""
+    return sum(pq.read_metadata(os.path.join(path, f)).num_rows
+               for f in os.listdir(path) if f.endswith(".parquet"))
+
+
+def _counts(n_prev: int, n_cur: int, n_work: int, n_gone: int) -> dict:
+    """The four status counts from row counts alone. Urls are unique on
+    each side, so prev = gone + changed + unchanged, cur = new + changed
+    + unchanged and work = new + changed."""
+    unchanged = n_cur - n_work
+    changed = n_prev - n_gone - unchanged
+    return {"new": n_work - changed, "changed": changed, "gone": n_gone,
+            "unchanged": unchanged}
+
+
+def _write_tombstones(diff: pa.Table, tomb_dir: str, k: int) -> None:
+    """Write the gone urls of (url, status) diff rows as tombstones (no
+    file when none is gone). The file is named after its first url, so
+    a retried task rewrites its own file and two blocks never share
+    one."""
+    gone = diff.filter(pc.equal(diff.column("status"), "gone")).column("url")
+    if len(gone):
+        name = hashlib.md5(gone[0].as_py().encode()).hexdigest()
+        pq.write_table(
+            pa.table({"url": gone,
+                      "round": pa.array([k] * len(gone), pa.int64())}),
+            os.path.join(tomb_dir, f"part-{name}.parquet"))
+
+
+def _work_urls(diff: pa.Table) -> pa.Table:
+    return pa.table({"url": diff.filter(pc.is_in(
+        diff.column("status"), value_set=_WORK)).column("url")})
+
+
+_SLIM = pa.schema([("url", pa.string()), ("hash", pa.string())])
+
+
+def _diff_on_driver(prev_dir: str, cur_dir: str, tomb_dir: str, k: int
+                    ) -> tuple[pa.Array, int]:
+    """Small-state diff: both slim manifests fit on the driver, so the
+    diff is one Arrow hash probe — no Ray execution. Writes the gone
+    urls' tombstones; returns the work urls and their count."""
+    # the explicit schema reads a round that wrote no rows as empty
+    prev, cur = (pq.read_table(d, schema=_SLIM).rename_columns(["url", h])
+                 for d, h in ((prev_dir, "hash_a"), (cur_dir, "hash_b")))
+    diff = snapshot_diff_table(prev, cur)
+    _write_tombstones(diff, tomb_dir, k)
+    work = _work_urls(diff).column("url").combine_chunks()
+    return work, len(work)
+
+
+def _diff_distributed(prev_dir: str, cur_dir: str, tomb_dir: str, k: int
+                      ) -> tuple["ray.data.Dataset", int]:
+    """Corpus-scale diff: ONE bucketed exchange (``snapshot_diff``) over
+    the slim manifests, in ONE execution: each diff block writes its
+    gone urls' tombstones and keeps only its work urls, which
+    materialize. No url row visits the driver. Returns the work-url
+    Dataset and its row count."""
+    def read(path: str, name: str) -> "ray.data.Dataset":
+        return ray.data.read_parquet(path).map_batches(
+            lambda b: pa.table({"url": b.column("url"),
+                                name: b.column("hash")}),
+            batch_format="pyarrow", zero_copy_batch=True)
+
+    def settle(diff: pa.Table) -> pa.Table:
+        if not diff.num_rows:  # an empty bucket's block may carry no schema
+            return pa.table({"url": pa.array([], pa.string())})
+        _write_tombstones(diff, tomb_dir, k)
+        return _work_urls(diff)
+
+    work = snapshot_diff(read(prev_dir, "hash_a"), read(cur_dir, "hash_b")
+                         ).map_batches(settle, batch_format="pyarrow",
+                                       zero_copy_batch=True).materialize()
+    return work, work.count()
 
 
 def _round_files(state_dir: str, sub: str, rounds: list[int]) -> list[str]:

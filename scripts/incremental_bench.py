@@ -1,7 +1,9 @@
 """Incremental recrawl at scale: full round 0 vs a 5%-delta round 1.
 
-Usage: python scripts/incremental_bench.py [n_pages] [num_cpus]
-Prints one JSON line. OWNS its Ray session.
+Usage: python scripts/incremental_bench.py [n_pages] [num_cpus] [broadcast_max]
+Prints one JSON line. OWNS its Ray session. ``broadcast_max`` (default
+``stages.joins.BROADCAST_MAX``) picks the diff branch: 0 forces the
+bucketed exchange, a large value the driver-side Arrow diff.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 N = int(sys.argv[1]) if len(sys.argv) > 1 else 500_000
 CPUS = int(sys.argv[2]) if len(sys.argv) > 2 else 32
+KW = {"broadcast_max": int(sys.argv[3])} if len(sys.argv) > 3 else {}
 STATE = "/dev/shm/graft_incr_bench"
 _TS = datetime.datetime(2024, 1, 1)
 
@@ -76,15 +79,20 @@ def main() -> None:
     from full_text_extractor_v6_ray.pipelines.incremental import (
         incremental_extraction_round,
     )
+    from full_text_extractor_v6_ray.testing import count_executions
 
     shutil.rmtree(STATE, ignore_errors=True)
-    t = time.perf_counter()
-    s0 = incremental_extraction_round(_pages("a"), STATE)
-    t0 = round(time.perf_counter() - t, 2)
+    with count_executions() as executions:
+        t = time.perf_counter()
+        s0 = incremental_extraction_round(_pages("a"), STATE, **KW)
+        t0 = round(time.perf_counter() - t, 2)
+        x0 = len(executions)
 
-    t = time.perf_counter()
-    s1 = incremental_extraction_round(_pages("b"), STATE)
-    t1 = round(time.perf_counter() - t, 2)
+        executions.clear()
+        t = time.perf_counter()
+        s1 = incremental_extraction_round(_pages("b"), STATE, **KW)
+        t1 = round(time.perf_counter() - t, 2)
+        x1 = len(executions)
 
     # base compaction: accumulate a realistic delta chain (alternating
     # snapshots flip 5% per round -> 16 rounds of churn on disk), time
@@ -97,7 +105,8 @@ def main() -> None:
 
     n_churn = 16
     for i in range(n_churn):
-        incremental_extraction_round(_pages("a" if i % 2 else "b"), STATE)
+        incremental_extraction_round(_pages("a" if i % 2 else "b"), STATE,
+                                     **KW)
 
     t = time.perf_counter()
     n_before = read_current_corpus(STATE).count()
@@ -114,9 +123,11 @@ def main() -> None:
 
     out = {
         "metric": "incremental_round_sec",
-        "n_pages": N, "num_cpus": CPUS,
+        "n_pages": N, "num_cpus": CPUS, **KW,
         "round0_sec": t0, "round0_extracted": s0["extracted_rows"],
+        "round0_executions": x0,
         "round1_sec": t1, "round1_extracted": s1["extracted_rows"],
+        "round1_executions": x1,
         "round1_changed": s1["n_changed"],
         "round1_unchanged": s1["n_unchanged"],
         "delta_fraction": round(s1["extracted_rows"] / N, 4),

@@ -20,3 +20,13 @@ def ray_session():
         pass
     yield
     ray.shutdown()
+
+
+@pytest.fixture()
+def count_executions():
+    """Names of the Ray Data executions this process starts while the
+    test runs (see ``full_text_extractor_v6_ray.testing``)."""
+    from full_text_extractor_v6_ray.testing import count_executions as spy
+
+    with spy() as names:
+        yield names

@@ -105,26 +105,119 @@ def test_incremental_resurrected_url(ray_session, state_dir):
     assert "alpha v2" in corpus["https://h.ex/a"]
 
 
-def test_incremental_join_fallback_equivalence(ray_session, tmp_path):
-    # broadcast_max=0 forces the bucketed semi-join path; results must
-    # match the broadcast path exactly
+def _committed(state_dir, k):
+    """Round ``k``'s summary-independent outputs: the delta, tombstone
+    and manifest rows, each sorted by url (None when no file holds a
+    row)."""
+    import pyarrow.parquet as pq
+
+    out = {}
+    for sub in ("delta", "tombstones", "manifest"):
+        d = os.path.join(state_dir, sub, f"round-{k}")
+        parts = [pq.read_table(os.path.join(d, f))
+                 for f in sorted(os.listdir(d)) if f.endswith(".parquet")]
+        parts = [t for t in parts if t.num_rows]
+        out[sub] = (pa.concat_tables(parts).sort_by("url")
+                    if parts else None)
+    return out
+
+
+def _assert_same_commit(got, want):
+    for sub in want:
+        assert (got[sub] is None) == (want[sub] is None), sub
+        assert want[sub] is None or got[sub].equals(want[sub]), sub
+
+
+def _summary(s):
+    return {k: v for k, v in s.items() if k != "state_dir"}
+
+
+# v1 -> v2: j3 changes, j5 goes, j9 is new, the rest stay unchanged;
+# v2 -> v3: j5 comes back (resurrected), j3 changes again
+_EQ_V1 = {f"https://j{i}.ex/p{i}": f"j body {i}" for i in range(8)}
+_EQ_V2 = {**{u: b for u, b in _EQ_V1.items() if "j5." not in u},
+          "https://j3.ex/p3": "j body 3 CHANGED",
+          "https://j9.ex/p9": "j body 9"}
+_EQ_V3 = {**_EQ_V2, "https://j5.ex/p5": "j body 5 back",
+          "https://j3.ex/p3": "j body 3 AGAIN"}
+
+
+def _digest_pages(rows):
+    # a recorded digest for every page but j1 (md5 fallback row)
+    urls = sorted(rows)
+    dg = pa.array([None if "j1." in u else f"sha1:{rows[u]}"
+                   for u in urls], pa.string())
+    return _pages(rows).map_batches(
+        lambda b: b.append_column("payload_digest", dg),
+        batch_format="pyarrow")
+
+
+def _slim_rows(rows):
     import ray.data
 
-    v1 = {f"https://j{i}.ex/p{i}": f"j body {i}" for i in range(8)}
-    v2 = dict(v1)
-    v2["https://j3.ex/p3"] = "j body 3 CHANGED"
-    v2["https://j9.ex/p9"] = "j body 9"
+    from full_text_extractor_v6_ray.stages.hashing import md5_hex
 
-    outs = {}
-    for mode, bmax in (("broadcast", 10**9), ("join", 0)):
-        d = str(tmp_path / mode)
-        incremental_extraction_round(_pages(v1), d, broadcast_max=bmax)
-        s = incremental_extraction_round(_pages(v2), d, broadcast_max=bmax)
-        assert s["extracted_rows"] == 2
-        delta = ray.data.read_parquet(os.path.join(d, "delta", "round-1"))
-        outs[mode] = sorted((r["url"], r["extracted_text"])
-                            for r in delta.take_all())
-    assert outs["broadcast"] == outs["join"]
+    urls = sorted(rows)
+    return ray.data.from_arrow(pa.table({
+        "url": pa.array(urls, pa.string()),
+        "hash": md5_hex(pa.array([_html(rows[u]) for u in urls]))}))
+
+
+_EQ_MODES = {
+    "md5": lambda v: (_pages(v), {}),
+    "hash_col": lambda v: (_digest_pages(v),
+                           {"hash_col": "payload_digest"}),
+    "slim": lambda v: (_pages(v), {"slim": _slim_rows(v)}),
+}
+
+
+def test_incremental_join_fallback_equivalence(ray_session, tmp_path):
+    # broadcast_max=0 forces the bucketed diff and semi-join; the
+    # driver-side diff (broadcast_max large) must give the same
+    # summaries and the same committed delta, tombstones and manifest,
+    # in every hash mode
+    want_counts = [(8, 0, 0, 0), (1, 1, 1, 6), (1, 1, 0, 7)]
+    for mode, make in _EQ_MODES.items():
+        outs = {}
+        for branch, bmax in (("driver", 10**9), ("exchange", 0)):
+            d = str(tmp_path / f"{mode}_{branch}")
+            outs[branch] = []
+            for v in (_EQ_V1, _EQ_V2, _EQ_V3):
+                pages, kw = make(v)
+                s = incremental_extraction_round(
+                    pages, d, broadcast_max=bmax, **kw)
+                outs[branch].append((_summary(s),
+                                     _committed(d, s["round"])))
+            assert [(s["n_new"], s["n_changed"], s["n_gone"],
+                     s["n_unchanged"]) for s, _ in outs[branch]] == \
+                want_counts, (mode, branch)
+        for (sd, fd), (se, fe) in zip(outs["driver"], outs["exchange"]):
+            assert sd == se, mode
+            _assert_same_commit(fe, fd)
+        tombs = [f["tombstones"] for _, f in outs["driver"]]
+        assert tombs[0] is None and tombs[2] is None
+        assert tombs[1].column("url").to_pylist() == ["https://j5.ex/p5"]
+
+
+@pytest.mark.parametrize("bmax,limit", [(10**9, 2), (12, 3), (0, 3)])
+def test_round_execution_count(ray_session, tmp_path, monkeypatch,
+                               count_executions, bmax, limit):
+    # a round is the slim pass + extract/delta write below the
+    # threshold (8 + 8 slim rows), plus the bucketed diff above it,
+    # whether the work urls then broadcast (12) or join (0); the diff
+    # branch not taken must never run
+    import full_text_extractor_v6_ray.pipelines.incremental as inc
+
+    def never(*a, **kw):
+        raise AssertionError("wrong diff branch")
+
+    monkeypatch.setattr(inc, "snapshot_diff" if bmax >= 16 else
+                        "snapshot_diff_table", never)
+    d = str(tmp_path / "x")
+    for v in (_EQ_V1, _EQ_V2):
+        count_executions.clear()
+        incremental_extraction_round(_pages(v), d, broadcast_max=bmax)
+        assert 0 < len(count_executions) <= limit, count_executions
 
 
 def test_incremental_trusts_warc_payload_digest(ray_session, tmp_path):
@@ -296,6 +389,98 @@ def test_crashed_round_rerun_leaves_no_partial_files(ray_session, state_dir):
     assert man.count() == len(v2)
     assert "https://stale.ex/x" not in {
         r["url"] for r in man.take_all()}
+
+
+@pytest.mark.parametrize("bmax", [10**9, 0])
+def test_empty_rounds(ray_session, tmp_path, bmax):
+    # a round with no pages writes no manifest file; the next round
+    # diffs against that empty manifest (and an empty round against a
+    # full one marks everything gone)
+    v = {"https://e1.ex/a": "e one", "https://e2.ex/b": "e two"}
+    d = str(tmp_path / "e")
+    got = [incremental_extraction_round(_pages(rows), d, broadcast_max=bmax)
+           for rows in ({}, v, {}, v)]
+    assert [(s["round"], s["n_new"], s["n_changed"], s["n_gone"],
+             s["n_unchanged"], s["extracted_rows"]) for s in got] == [
+        (0, 0, 0, 0, 0, 0), (1, 2, 0, 0, 0, 2), (2, 0, 0, 2, 0, 0),
+        (3, 2, 0, 0, 0, 2)]
+    assert _committed(d, 2)["tombstones"].column("url").to_pylist() == \
+        sorted(v)
+    assert sorted(r["url"] for r in read_current_corpus(d).take_all()) == \
+        sorted(v)
+
+
+def _undisturbed_round_1(tmp_path, bmax):
+    d = str(tmp_path / f"undisturbed_{bmax}")
+    incremental_extraction_round(_pages(_EQ_V1), d, broadcast_max=bmax)
+    incremental_extraction_round(_pages(_EQ_V2), d, broadcast_max=bmax)
+    return _committed(d, 1), _corpus_table(d)
+
+
+def test_round_survives_worker_kill_mid_extract(ray_session, tmp_path,
+                                                monkeypatch):
+    """os._exit a worker inside round 1's extract execution (flag-file
+    latch, fires once): Ray retries the task and the round commits the
+    same delta, tombstones and manifest as an undisturbed round."""
+    import full_text_extractor_v6_ray.pipelines.incremental as inc
+
+    want, want_corpus = _undisturbed_round_1(tmp_path, 10**9)
+    d = str(tmp_path / "killed")
+    incremental_extraction_round(_pages(_EQ_V1), d)
+
+    flag = str(tmp_path / "killed_once")
+    real_extract = inc.extract_pages
+
+    def killing_extract(pages, **kw):
+        def maybe_die(batch: pa.Table) -> pa.Table:
+            if not os.path.exists(flag):
+                with open(flag, "w") as f:
+                    f.write("x")
+                os._exit(1)
+            return batch
+        return real_extract(pages, **kw).map_batches(
+            maybe_die, batch_format="pyarrow")
+
+    monkeypatch.setattr(inc, "extract_pages", killing_extract)
+    s = incremental_extraction_round(_pages(_EQ_V2), d)
+    assert os.path.exists(flag)  # the kill really happened
+    assert s["round"] == 1 and s["extracted_rows"] == 2
+    _assert_same_commit(_committed(d, 1), want)
+    assert _corpus_table(d).equals(want_corpus)
+
+
+@pytest.mark.parametrize("bmax", [10**9, 0])
+def test_crash_before_manifest_rename_resumes(ray_session, tmp_path,
+                                              monkeypatch, bmax):
+    """A crash after the manifest tmp dir is complete (rows and
+    _meta.json) but before its rename: readers still see round 0 only,
+    and the rerun commits what an undisturbed round 1 commits."""
+    want, want_corpus = _undisturbed_round_1(tmp_path, bmax)
+    d = str(tmp_path / "crashed")
+    incremental_extraction_round(_pages(_EQ_V1), d, broadcast_max=bmax)
+    round0 = _corpus_table(d)
+
+    real_rename = os.rename
+
+    def crash_on_commit(src, dst):
+        if str(src).endswith(".tmp"):
+            raise RuntimeError("injected crash before commit")
+        real_rename(src, dst)
+
+    with monkeypatch.context() as m:
+        m.setattr(os, "rename", crash_on_commit)
+        with pytest.raises(RuntimeError, match="injected crash"):
+            incremental_extraction_round(_pages(_EQ_V2), d,
+                                         broadcast_max=bmax)
+    tmp = os.path.join(d, "manifest", "round-1.tmp")
+    assert os.path.isfile(os.path.join(tmp, "_meta.json"))
+    assert os.path.isdir(os.path.join(d, "delta", "round-1"))
+    assert _corpus_table(d).equals(round0)  # uncommitted = invisible
+
+    s = incremental_extraction_round(_pages(_EQ_V2), d, broadcast_max=bmax)
+    assert s["round"] == 1 and not os.path.exists(tmp)
+    _assert_same_commit(_committed(d, 1), want)
+    assert _corpus_table(d).equals(want_corpus)
 
 
 def test_cdx_slim_source_equivalence(ray_session, tmp_path):
