@@ -32,8 +32,8 @@ from .ole2 import extract_ole2
 from .ooxml import extract_zip
 from .pdf import extract_pdf
 from .render import render_blocks
-from .sniff import sniff_payload
-from .textdata import csv_to_text, json_to_text, xml_to_text
+from .sniff import sniff_parsed
+from .textdata import csv_to_text, json_doc_to_text, xml_to_text
 
 
 @dataclass
@@ -92,8 +92,8 @@ def _fallback_or_error(text_fallback: str, err: str) -> ExtractResult:
 
 
 def _textdata(kind: str, conv):
-    def convert(payload: bytes, _depth: int):
-        text, err = conv(payload)
+    def convert(body, _depth: int):
+        text, err = conv(body)
         return text, [], kind, err
     return convert
 
@@ -106,9 +106,11 @@ def _pdf(payload: bytes, _depth: int):
 
 # Builtin payload kinds (S8 breadth; the reference's extension router,
 # file_converter.py:64-100): kind -> (converter, fallback). A converter
-# is ``fn(payload, depth) -> (text, links, method, error)``; an error
-# with neither text nor links yields to ``text_fallback`` when
-# ``fallback`` is set, else becomes the error row. Kept apart from
+# is ``fn(body, depth) -> (text, links, method, error)``, ``body`` as
+# ``sniff_parsed`` returns it (json: the document the sniff already
+# parsed; every other kind: the payload); an error with neither text
+# nor links yields to ``text_fallback`` when ``fallback`` is set, else
+# becomes the error row. Kept apart from
 # EXTRACTOR_REGISTRY so unregistering an override restores the builtin.
 #   zip       OOXML docx/xlsx/pptx, epub; other archives iterate their
 #             members back through the router (depth-bounded)
@@ -120,7 +122,7 @@ def _pdf(payload: bytes, _depth: int):
 _BUILTIN_EXTRACTORS = {
     "zip": (lambda payload, depth: extract_zip(payload, depth=depth), True),
     "csv": (_textdata("csv", csv_to_text), True),
-    "json": (_textdata("json", json_to_text), True),
+    "json": (_textdata("json", json_doc_to_text), True),
     "xml": (_textdata("xml", xml_to_text), True),
     "ole2": (lambda payload, _depth: extract_ole2(payload), True),
     "pdf": (_pdf, False),
@@ -142,7 +144,7 @@ def extract_document(
         if payload is not None and len(payload) > cfg.max_html_bytes:
             return ExtractResult(method="error", error="payload_too_large")
 
-        kind = sniff_payload(payload or b"")
+        kind, body = sniff_parsed(payload or b"")
 
         handler = EXTRACTOR_REGISTRY.get(kind)
         if handler is not None:
@@ -154,7 +156,7 @@ def extract_document(
         builtin = _BUILTIN_EXTRACTORS.get(kind)
         if builtin is not None:
             convert, fallback = builtin
-            text, links, method, err = convert(payload, _depth)
+            text, links, method, err = convert(body, _depth)
             if err and not text and not links:
                 return _fallback_or_error(text_fallback if fallback else "",
                                           err)

@@ -18,6 +18,9 @@ GZIP_MAGIC = b"\x1f\x8b"
 ZIP_MAGIC = b"PK\x03\x04"
 WARC_MAGIC = b"WARC/"
 OLE2_MAGIC = b"\xd0\xcf\x11\xe0\xa1\xb1\x1a\xe1"
+# leading magic -> kind; ole2 is the legacy binary Office compound file
+_MAGIC = ((PDF_MAGIC, "pdf"), (WARC_MAGIC, "warc"), (GZIP_MAGIC, "gzip"),
+          (ZIP_MAGIC, "zip"), (OLE2_MAGIC, "ole2"))
 
 # Extension surface (SURVEY.md §2.9, completing the extractor-handler
 # registry in document.py): custom sniffers run BEFORE the builtin
@@ -37,18 +40,51 @@ def unregister_sniffer(fn) -> None:
         _SNIFFERS.remove(fn)
 
 
-def _looks_json(payload: bytes) -> bool:
+def _parse_json(payload: bytes):
+    """The parsed document when ``payload`` is a JSON object or array,
+    else None."""
     # probe a bounded slice first — lstrip on the full payload would
     # copy megabytes per page on the hot sniff path
     head = payload[:64].lstrip()[:1]
     if head not in (b"{", b"["):
-        return False
+        return None
     import json as _json
     try:
-        _json.loads(payload.decode("utf-8-sig"))
+        return _json.loads(payload.decode("utf-8-sig"))
     except Exception:
-        return False
-    return True
+        return None
+
+
+_PROLOG_SCAN = 65536
+
+
+def _root_is_html(payload: bytes) -> bool:
+    """True when the first element after an XML prolog (declaration,
+    processing instructions, comments, DOCTYPE with its internal
+    subset) is ``<html``: XHTML whose prolog outgrows the 1 KB head.
+    Looks at the first 64 KB only."""
+    data = payload[:_PROLOG_SCAN].removeprefix(b"\xef\xbb\xbf")
+    i = 0
+    while True:
+        while i < len(data) and data[i:i + 1].isspace():
+            i += 1
+        if data.startswith(b"<?", i):
+            end, step = data.find(b"?>", i + 2), 2
+        elif data.startswith(b"<!--", i):
+            end, step = data.find(b"-->", i + 4), 3
+        elif data.startswith(b"<!", i):
+            end, step = data.find(b">", i + 2), 1
+            subset = data.find(b"[", i + 2)
+            if 0 <= subset < end:
+                end = data.find(b"]", subset)
+                end = data.find(b">", end) if end >= 0 else -1
+        else:
+            tag = data[i:i + 6].lower()
+            return tag[:5] == b"<html" and (tag[5:] in (b">", b"/")
+                                            or tag[5:].isspace())
+        if end < 0:
+            return False
+        i = end + step
 
 
 _CSV_DELIMS = (b",", b";", b"\t", b"|")
@@ -79,26 +115,26 @@ def _looks_csv(payload: bytes) -> bool:
 
 def sniff_payload(payload: bytes) -> str:
     """Return 'pdf' | 'html' | 'empty' | 'unknown' (or a custom kind)."""
+    return sniff_parsed(payload)[0]
+
+
+def sniff_parsed(payload: bytes) -> tuple[str, object]:
+    """``(kind, body)``: the ``sniff_payload`` kind and what its
+    converter reads — the document the JSON sniff already parsed for
+    'json', the payload itself for every other kind."""
     if not payload:
-        return "empty"
+        return "empty", payload
     for fn in _SNIFFERS:
         try:
             kind = fn(payload)
         except Exception:
             kind = ""
         if kind:
-            return kind
+            return kind, payload
     head = payload[:1024]
-    if head.startswith(PDF_MAGIC):
-        return "pdf"
-    if head.startswith(WARC_MAGIC):
-        return "warc"
-    if head.startswith(GZIP_MAGIC):
-        return "gzip"
-    if head.startswith(ZIP_MAGIC):
-        return "zip"
-    if head.startswith(OLE2_MAGIC):
-        return "ole2"   # legacy binary Office compound file
+    for magic, kind in _MAGIC:
+        if head.startswith(magic):
+            return kind, payload
     # see through byte-order marks (UTF-16 HTML interleaves NULs that
     # would otherwise hide the markup from the ASCII probes below;
     # decoding happens later in extractor/charset.py)
@@ -107,12 +143,14 @@ def sniff_payload(payload: bytes) -> str:
     elif head[:2] in (b"\xff\xfe", b"\xfe\xff"):
         head = head[2:].replace(b"\x00", b"")
     lowered = head.lstrip()[:256].lower()
-    if lowered.startswith(b"<?xml") and b"<html" not in head.lower():
-        return "xml"    # standalone XML (XHTML keeps routing as html)
-    if _looks_json(payload):
-        return "json"
+    if (lowered.startswith(b"<?xml") and b"<html" not in head.lower()
+            and not _root_is_html(payload)):
+        return "xml", payload   # standalone XML (XHTML keeps routing as html)
+    doc = _parse_json(payload)
+    if doc is not None:
+        return "json", doc
     if _looks_csv(payload):
-        return "csv"
+        return "csv", payload
     if (
         lowered.startswith(b"<!doctype")
         or lowered.startswith(b"<html")
@@ -121,5 +159,5 @@ def sniff_payload(payload: bytes) -> str:
         or lowered.startswith(b"<body")
         or lowered.startswith(b"<")
     ):
-        return "html"
-    return "unknown"
+        return "html", payload
+    return "unknown", payload

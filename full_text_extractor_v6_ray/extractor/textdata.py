@@ -77,7 +77,15 @@ def json_to_text(payload: bytes) -> tuple[str, str]:
     """JSON bytes -> (key-path lines, error)."""
     try:
         obj = _json.loads(payload.decode("utf-8-sig"))
-        out: list[str] = []
+    except Exception as exc:
+        return "", f"json_error:{type(exc).__name__}"
+    return json_doc_to_text(obj)
+
+
+def json_doc_to_text(obj) -> tuple[str, str]:
+    """Parsed JSON document -> (key-path lines, error)."""
+    out: list[str] = []
+    try:
         _flatten_json(obj, "", out)   # RecursionError on hostile depth
     except Exception as exc:
         return "", f"json_error:{type(exc).__name__}"

@@ -4,39 +4,50 @@ The reference reprocesses every input file on every run
 (/root/reference/src/core/folder_processor.py walks the whole folder);
 at 10^12 urls a recrawl round touches a few percent of the corpus and
 re-extracting the rest is the dominant wasted cost. This pipeline makes
-the delta the unit of work:
+the delta the unit of work. A round is dispatched on the previous
+manifest's row count ``n_prev`` (the only side held whole; the current
+pages stream):
 
-  round k:  pages_k ──(url, md5(html)) slim rows──▶ manifest/round-k.tmp
-            manifest/round-{k-1} (url → hash) ──────────┤
-                                                         ▼
-            diff, dispatched on prev + cur slim rows vs BROADCAST_MAX:
-              ≤ : one Arrow hash probe on the driver (snapshot_diff_table)
-              > : snapshot_diff (ONE bucketed exchange); its blocks
-                  write the tombstones and keep only the work urls
-                                                         ▼
-            new+changed urls ── filter_to_keys ──▶ extract ONLY those
-                                                         ▼
-            out/<state>/delta/round-k/      (extracted rows, + round col)
-            out/<state>/tombstones/round-k/ (gone urls)
-            out/<state>/manifest/round-k/   (url → hash, full; the tmp
-                                             dir's rename commits)
+  n_prev ≤ BROADCAST_MAX — the single-scan probe path:
 
-Ray executions per round: the slim pass (which writes the manifest
-rows) and extract + delta write — 2 at or below the threshold and at
-bootstrap; above it add the diff, which also writes the tombstones and
-materializes the work urls — 3, plus ``filter_to_keys``'s one-row
-schema probe when the work urls join lazily built pages. The status
-counts need no pass of their own: they follow from the manifest,
-tombstone and work row counts.
+    manifest/round-{k-1} ──▶ SortedKeyIndex(url) + hash, built and
+                             ray.put ONCE per round on the driver
+                                                         │
+    pages_k ──▶ per batch, in the task that read it:     ▼
+                md5(html) ──▶ (url, hash) part ──▶ manifest/round-k.tmp
+                probe prev: keep new + changed rows only
+            ──▶ extract ──▶ out/<state>/delta/round-k/ (+ round col)
+    driver: stream the tmp parts' urls into a "seen" bitmap over prev
+            ──▶ unseen prev urls ──▶ out/<state>/tombstones/round-k/
+
+  n_prev > BROADCAST_MAX — the exchange path:
+
+    pages_k ──(url, md5(html)) slim rows──▶ manifest/round-k.tmp
+    snapshot_diff(prev, cur): ONE bucketed exchange; its blocks write
+      the tombstones and keep only the work urls (materialized)
+    pages_k ── filter_to_keys(work urls) ──▶ extract ──▶ delta/round-k/
+
+  either way: manifest/round-k.tmp ──rename──▶ manifest/round-k/
+              (url → hash, full; the rename is the commit point)
+
+Ray executions per round: 1 on the probe path (bootstrap included: its
+prev is empty); 3 on the exchange path (slim write, diff, extract +
+delta write), plus ``filter_to_keys``'s one-row schema probe when the
+work urls join lazily built pages. With ``slim=`` rows (a CDX index)
+the probe runs over the slim rows, writing the manifest parts and
+materializing the work urls, and the pages are read once, filtered to
+them: 2 executions. The status counts need no pass of their own: they
+follow from the manifest, tombstone and delta row counts.
 
 Consumers read base+deltas (``read_current_corpus``) — the standard CDC
 contract; unchanged rows are never copied forward, so a round's compute
-is O(delta) plus two O(corpus) page scans (one slim hash pass, one
-filtered pass — measured 1.98× vs full re-extraction at 500k×5 KB
-pages with a 5% delta, scripts/incremental_bench.py). A WARC source
-can skip the first scan by trusting the WARC-Payload-Digest record
-header instead of hashing payloads. Scale shape: the slim hash rows are
-~50 B/url (vs ~KB pages); the only corpus-wide exchange moves those slim
+is O(delta) plus ONE O(corpus) page scan that hashes, diffs and filters
+each page where it is read (measured 1.98× vs full re-extraction at
+500k×5 KB pages with a 5% delta when the round still scanned the pages
+twice, scripts/incremental_bench.py). A WARC source can skip the md5
+by trusting the WARC-Payload-Digest record header instead of hashing
+payloads. Scale shape: the slim hash rows are ~50 B/url (vs ~KB pages);
+the only corpus-wide exchange (above the threshold) moves those slim
 rows; pages cross the cluster once, filtered to the work list BEFORE
 extraction. Everything is deterministic and a re-run of the same round
 is a no-op (idempotence test).
@@ -50,6 +61,7 @@ import os
 import shutil
 import warnings
 
+import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
@@ -57,9 +69,9 @@ import pyarrow.parquet as pq
 import ray.data
 
 from ..config import DEFAULT_CONFIG, ExtractConfig
-from ..stages.crawl import snapshot_diff, snapshot_diff_table
+from ..stages.crawl import snapshot_diff
 from ..stages.hashing import md5_hex
-from ..stages.joins import BROADCAST_MAX, filter_to_keys
+from ..stages.joins import BROADCAST_MAX, SortedKeyIndex, filter_to_keys
 from .extract_pipeline import extract_pages
 
 
@@ -94,6 +106,7 @@ def _fresh_dir(path: str) -> str:
 
 
 _WORK = pa.array(["changed", "new"], pa.string())
+_SLIM = pa.schema([("url", pa.string()), ("hash", pa.string())])
 
 
 def incremental_extraction_round(
@@ -112,26 +125,28 @@ def incremental_extraction_round(
     (the commit record), so a crashed round is invisible and re-runs
     cleanly.
 
-    The diff is size-dispatched like ``latest_captures``: when the
-    previous and current slim rows together are at most
-    ``broadcast_max`` it runs on the driver in Arrow, else as one
+    The diff is dispatched on the previous manifest's row count: at or
+    below ``broadcast_max`` its url → hash lookup is built once on the
+    driver and broadcast, and every page batch is hashed, written to
+    the manifest and filtered to its new and changed rows in the task
+    that read it (one execution); above it the slim rows go through one
     bucketed exchange that moves no url row to the driver.
 
     ``hash_col`` names a crawler-recorded content-hash column (e.g. the
     ``payload_digest`` column ``read_warc_dir(include_digest=True)``
     surfaces from ``WARC-Payload-Digest`` headers) to TRUST instead of
-    md5-hashing every payload — at 100 TB that removes the whole
-    corpus-wide hash scan; rows where the column is null fall back to
-    md5(html) per row.
+    md5-hashing every payload — at 100 TB that removes the corpus-wide
+    md5 work; rows where the column is null fall back to md5(html) per
+    row.
 
     ``slim`` supplies the (url, hash) rows directly — e.g. a CDX
     capture index built at crawl time (``sources/warc.build_cdx_index``
     — its ``digest`` column is md5 of the record body, exactly this
     pipeline's md5 mode), projected to columns ``url`` + ``hash``. The
-    round then never scans ``pages`` for hashing at all: pages are read
-    ONCE, filtered to the work list. The rows must cover exactly the
-    urls of ``pages`` (url-unique); ``slim_hash_kind`` names the hash
-    function for the manifest-mode guard ("md5" for CDX digests)."""
+    round then never hashes ``pages`` at all: pages are read ONCE,
+    filtered to the work list. The rows must cover exactly the urls of
+    ``pages`` (url-unique); ``slim_hash_kind`` names the hash function
+    for the manifest-mode guard ("md5" for CDX digests)."""
     done = _rounds(state_dir)
     k = (done[-1] + 1) if done else 0
     os.makedirs(os.path.join(state_dir, "manifest"), exist_ok=True)
@@ -159,64 +174,72 @@ def incremental_extraction_round(
                 f"{hash_kind!r} — diffing across hash functions marks the "
                 "entire corpus changed; pass the same hash_col")
 
-    def _slim(batch: pa.Table) -> pa.Table:
-        if hash_col is not None:
-            # md5 only the digest-less payloads (digest coverage in real
-            # crawls is ~total, so the fallback touches few rows)
-            given = pc.cast(batch.column(hash_col).combine_chunks(),
-                            pa.string())
-            miss = pc.is_null(given)
-            h = pc.replace_with_mask(
-                given, miss, md5_hex(batch.column("html").filter(miss)))
-        else:
-            h = md5_hex(batch.column("html"))
-        return pa.table({"url": batch.column("url"), "hash": h})
+    hash_src = "hash" if slim is not None else hash_col
 
-    # the slim pass writes the round's manifest rows straight into the
-    # uncommitted tmp dir: the diff reads them back from there, so the
-    # wide pages are hashed once and no separate manifest write runs
+    def content_hash(batch: pa.Table) -> pa.Array:
+        if hash_src is None:
+            return md5_hex(batch.column("html"))
+        given = pc.cast(batch.column(hash_src).combine_chunks(), pa.string())
+        if not given.null_count:
+            return given
+        # md5 only the digest-less payloads (digest coverage in real
+        # crawls is ~total, so the fallback touches few rows)
+        miss = pc.is_null(given)
+        return pc.replace_with_mask(
+            given, miss, md5_hex(batch.column("html").filter(miss)))
+
+    # the round's manifest rows go straight into the uncommitted tmp dir
     man_tmp = _fresh_dir(
         os.path.join(state_dir, "manifest", f"round-{k}.tmp"))
-    if slim is not None:
-        slim.map_batches(
-            lambda b: pa.table({"url": b.column("url"),
-                                "hash": pc.cast(b.column("hash"),
-                                                pa.string())}),
-            batch_format="pyarrow", zero_copy_batch=True
-        ).write_parquet(man_tmp)
-    else:
-        pages.map_batches(_slim, batch_format="pyarrow",
-                          zero_copy_batch=True).write_parquet(man_tmp)
-    n_cur = _parquet_rows(man_tmp)
-
     tomb_dir = _fresh_dir(
         os.path.join(state_dir, "tombstones", f"round-{k}"))
-    if not done:
-        # bootstrap: every page is new and is work — no diff, no filter
-        counts = {"new": n_cur}
-        work_pages = pages
+    delta_dir = _fresh_dir(os.path.join(state_dir, "delta", f"round-{k}"))
+    prev_dir = (os.path.join(state_dir, "manifest", f"round-{done[-1]}")
+                if done else None)
+    n_prev = _parquet_rows(prev_dir) if done else 0
+
+    if n_prev <= broadcast_max:
+        index, prev_hash = _prev_lookup(prev_dir)
+        ref = ray.put((index, prev_hash))
+
+        def probe(batch: pa.Table) -> pa.Table:
+            urls, h = batch.column("url"), content_hash(batch)
+            if len(urls):
+                pq.write_table(pa.table({"url": urls, "hash": h}),
+                               _part_path(man_tmp, urls))
+            return batch.filter(_new_or_changed(ray.get(ref), urls, h))
+
+        if slim is None:
+            work_pages = pages.map_batches(probe, batch_format="pyarrow",
+                                           zero_copy_batch=True)
+        else:
+            work = slim.map_batches(
+                lambda b: probe(b).select(["url"]),
+                batch_format="pyarrow", zero_copy_batch=True).materialize()
+            work_pages = filter_to_keys(pages, work, "url", work.count(),
+                                        broadcast_max=broadcast_max)
+        _write_delta(work_pages, delta_dir, k, cfg)
+        _write_gone(index, man_tmp, tomb_dir, k)
     else:
-        prev_dir = os.path.join(state_dir, "manifest", f"round-{done[-1]}")
-        n_prev = _parquet_rows(prev_dir)
-        diff = (_diff_on_driver if n_prev + n_cur <= broadcast_max
-                else _diff_distributed)
-        work, n_work = diff(prev_dir, man_tmp, tomb_dir, k)
-        counts = _counts(n_prev, n_cur, n_work, _parquet_rows(tomb_dir))
+        rows = pages if slim is None else slim
+        rows.map_batches(
+            lambda b: pa.table({"url": b.column("url"),
+                                "hash": content_hash(b)}),
+            batch_format="pyarrow", zero_copy_batch=True
+        ).write_parquet(man_tmp)
+        work, n_work = _diff_distributed(prev_dir, man_tmp, tomb_dir, k)
         # the normal recrawl regime: the delta is a few percent of the
         # corpus, so the work urls broadcast once and pages filter
         # map-side — the wide html rows never enter a shuffle (shipping
         # all pages through the semi-join exchange measured 10.6 s vs
         # full extraction's 11.0 s at 500k pages). A mass-change round
         # falls back to the bucketed semi-join (pages cross once).
-        work_pages = filter_to_keys(pages, work, "url", n_work,
-                                    broadcast_max=broadcast_max)
-    delta = extract_pages(work_pages, cfg=cfg)
-    delta = delta.map_batches(
-        lambda b, _k=k: b.append_column(
-            "round", pa.array([_k] * b.num_rows, pa.int64())),
-        batch_format="pyarrow", zero_copy_batch=True)
-    delta_dir = _fresh_dir(os.path.join(state_dir, "delta", f"round-{k}"))
-    delta.write_parquet(delta_dir)
+        _write_delta(filter_to_keys(pages, work, "url", n_work,
+                                    broadcast_max=broadcast_max),
+                     delta_dir, k, cfg)
+    # extraction emits one row per page, so the delta rows are the work
+    counts = _counts(n_prev, _parquet_rows(man_tmp),
+                     _parquet_rows(delta_dir), _parquet_rows(tomb_dir))
 
     # the manifest rename is the commit point: until it lands, readers
     # (``_rounds``) see neither this round's delta nor its tombstones.
@@ -228,19 +251,67 @@ def incremental_extraction_round(
 
     return {
         "round": k,
-        "n_new": counts.get("new", 0),
-        "n_changed": counts.get("changed", 0),
-        "n_gone": counts.get("gone", 0),
-        "n_unchanged": counts.get("unchanged", 0),
-        "extracted_rows": counts.get("new", 0) + counts.get("changed", 0),
+        "n_new": counts["new"],
+        "n_changed": counts["changed"],
+        "n_gone": counts["gone"],
+        "n_unchanged": counts["unchanged"],
+        "extracted_rows": counts["new"] + counts["changed"],
         "state_dir": state_dir,
     }
 
 
+def _write_delta(work_pages: "ray.data.Dataset", delta_dir: str, k: int,
+                 cfg: ExtractConfig) -> None:
+    extract_pages(work_pages, cfg=cfg).map_batches(
+        lambda b: b.append_column(
+            "round", pa.array([k] * b.num_rows, pa.int64())),
+        batch_format="pyarrow", zero_copy_batch=True
+    ).write_parquet(delta_dir)
+
+
+def _prev_lookup(prev_dir: str | None) -> tuple[SortedKeyIndex, pa.Array]:
+    """The previous manifest's url index and the hash of each of its
+    keys, in key order (both empty at bootstrap)."""
+    # the explicit schema reads a round that wrote no rows as empty
+    prev = (pq.read_table(prev_dir, schema=_SLIM) if prev_dir
+            else _SLIM.empty_table())
+    return (SortedKeyIndex(prev.column("url")),
+            prev.column("hash").combine_chunks())
+
+
+def _new_or_changed(prev: tuple[SortedKeyIndex, pa.Array], urls,
+                    h: pa.Array) -> pa.Array:
+    """Mask of the (url, hash) rows whose url is not in the previous
+    manifest or whose hash differs from the one it recorded."""
+    index, prev_hash = prev
+    at = index.positions(urls)
+    was = pc.take(prev_hash, pa.array(at, mask=at < 0))
+    return pc.fill_null(pc.not_equal(was, h), True)
+
+
+def _write_gone(index: SortedKeyIndex, cur_dir: str, tomb_dir: str,
+                k: int) -> None:
+    """Tombstone the previous manifest's urls that no current manifest
+    part holds: each part's url column is read alone, one file at a
+    time, and marks the prev urls it holds in a bitmap."""
+    if not len(index):
+        return
+    seen = np.zeros(len(index), bool)
+    for f in _parquet_files(cur_dir):
+        at = index.positions(pq.read_table(f, columns=["url"])
+                             .column("url"))
+        seen[at[at >= 0]] = True
+    _write_tombstones(index.keys.filter(pa.array(~seen)), tomb_dir, k)
+
+
+def _parquet_files(path: str) -> list[str]:
+    return [os.path.join(path, f) for f in sorted(os.listdir(path))
+            if f.endswith(".parquet")]
+
+
 def _parquet_rows(path: str) -> int:
     """Row count of a parquet dir, from the file footers alone."""
-    return sum(pq.read_metadata(os.path.join(path, f)).num_rows
-               for f in os.listdir(path) if f.endswith(".parquet"))
+    return sum(pq.read_metadata(f).num_rows for f in _parquet_files(path))
 
 
 def _counts(n_prev: int, n_cur: int, n_work: int, n_gone: int) -> dict:
@@ -253,40 +324,21 @@ def _counts(n_prev: int, n_cur: int, n_work: int, n_gone: int) -> dict:
             "unchanged": unchanged}
 
 
-def _write_tombstones(diff: pa.Table, tomb_dir: str, k: int) -> None:
-    """Write the gone urls of (url, status) diff rows as tombstones (no
-    file when none is gone). The file is named after its first url, so
-    a retried task rewrites its own file and two blocks never share
-    one."""
-    gone = diff.filter(pc.equal(diff.column("status"), "gone")).column("url")
+def _part_path(dirname: str, urls) -> str:
+    """A part file named after its first url: a retried task rewrites
+    its own file, and two tasks never share one (urls are unique)."""
+    name = hashlib.md5(urls[0].as_py().encode()).hexdigest()
+    return os.path.join(dirname, f"part-{name}.parquet")
+
+
+def _write_tombstones(gone, tomb_dir: str, k: int) -> None:
+    """Write the gone urls as one tombstone part (no file when none is
+    gone)."""
     if len(gone):
-        name = hashlib.md5(gone[0].as_py().encode()).hexdigest()
         pq.write_table(
             pa.table({"url": gone,
                       "round": pa.array([k] * len(gone), pa.int64())}),
-            os.path.join(tomb_dir, f"part-{name}.parquet"))
-
-
-def _work_urls(diff: pa.Table) -> pa.Table:
-    return pa.table({"url": diff.filter(pc.is_in(
-        diff.column("status"), value_set=_WORK)).column("url")})
-
-
-_SLIM = pa.schema([("url", pa.string()), ("hash", pa.string())])
-
-
-def _diff_on_driver(prev_dir: str, cur_dir: str, tomb_dir: str, k: int
-                    ) -> tuple[pa.Array, int]:
-    """Small-state diff: both slim manifests fit on the driver, so the
-    diff is one Arrow hash probe — no Ray execution. Writes the gone
-    urls' tombstones; returns the work urls and their count."""
-    # the explicit schema reads a round that wrote no rows as empty
-    prev, cur = (pq.read_table(d, schema=_SLIM).rename_columns(["url", h])
-                 for d, h in ((prev_dir, "hash_a"), (cur_dir, "hash_b")))
-    diff = snapshot_diff_table(prev, cur)
-    _write_tombstones(diff, tomb_dir, k)
-    work = _work_urls(diff).column("url").combine_chunks()
-    return work, len(work)
+            _part_path(tomb_dir, gone))
 
 
 def _diff_distributed(prev_dir: str, cur_dir: str, tomb_dir: str, k: int
@@ -305,8 +357,11 @@ def _diff_distributed(prev_dir: str, cur_dir: str, tomb_dir: str, k: int
     def settle(diff: pa.Table) -> pa.Table:
         if not diff.num_rows:  # an empty bucket's block may carry no schema
             return pa.table({"url": pa.array([], pa.string())})
-        _write_tombstones(diff, tomb_dir, k)
-        return _work_urls(diff)
+        status = diff.column("status")
+        _write_tombstones(diff.filter(pc.equal(status, "gone"))
+                          .column("url"), tomb_dir, k)
+        return pa.table({"url": diff.filter(pc.is_in(
+            status, value_set=_WORK)).column("url")})
 
     work = snapshot_diff(read(prev_dir, "hash_a"), read(cur_dir, "hash_b")
                          ).map_batches(settle, batch_format="pyarrow",
@@ -324,8 +379,7 @@ def _round_files(state_dir: str, sub: str, rounds: list[int]) -> list[str]:
         full = os.path.join(root, f"round-{r}")
         if not os.path.isdir(full):
             continue
-        files.extend(os.path.join(full, f) for f in sorted(os.listdir(full))
-                     if f.endswith(".parquet"))
+        files.extend(_parquet_files(full))
     return files
 
 

@@ -88,45 +88,17 @@ def snapshot_diff(prev: "ray.data.Dataset", cur: "ray.data.Dataset",
                                 num_buckets=num_buckets)
 
     def classify(batch: pa.Table) -> pa.Table:
-        return _classify(batch, key, prev_hash, cur_hash)
+        ha, hb = batch.column(prev_hash), batch.column(cur_hash)
+        status = pc.if_else(
+            pc.is_null(hb), pa.scalar("gone"),
+            pc.if_else(
+                pc.is_null(ha), pa.scalar("new"),
+                pc.if_else(pc.equal(ha, hb),
+                           pa.scalar("unchanged"), pa.scalar("changed"))))
+        return pa.table({key: batch.column(key), "status": status})
 
     return merged.map_batches(classify, batch_format="pyarrow",
                               zero_copy_batch=True)
-
-
-def _classify(batch: pa.Table, key: str, prev_hash: str, cur_hash: str
-              ) -> pa.Table:
-    """(key, prev_hash, cur_hash) rows, the absent side null ->
-    (key, status)."""
-    ha, hb = batch.column(prev_hash), batch.column(cur_hash)
-    status = pc.if_else(
-        pc.is_null(hb), pa.scalar("gone"),
-        pc.if_else(
-            pc.is_null(ha), pa.scalar("new"),
-            pc.if_else(pc.equal(ha, hb),
-                       pa.scalar("unchanged"), pa.scalar("changed"))))
-    return pa.table({key: batch.column(key), "status": status})
-
-
-def snapshot_diff_table(prev: pa.Table, cur: pa.Table, key: str = "url",
-                        prev_hash: str = "hash_a", cur_hash: str = "hash_b"
-                        ) -> pa.Table:
-    """``snapshot_diff`` over two in-memory Arrow tables: the same
-    (key, status) rows (cur's urls first, in cur order, then the gone
-    urls in prev order) with no exchange. Each cur url probes prev's
-    url -> hash once (``pc.index_in``); gone urls are prev urls not in
-    cur. Meant for slim rows small enough to hold on the driver."""
-    ck = cur.column(key)
-    at = pc.index_in(ck, value_set=prev.column(key).combine_chunks())
-    gone = prev.filter(pc.invert(pc.is_in(prev.column(key),
-                                          value_set=ck.combine_chunks())))
-    both = pa.concat_tables([
-        pa.table({key: ck, prev_hash: pc.take(prev.column(prev_hash), at),
-                  cur_hash: cur.column(cur_hash)}),
-        pa.table({key: gone.column(key), prev_hash: gone.column(prev_hash),
-                  cur_hash: pa.nulls(gone.num_rows, cur.schema.field(
-                      cur_hash).type)})])
-    return _classify(both, key, prev_hash, cur_hash)
 
 
 # ---------------------------------------------------------------------------

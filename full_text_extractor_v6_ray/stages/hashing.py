@@ -54,15 +54,12 @@ def _hash_large_binary(arr: pa.Array) -> np.ndarray:
         return np.empty(0, dtype=np.uint64)
     offs = np.frombuffer(arr.buffers()[1], dtype=np.int64,
                          count=n + 1, offset=arr.offset * 8)
-    starts = offs[:-1]
-    lengths = offs[1:] - starts
-    total = int(lengths.sum())
+    lengths = np.diff(offs)
+    total = int(offs[-1] - offs[0])
     if total:
-        data = np.frombuffer(arr.buffers()[2], dtype=np.uint8)
-        row = np.repeat(np.arange(n, dtype=np.int64), lengths)
-        cum = np.concatenate(([0], np.cumsum(lengths)))
-        within = np.arange(total, dtype=np.int64) - cum[row]
-        b = data[starts[row] + within].astype(np.uint64)
+        # the rows' bytes are one contiguous run of the data buffer
+        b = np.frombuffer(arr.buffers()[2], dtype=np.uint8, count=total,
+                          offset=int(offs[0])).astype(np.uint64)
         maxlen = int(lengths.max())
         pows = np.empty(maxlen, dtype=np.uint64)
         pows[0] = 1
@@ -70,12 +67,14 @@ def _hash_large_binary(arr: pa.Array) -> np.ndarray:
             with np.errstate(over="ignore"):
                 np.cumprod(np.full(maxlen - 1, _BASE, dtype=np.uint64),
                            out=pows[1:])
-        w = pows[lengths[row] - 1 - within]
+        # byte p of a row ending at e (exclusive) weighs BASE^(e-1-p)
+        exp = (np.repeat(offs[1:] - offs[0] - 1, lengths)
+               - np.arange(total, dtype=np.int64))
         with np.errstate(over="ignore"):
-            terms = b * w
+            terms = b * pows[exp]
         # reduceat quirk: an index pair (i, i) returns a[i], and an index
         # == len(a) is invalid — clamp, then zero out empty rows after.
-        idx = np.minimum(cum[:-1], total - 1)
+        idx = np.minimum(offs[:-1] - offs[0], total - 1)
         sums = np.add.reduceat(terms, idx)
         sums[lengths == 0] = 0
     else:

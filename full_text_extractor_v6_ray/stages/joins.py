@@ -279,6 +279,72 @@ def lookup_hash_join(left: "ray.data.Dataset", right: "ray.data.Dataset",
 BROADCAST_MAX = 2_000_000
 
 
+class SortedKeyIndex:
+    """Exact membership / position lookup over unique string keys, built
+    ONCE and probed by many batches.
+
+    ``pc.index_in(value_set=keys)`` rebuilds its hash table over every
+    key on each call (0.30 s per 2k-row batch at 1M keys); this index
+    pays the build once — ``hash64`` of the keys in chunks plus one
+    argsort — and a batch probe is ``hash64`` of the batch, two
+    ``np.searchsorted`` over the sorted hashes and one string-equality
+    check per candidate, so its cost does not grow with the key count.
+    Keys sharing a ``hash64`` are all compared, so collisions never
+    change an answer. Null probe values match nothing. Plain numpy and
+    Arrow members: ``ray.put`` it once and ``ray.get`` it in tasks.
+    """
+
+    _CHUNK = 16_384  # keys hashed per call: bounds hash64's per-byte arrays
+
+    def __init__(self, keys: "pa.Array | pa.ChunkedArray"):
+        from .hashing import hash64
+
+        if isinstance(keys, pa.ChunkedArray):
+            keys = keys.combine_chunks()
+        h = np.concatenate(
+            [np.empty(0, np.uint64)]
+            + [hash64(keys.slice(i, self._CHUNK))
+               for i in range(0, len(keys), self._CHUNK)])
+        self.keys = keys
+        self.order = np.argsort(h, kind="stable")
+        self.hashes = h[self.order]
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    def positions(self, probe: "pa.Array | pa.ChunkedArray") -> np.ndarray:
+        """int64 position in ``keys`` of every probe value, -1 if absent."""
+        from .hashing import hash64
+
+        if isinstance(probe, pa.ChunkedArray):
+            probe = probe.combine_chunks()
+        out = np.full(len(probe), -1, np.int64)
+        if not len(probe) or not len(self.keys):
+            return out
+        ph = hash64(probe)
+        # searching in hash order keeps the binary searches' walk over
+        # ``hashes`` monotone: ~10x faster than in row order
+        by_hash = np.argsort(ph)
+        ph = ph[by_hash]
+        lo = np.searchsorted(self.hashes, ph, "left")
+        n = np.searchsorted(self.hashes, ph, "right") - lo
+        # one candidate per (probe row, key with an equal hash): almost
+        # always one per present row, more only on a hash64 collision
+        row = np.repeat(by_hash, n)
+        first = np.cumsum(n) - n
+        cand = self.order[np.repeat(lo - first, n) + np.arange(len(row))]
+        if probe.type != self.keys.type:
+            probe = probe.cast(self.keys.type)
+        hit = pc.fill_null(pc.equal(probe.take(row), self.keys.take(cand)),
+                           False).to_numpy(zero_copy_only=False)
+        out[row[hit]] = cand[hit]
+        return out
+
+    def contains(self, probe: "pa.Array | pa.ChunkedArray") -> pa.Array:
+        """Boolean mask: which probe values are keys."""
+        return pa.array(self.positions(probe) >= 0)
+
+
 def filter_to_keys(ds: "ray.data.Dataset",
                    keys: "ray.data.Dataset | pa.Array",
                    key: str, n_keys: int,
@@ -291,11 +357,12 @@ def filter_to_keys(ds: "ray.data.Dataset",
     ``keys`` is a Dataset with one unique string column named ``key``
     (or, under the threshold only, the values already collected on the
     driver); ``n_keys`` is its row count or an upper bound of it. At or
-    below ``broadcast_max`` the values are ``ray.put`` once and every
-    batch of ``ds`` is filtered map-side (``pc.is_in``), so the wide
-    rows never enter a shuffle. Above it the key list is corpus-sized:
-    ``ds`` and the keys meet in ONE bucketed ``lookup_hash_join``
-    semi-join (``left_schema`` skips its schema probe of ``ds``).
+    below ``broadcast_max`` the values build one ``SortedKeyIndex`` on
+    the driver, ``ray.put`` once, and every batch of ``ds`` is filtered
+    map-side against it, so the wide rows never enter a shuffle. Above
+    it the key list is corpus-sized: ``ds`` and the keys meet in ONE
+    bucketed ``lookup_hash_join`` semi-join (``left_schema`` skips its
+    schema probe of ``ds``).
     """
     if n_keys <= broadcast_max:
         if isinstance(keys, pa.Array):
@@ -303,14 +370,13 @@ def filter_to_keys(ds: "ray.data.Dataset",
         elif n_keys:
             vals = pa.chunked_array(
                 [b.column(key) for b in keys.iter_batches(
-                    batch_format="pyarrow")], pa.string()).combine_chunks()
+                    batch_format="pyarrow")], pa.string())
         else:
             vals = pa.array([], pa.string())
-        ref = ray.put(vals)
+        ref = ray.put(SortedKeyIndex(vals))
 
         def keep(batch: pa.Table) -> pa.Table:
-            return batch.filter(pc.is_in(batch.column(key),
-                                         value_set=ray.get(ref)))
+            return batch.filter(ray.get(ref).contains(batch.column(key)))
 
         return ds.map_batches(keep, batch_format="pyarrow",
                               zero_copy_batch=True)

@@ -2,8 +2,11 @@
 
 Usage: python scripts/incremental_bench.py [n_pages] [num_cpus] [broadcast_max]
 Prints one JSON line. OWNS its Ray session. ``broadcast_max`` (default
-``stages.joins.BROADCAST_MAX``) picks the diff branch: 0 forces the
-bucketed exchange, a large value the driver-side Arrow diff.
+``stages.joins.BROADCAST_MAX``) picks the round's path: 0 forces the
+bucketed exchange (3 Ray executions per recrawl round), a value at or
+above the previous manifest's row count the single-scan probe path (1).
+The round state goes to a fresh directory under $TMPDIR (removed at
+exit; TMPDIR=/dev/shm keeps it on a RAM disk).
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ import json
 import os
 import shutil
 import sys
+import tempfile
 import time
 
 import numpy as np
@@ -23,7 +27,7 @@ sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 N = int(sys.argv[1]) if len(sys.argv) > 1 else 500_000
 CPUS = int(sys.argv[2]) if len(sys.argv) > 2 else 32
 KW = {"broadcast_max": int(sys.argv[3])} if len(sys.argv) > 3 else {}
-STATE = "/dev/shm/graft_incr_bench"
+STATE = tempfile.mkdtemp(prefix="incr_bench_")
 _TS = datetime.datetime(2024, 1, 1)
 
 _BODY = ("Lorem ipsum dolor sit amet, consectetur adipiscing elit. " * 12)

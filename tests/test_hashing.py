@@ -86,3 +86,28 @@ def test_known_values_pinned():
     # recorded at introduction (round 3); hard-coded on purpose
     assert got == [16294208416658607535, 15398598194035714107,
                    13064947693510488890], got
+
+
+def test_matches_python_reference_formula():
+    # h = splitmix64((sum_i byte[i] * BASE^(len-1-i) mod 2^64) ^ len*GOLDEN)
+    # in Python ints, over random bytes, empty and null rows, and a
+    # slice whose data starts mid-buffer
+    from full_text_extractor_v6_ray.stages import hashing
+
+    base, golden = int(hashing._BASE), int(hashing._GOLDEN)
+
+    def ref(v: bytes) -> int:
+        acc = 0
+        for byte in v:
+            acc = (acc * base + byte) % 2**64
+        x = np.array([acc ^ (len(v) * golden) % 2**64], np.uint64)
+        return int(splitmix64(x)[0])
+
+    rng = np.random.default_rng(7)
+    vals = [rng.integers(0, 256, rng.integers(0, 90)).astype(np.uint8)
+            .tobytes() for _ in range(300)] + [b"", b"z" * 700]
+    arr = pa.array([None] + vals + [None], pa.binary())
+    got = hash64(arr.slice(1, len(vals)))
+    assert got.tolist() == [ref(v) for v in vals]
+    h = hash64(arr)
+    assert h[0] == h[-1] == hash64(pa.array([None], pa.binary()))[0]

@@ -25,17 +25,21 @@ def _html(body: str) -> bytes:
             f"</body></html>").encode()
 
 
-def _pages(rows: dict[str, str]):
-    import ray.data
-
+def _page_table(rows: dict[str, str]) -> pa.Table:
     urls = sorted(rows)
-    return ray.data.from_arrow(pa.table({
+    return pa.table({
         "url": pa.array(urls, pa.string()),
         "warc_ts": pa.array([_TS] * len(urls), pa.timestamp("us")),
         "html": pa.array([_html(rows[u]) for u in urls], pa.binary()),
         "text": pa.array([""] * len(urls), pa.string()),
         "lang": pa.array(["en"] * len(urls), pa.string()),
-    }))
+    })
+
+
+def _pages(rows: dict[str, str]):
+    import ray.data
+
+    return ray.data.from_arrow(_page_table(rows))
 
 
 @pytest.fixture()
@@ -173,7 +177,7 @@ _EQ_MODES = {
 
 def test_incremental_join_fallback_equivalence(ray_session, tmp_path):
     # broadcast_max=0 forces the bucketed diff and semi-join; the
-    # driver-side diff (broadcast_max large) must give the same
+    # probe path (broadcast_max large) must give the same
     # summaries and the same committed delta, tombstones and manifest,
     # in every hash mode
     want_counts = [(8, 0, 0, 0), (1, 1, 1, 6), (1, 1, 0, 7)]
@@ -199,25 +203,76 @@ def test_incremental_join_fallback_equivalence(ray_session, tmp_path):
         assert tombs[1].column("url").to_pylist() == ["https://j5.ex/p5"]
 
 
-@pytest.mark.parametrize("bmax,limit", [(10**9, 2), (12, 3), (0, 3)])
+@pytest.mark.parametrize("bmax,limit", [(10**9, 2), (12, 3), (0, 3),
+                                        (5, 3)])
 def test_round_execution_count(ray_session, tmp_path, monkeypatch,
                                count_executions, bmax, limit):
-    # a round is the slim pass + extract/delta write below the
-    # threshold (8 + 8 slim rows), plus the bucketed diff above it,
-    # whether the work urls then broadcast (12) or join (0); the diff
-    # branch not taken must never run
+    # a round takes the probe path when the previous manifest (8 rows;
+    # none at bootstrap) is at most bmax, else the slim write, the
+    # bucketed diff and the extract/delta write, whether the 2 work
+    # urls then broadcast (5) or join (0); the branch not taken must
+    # never run
     import full_text_extractor_v6_ray.pipelines.incremental as inc
+    import full_text_extractor_v6_ray.stages.joins as joins
 
     def never(*a, **kw):
         raise AssertionError("wrong diff branch")
 
-    monkeypatch.setattr(inc, "snapshot_diff" if bmax >= 16 else
-                        "snapshot_diff_table", never)
     d = str(tmp_path / "x")
-    for v in (_EQ_V1, _EQ_V2):
+    for n_prev, v in ((0, _EQ_V1), (len(_EQ_V1), _EQ_V2)):
         count_executions.clear()
-        incremental_extraction_round(_pages(v), d, broadcast_max=bmax)
+        with monkeypatch.context() as m:
+            m.setattr(inc, "snapshot_diff" if n_prev <= bmax else
+                      "SortedKeyIndex", never)
+            if bmax:
+                m.setattr(joins, "lookup_hash_join", never)
+            incremental_extraction_round(_pages(v), d, broadcast_max=bmax)
         assert 0 < len(count_executions) <= limit, count_executions
+
+
+def _lazy_pages(rows, counter_dir, digests=False):
+    """Pages generated inside Ray tasks from ``range``; every generated
+    batch drops a file holding its row count into ``counter_dir``."""
+    import uuid
+
+    import ray.data
+
+    urls = sorted(rows)
+    table = _page_table(rows)
+    if digests:
+        table = table.append_column("payload_digest", pa.array(
+            [None if "j1." in u else f"sha1:{rows[u]}" for u in urls],
+            pa.string()))
+
+    def gen(batch: pa.Table) -> pa.Table:
+        out = table.take(batch.column("id"))
+        with open(os.path.join(counter_dir, uuid.uuid4().hex), "w") as f:
+            f.write(str(out.num_rows))
+        return out
+
+    return ray.data.range(len(urls), override_num_blocks=3).map_batches(
+        gen, batch_format="pyarrow")
+
+
+@pytest.mark.parametrize("mode", ["md5", "hash_col"])
+def test_round_is_one_scan(ray_session, tmp_path, count_executions, mode):
+    # at the default threshold both the bootstrap and the recrawl round
+    # are ONE Ray execution that generates every page row exactly once
+    kw = {"hash_col": "payload_digest"} if mode == "hash_col" else {}
+    d = str(tmp_path / "state")
+    want = [(8, 0, 0, 0), (1, 1, 1, 6)]
+    for i, v in enumerate((_EQ_V1, _EQ_V2)):
+        counter = str(tmp_path / f"gen{i}")
+        os.makedirs(counter)
+        count_executions.clear()
+        s = incremental_extraction_round(
+            _lazy_pages(v, counter, digests=bool(kw)), d, **kw)
+        assert len(count_executions) == 1, count_executions
+        generated = sum(int(f.read_text())
+                        for f in (tmp_path / f"gen{i}").iterdir())
+        assert generated == len(v)
+        assert (s["n_new"], s["n_changed"], s["n_gone"],
+                s["n_unchanged"]) == want[i]
 
 
 def test_incremental_trusts_warc_payload_digest(ray_session, tmp_path):
@@ -442,6 +497,36 @@ def test_round_survives_worker_kill_mid_extract(ray_session, tmp_path,
             maybe_die, batch_format="pyarrow")
 
     monkeypatch.setattr(inc, "extract_pages", killing_extract)
+    s = incremental_extraction_round(_pages(_EQ_V2), d)
+    assert os.path.exists(flag)  # the kill really happened
+    assert s["round"] == 1 and s["extracted_rows"] == 2
+    _assert_same_commit(_committed(d, 1), want)
+    assert _corpus_table(d).equals(want_corpus)
+
+
+def test_round_survives_worker_kill_in_probe(ray_session, tmp_path,
+                                             monkeypatch):
+    """os._exit a worker inside round 1's probe, after the batch's
+    manifest part is written (flag-file latch, fires once): the retried
+    task rewrites the same part and the round commits what an
+    undisturbed round commits."""
+    import full_text_extractor_v6_ray.pipelines.incremental as inc
+
+    want, want_corpus = _undisturbed_round_1(tmp_path, 10**9)
+    d = str(tmp_path / "killed")
+    incremental_extraction_round(_pages(_EQ_V1), d)
+
+    flag = str(tmp_path / "killed_once")
+    real_probe = inc._new_or_changed
+
+    def killing_probe(prev, urls, h):
+        if not os.path.exists(flag):
+            with open(flag, "w") as f:
+                f.write("x")
+            os._exit(1)
+        return real_probe(prev, urls, h)
+
+    monkeypatch.setattr(inc, "_new_or_changed", killing_probe)
     s = incremental_extraction_round(_pages(_EQ_V2), d)
     assert os.path.exists(flag)  # the kill really happened
     assert s["round"] == 1 and s["extracted_rows"] == 2

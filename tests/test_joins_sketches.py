@@ -314,3 +314,35 @@ def test_bucket_anti_join_matches_duckdb(ray_session):
     pd.testing.assert_frame_equal(got[["k", "payload", "v"]], exp,
                                   check_dtype=False)
     assert str(got["k"].dtype) == "int64"
+
+
+@pytest.mark.parametrize("buckets", [None, 4, 1])
+def test_sorted_key_index_matches_arrow_membership(monkeypatch, buckets):
+    # positions == pc.index_in and contains == pc.is_in, also when
+    # hash64 is forced to collide (4 distinct values, or one for all)
+    import pyarrow.compute as pc
+
+    import full_text_extractor_v6_ray.stages.hashing as hashing
+    from full_text_extractor_v6_ray.stages.joins import SortedKeyIndex
+
+    if buckets is not None:
+        real = hashing.hash64
+        monkeypatch.setattr(hashing, "hash64",
+                            lambda v: real(v) % np.uint64(buckets))
+    keys = pa.array([f"https://k{i}.ex/{i * 7}" for i in range(300)]
+                    + ["", "a\x00b"], pa.string())
+    probe = pa.chunked_array([
+        pa.array([f"https://k{i}.ex/{i * 7}" for i in range(250, 350)]
+                 + ["", "a", "a\x00b", None, "https://k3.ex/21"]),
+        pa.array(["https://k3.ex/21", "https://k3.ex/2"])])
+    index = SortedKeyIndex(pa.chunked_array([keys[:100], keys[100:]]))
+    assert len(index) == len(keys)
+    want = pc.index_in(probe, value_set=keys).to_numpy(zero_copy_only=False)
+    got = index.positions(probe)
+    np.testing.assert_array_equal(
+        got, np.where(np.isnan(want.astype(float)), -1, want))
+    assert index.contains(probe).equals(
+        pc.is_in(probe, value_set=keys).combine_chunks())
+    assert len(index.positions(pa.array([], pa.string()))) == 0
+    empty = SortedKeyIndex(pa.array([], pa.string()))
+    assert not empty.contains(probe).to_numpy(zero_copy_only=False).any()

@@ -47,6 +47,41 @@ def test_sniff_xml_vs_xhtml():
         b'<?xml version="1.0"?><html><body><p>x</p></body></html>') == "html"
 
 
+def test_sniff_xhtml_past_long_prolog():
+    # the <html root sits past the 1 KB head behind a long comment and
+    # DOCTYPE: still html; the same prolog before a non-html root: xml
+    prolog = (b'<?xml version="1.0" encoding="utf-8"?>\n<!-- '
+              + b"licence text " * 100 + b'-->\n<?xml-stylesheet href="s"?>'
+              b'\n<!DOCTYPE html PUBLIC "-//W3C//DTD XHTML 1.1//EN" '
+              b'"http://www.w3.org/TR/xhtml11/DTD/xhtml11.dtd" '
+              b'[<!ENTITY e "x">]>\n')
+    assert len(prolog) > 1024
+    xhtml = prolog + (b'<html xmlns="http://www.w3.org/1999/xhtml"><body>'
+                      b"<p>Hello prolog</p></body></html>")
+    assert sniff_payload(xhtml) == "html"
+    assert sniff_payload(b"\xef\xbb\xbf" + xhtml) == "html"
+    assert extract_document(xhtml).method != "xml"
+    assert sniff_payload(prolog + b"<htmlx><a>x</a></htmlx>") == "xml"
+    assert sniff_payload(prolog + b"<feed><a>x</a></feed>") == "xml"
+    assert sniff_payload(b'<?xml version="1.0"?><!-- open') == "xml"
+
+
+def test_json_page_parses_once(monkeypatch):
+    # the sniff's parse feeds the converter: one json.loads per page,
+    # and the text is what json_to_text gives
+    import json
+
+    payload = b'{"title": "T", "tags": ["a", "b"], "n": {"x": 1}}'
+    want = json_to_text(payload)[0]
+    calls = []
+    real = json.loads
+    monkeypatch.setattr(json, "loads",
+                        lambda *a, **kw: calls.append(1) or real(*a, **kw))
+    r = extract_document(payload)
+    assert (r.method, r.extracted_text) == ("json", want)
+    assert len(calls) == 1
+
+
 # ---------------------------------------------------------------------------
 # conversions
 # ---------------------------------------------------------------------------
