@@ -399,7 +399,7 @@ def q_docs_neardup_dedup(sf_dir: str):
 
     Scale shape: size-dispatched removal (`remove_neardup_members`) —
     the drop set is COUNTED, broadcast via ray.put only when provably
-    small, and removed with one distributed bucket_anti_join shuffle
+    small, and removed with one distributed anti-join shuffle
     when it is corpus-scale (CC near-dup fractions run 20-40%)."""
     from .stages.fuzzy_dedup import (
         dup_components_ds,
@@ -770,14 +770,14 @@ def q_diagram_scores(sf_dir: str):
 
 def q_orders_customer_hashjoin(sf_dir: str):
     """Explicit partitioned hash join (both sides shuffled once by key)."""
-    from .stages.joins import lookup_hash_join
+    from .stages.joins import hash_join
 
     orders = _read(sf_dir, "orders",
                    columns=["o_orderkey", "o_custkey", "o_totalprice"])
     cust = _read(sf_dir, "customer",
                  columns=["c_custkey", "c_name", "c_mktsegment"])
-    joined = lookup_hash_join(orders, cust, "o_custkey", "c_custkey",
-                              num_buckets=16)
+    joined = hash_join(orders, cust, "o_custkey", "c_custkey",
+                       num_buckets=16)
     return joined.select_columns(["o_orderkey", "o_custkey", "o_totalprice",
                                   "c_name", "c_mktsegment"])
 
@@ -799,7 +799,7 @@ def q_returned_revenue_topk(sf_dir: str):
 
     from ray.data.aggregate import Sum
 
-    from .stages.joins import lookup_hash_join
+    from .stages.joins import hash_join
 
     li = ray.data.read_parquet(
         os.path.join(sf_dir, "lineitem.parquet"),
@@ -818,8 +818,8 @@ def q_returned_revenue_topk(sf_dir: str):
     li_partial = li.map_batches(partial_rev, batch_format="pyarrow",
                                 batch_size=4096)
     orders = _read(sf_dir, "orders", columns=["o_orderkey", "o_custkey"])
-    joined = lookup_hash_join(li_partial, orders, "l_orderkey", "o_orderkey",
-                              num_buckets=16)
+    joined = hash_join(li_partial, orders, "l_orderkey", "o_orderkey",
+                       num_buckets=16)
     by_cust = (joined.select_columns(["o_custkey", "rev"])
                .groupby("o_custkey")
                .aggregate(Sum("rev", alias_name="revenue")))
@@ -2196,21 +2196,15 @@ def q_lineitem_unpivot(sf_dir: str):
 
 def q_customers_no_events(sf_dir: str):
     """SQL EXCEPT (set difference): customers who never generated an
-    event — one tagged hash-bucket shuffle, vectorized per-bucket isin."""
-    from .stages.dedup import bucketed_except
+    event — one bucketed anti join shipping only the event keys.
+    c_custkey is the customer table's primary key, so the anti join's
+    rows are already the EXCEPT's distinct set."""
+    from .stages.joins import hash_join
 
     cust = _read(sf_dir, "customer", columns=["c_custkey"])
-
-    def widen(batch: pa.Table) -> pa.Table:
-        # int32 -> int64: EXCEPT needs one key type; DuckDB promotes the
-        # same way
-        return pa.table({"c_custkey": pc.cast(batch["c_custkey"],
-                                              pa.int64())})
-
-    cust = cust.map_batches(widen, batch_format="pyarrow",
-                            zero_copy_batch=True)
     ev = _read(sf_dir, "events", columns=["user_id"])
-    return bucketed_except(cust, ev, "c_custkey", "user_id")
+    return hash_join(cust, ev, "c_custkey", "user_id", how="anti",
+                     left_schema=pa.schema([("c_custkey", pa.int64())]))
 
 
 def q_events_hopping_15m(sf_dir: str):
@@ -2230,12 +2224,12 @@ def q_events_hopping_15m(sf_dir: str):
 
 def q_orders_left_join_coverage(sf_dir: str):
     """LEFT OUTER bucketed hash join: every order decorated with the
-    (filtered) customer side; unmatched rows keep typed nulls (the
-    Int64-coercion path in joins._coerce_merged). Aggregated to match
-    coverage per order status — per-batch partials, tiny groupby-sum."""
+    (filtered) customer side; unmatched rows keep typed nulls (``take``
+    on a null row index). Aggregated to match coverage per order
+    status — per-batch partials, tiny groupby-sum."""
     from ray.data.aggregate import Sum
 
-    from .stages.joins import lookup_hash_join
+    from .stages.joins import hash_join
 
     orders = _read(sf_dir, "orders",
                    columns=["o_orderkey", "o_custkey", "o_orderstatus"])
@@ -2247,8 +2241,7 @@ def q_orders_left_join_coverage(sf_dir: str):
 
     cust = cust.map_batches(near_nations, batch_format="pyarrow",
                             zero_copy_batch=True)
-    joined = lookup_hash_join(orders, cust, "o_custkey", "c_custkey",
-                              how="left")
+    joined = hash_join(orders, cust, "o_custkey", "c_custkey", how="left")
 
     def partial(batch: pa.Table) -> pa.Table:
         df = pd.DataFrame({
@@ -2287,13 +2280,16 @@ def q_lineitem_price_quantiles_approx(sf_dir: str):
 def q_order_keys_intersect(sf_dir: str):
     """SQL INTERSECT: order keys that appear in BOTH orders and
     lineitem — completes the set-ops family (union/EXCEPT already
-    covered). One tagged hash-bucket shuffle with per-batch distinct
-    combiners."""
-    from .stages.dedup import bucketed_intersect
+    covered). One bucketed semi join whose right side ships only its
+    per-batch distinct keys; o_orderkey is the orders table's primary
+    key, so the semi join's rows are already the INTERSECT's distinct
+    set."""
+    from .stages.joins import hash_join
 
     orders = _read(sf_dir, "orders", columns=["o_orderkey"])
     items = _read(sf_dir, "lineitem", columns=["l_orderkey"])
-    return bucketed_intersect(orders, items, "o_orderkey", "l_orderkey")
+    return hash_join(orders, items, "o_orderkey", "l_orderkey", how="semi",
+                     left_schema=pa.schema([("o_orderkey", pa.int64())]))
 
 
 def q_orders_date_dense_rank(sf_dir: str):
@@ -2375,7 +2371,7 @@ def q_orders_customer_full_join(sf_dir: str):
     coverage counts (single row, oracle-exact)."""
     from ray.data.aggregate import Count, Sum
 
-    from .stages.joins import bucket_hash_join
+    from .stages.joins import hash_join
 
     orders = _read(sf_dir, "orders", columns=["o_custkey"])
     per_cust = (orders.groupby("o_custkey")
@@ -2387,8 +2383,7 @@ def q_orders_customer_full_join(sf_dir: str):
 
     cust = cust.map_batches(low_nations, batch_format="pyarrow",
                             zero_copy_batch=True)
-    joined = bucket_hash_join(per_cust, cust, "o_custkey", "c_custkey",
-                              how="outer")
+    joined = hash_join(per_cust, cust, "o_custkey", "c_custkey", how="outer")
 
     def partial(batch: pa.Table) -> pa.Table:
         lo = pc.is_null(batch["c_nationkey"]).to_numpy(
@@ -2414,7 +2409,7 @@ def q_lineitem_self_composite(sf_dir: str):
     decorated with the price of its own expensive twin on the
     (l_orderkey, l_linenumber) primary key — the bucket is a
     splitmix-combined stable hash of BOTH key columns."""
-    from .stages.joins import bucket_hash_join_multi
+    from .stages.joins import hash_join
 
     left = _read(sf_dir, "lineitem",
                  columns=["l_orderkey", "l_linenumber", "l_quantity"])
@@ -2428,9 +2423,7 @@ def q_lineitem_self_composite(sf_dir: str):
 
     right = right.map_batches(expensive, batch_format="pyarrow",
                               zero_copy_batch=True)
-    return bucket_hash_join_multi(left, right,
-                                  ["l_orderkey", "l_linenumber"],
-                                  ["l_orderkey", "l_linenumber"])
+    return hash_join(left, right, ["l_orderkey", "l_linenumber"])
 
 
 def q_events_user_value_quantiles(sf_dir: str):
@@ -4386,14 +4379,14 @@ def q4_late_shipment_priority(sf_dir: str):
     from ray.data.aggregate import Count
 
     from .stages.dedup import keyed_keep_one
-    from .stages.joins import lookup_hash_join
+    from .stages.joins import hash_join
 
     items = _read(sf_dir, "lineitem", columns=["l_orderkey", "l_shipdate"])
     maxship = keyed_keep_one(items, "l_orderkey",
                              [("l_shipdate", "descending")])
     orders = _read(sf_dir, "orders",
                    columns=["o_orderkey", "o_orderdate", "o_orderpriority"])
-    joined = lookup_hash_join(
+    joined = hash_join(
         orders, maxship, "o_orderkey", "l_orderkey",
         right_schema=pa.schema([("l_orderkey", pa.int64()),
                                 ("l_shipdate", pa.timestamp("us"))]))
@@ -4424,7 +4417,7 @@ def q3_shipping_priority(sf_dir: str):
     import pyarrow.parquet as pq
     from ray.data.aggregate import Sum
 
-    from .stages.joins import lookup_hash_join
+    from .stages.joins import hash_join
 
     cutoff = datetime.datetime(1998, 6, 30)
     cust = pq.read_table(os.path.join(sf_dir, "customer.parquet"),
@@ -4472,8 +4465,8 @@ def q3_shipping_priority(sf_dir: str):
 
     li_partial = li.map_batches(partial_rev, batch_format="pyarrow",
                                 batch_size=4096)
-    joined = lookup_hash_join(li_partial, orders,
-                              "l_orderkey", "o_orderkey", num_buckets=16)
+    joined = hash_join(li_partial, orders,
+                       "l_orderkey", "o_orderkey", num_buckets=16)
     agg = (joined.groupby(["l_orderkey", "o_orderdate", "o_orderpriority"])
            .aggregate(Sum("rev", alias_name="revenue")))
 
@@ -5223,14 +5216,16 @@ def q_docs_shard_manifest(sf_dir: str):
     16-key groupby."""
     from ray.data.aggregate import Sum
 
-    from .stages.sampling import md5_prefixes
+    from .stages.sampling import md5_head
 
     ds = _read(sf_dir, "documents", columns=["doc_id", "n_chars"])
 
     def partials(batch: pa.Table) -> pa.Table:
-        pre = md5_prefixes(batch.column("doc_id").to_pylist())
+        # first md5 hex char of the (never null) doc_id
+        first = md5_head(batch.column("doc_id")) >> np.uint64(28)
         df = pd.DataFrame({
-            "shard": np.array([p[:1] for p in pre], dtype=object),
+            "shard": np.array(list("0123456789abcdef"),
+                              dtype=object)[first],
             "n": np.ones(batch.num_rows, np.int64),
             "chars": batch.column("n_chars").to_numpy(
                 zero_copy_only=False).astype(np.int64)})
@@ -5306,7 +5301,7 @@ def q_consistent_sample_revenue(sf_dir: str):
     applies the identical md5 predicate to both tables in SQL."""
     from ray.data.aggregate import Count, Sum
 
-    from .stages.joins import bucket_hash_join
+    from .stages.joins import hash_join
     from .stages.sampling import md5_hash_sample
 
     orders = _read(sf_dir, "orders",
@@ -5339,7 +5334,7 @@ def q_consistent_sample_revenue(sf_dir: str):
             b.schema.get_field_index("revenue"), "revenue",
             pc.round(b.column("revenue"), ndigits=2)),
         batch_format="pyarrow")
-    joined = bucket_hash_join(agg, kept_cust, "o_custkey", "c_custkey")
+    joined = hash_join(agg, kept_cust, "o_custkey", "c_custkey")
     return joined.map_batches(
         lambda b: b.select(["o_custkey", "c_name", "revenue", "n_orders"]),
         batch_format="pyarrow", zero_copy_batch=True)

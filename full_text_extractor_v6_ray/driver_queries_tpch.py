@@ -16,8 +16,8 @@ distinct distributed plan.
 
 Scale conventions (same as driver_queries.py):
 
-- Big⋈big equality joins go through ``bucket_hash_join`` /
-  ``lookup_hash_join`` (ONE bucketed exchange, payload moves once).
+- Big⋈big equality joins go through ``joins.hash_join`` (ONE bucketed
+  exchange, payload moves once).
 - Dimension-sized sides (nation, region, supplier, a brand-filtered
   slice of part) broadcast via ``ray.put`` once and are probed with
   vectorized numpy ``searchsorted``/``isin`` inside ``map_batches`` —
@@ -129,7 +129,7 @@ def q5_local_supplier_volume(sf_dir: str):
     nation-cardinality rows."""
     from ray.data.aggregate import Sum
 
-    from .stages.joins import bucket_hash_join, lookup_hash_join
+    from .stages.joins import hash_join
 
     lo = datetime.datetime(1996, 1, 1)
     hi = datetime.datetime(1997, 1, 1)
@@ -163,7 +163,7 @@ def q5_local_supplier_volume(sf_dir: str):
                      batch_format="pyarrow", concurrency=(1, 2))
 
     # big ⋈ big on custkey: one bucketed exchange
-    oc = bucket_hash_join(orders, cust, "o_custkey", "c_custkey")
+    oc = hash_join(orders, cust, "o_custkey", "c_custkey")
     oc = oc.map_batches(
         lambda b: b.select(["o_orderkey", "c_nationkey"]),
         batch_format="pyarrow", zero_copy_batch=True)
@@ -171,7 +171,7 @@ def q5_local_supplier_volume(sf_dir: str):
     li = _read(sf_dir, "lineitem",
                columns=["l_orderkey", "l_suppkey", "l_extendedprice",
                         "l_discount"])
-    joined = lookup_hash_join(
+    joined = hash_join(
         li, oc, "l_orderkey", "o_orderkey",
         right_schema=pa.schema([("o_orderkey", pa.int64()),
                                 ("c_nationkey", pa.int32())]))
@@ -217,7 +217,7 @@ def q7_volume_shipping(sf_dir: str):
     (2 x 2 x years) rows."""
     from ray.data.aggregate import Count, Sum
 
-    from .stages.joins import bucket_hash_join, lookup_hash_join
+    from .stages.joins import hash_join
 
     lo = datetime.datetime(1995, 1, 1)
     hi = datetime.datetime(1997, 1, 1)
@@ -242,7 +242,7 @@ def q7_volume_shipping(sf_dir: str):
         .map_batches(PairCustomers, fn_constructor_kwargs={"ref": pair_ref},
                      batch_format="pyarrow", concurrency=(1, 2))
     orders = _read(sf_dir, "orders", columns=["o_orderkey", "o_custkey"])
-    oc = bucket_hash_join(orders, cust, "o_custkey", "c_custkey")
+    oc = hash_join(orders, cust, "o_custkey", "c_custkey")
     oc = oc.map_batches(lambda b: b.select(["o_orderkey", "c_nationkey"]),
                         batch_format="pyarrow", zero_copy_batch=True)
 
@@ -278,7 +278,7 @@ def q7_volume_shipping(sf_dir: str):
         fn_constructor_kwargs={"supp_ref": supp_ref, "pair_ref": pair_ref},
         batch_format="pyarrow", concurrency=(1, 4))
 
-    joined = lookup_hash_join(
+    joined = hash_join(
         li, oc, "l_orderkey", "o_orderkey",
         right_schema=pa.schema([("o_orderkey", pa.int64()),
                                 ("c_nationkey", pa.int32())]))
@@ -321,7 +321,7 @@ def q13_customer_distribution(sf_dir: str):
     histogram groupby runs on distinct-count-cardinality rows."""
     from ray.data.aggregate import Count, Sum
 
-    from .stages.joins import lookup_hash_join
+    from .stages.joins import hash_join
 
     orders = _read(sf_dir, "orders", columns=["o_custkey"],
                    filter=(pads.field("o_orderpriority") != "1-URGENT"))
@@ -338,7 +338,7 @@ def q13_customer_distribution(sf_dir: str):
               .aggregate(Sum("n_part", alias_name="c_count")))
 
     cust = _read(sf_dir, "customer", columns=["c_custkey"])
-    withc = lookup_hash_join(
+    withc = hash_join(
         cust, counts, "c_custkey", "o_custkey", how="left",
         right_schema=pa.schema([("o_custkey", pa.int64()),
                                 ("c_count", pa.int64())]))
@@ -366,7 +366,7 @@ def q14_promo_revenue(sf_dir: str):
     aggregate is metadata-sized."""
     from ray.data.aggregate import Sum
 
-    from .stages.joins import lookup_hash_join
+    from .stages.joins import hash_join
 
     lo = datetime.datetime(1996, 9, 1)
     hi = datetime.datetime(1996, 10, 1)
@@ -375,7 +375,7 @@ def q14_promo_revenue(sf_dir: str):
                filter=((pads.field("l_shipdate") >= lo)
                        & (pads.field("l_shipdate") < hi)))
     part = _read(sf_dir, "part", columns=["p_partkey", "p_type"])
-    joined = lookup_hash_join(
+    joined = hash_join(
         li, part, "l_partkey", "p_partkey",
         right_schema=pa.schema([("p_partkey", pa.int64()),
                                 ("p_type", pa.string())]))
@@ -531,7 +531,7 @@ def q17_small_qty_revenue(sf_dir: str):
     scalar."""
     from ray.data.aggregate import Sum
 
-    from .stages.joins import lookup_hash_join
+    from .stages.joins import hash_join
 
     part = pq.read_table(os.path.join(sf_dir, "part.parquet"),
                          columns=["p_partkey", "p_brand"])
@@ -579,7 +579,7 @@ def q17_small_qty_revenue(sf_dir: str):
 
     thr = avg.map_batches(to_threshold, batch_format="pyarrow",
                           zero_copy_batch=True)
-    joined = lookup_hash_join(
+    joined = hash_join(
         li, thr, "l_partkey", "t_partkey",
         right_schema=pa.schema([("t_partkey", pa.int64()),
                                 ("qty_thr", pa.float64())]))
@@ -611,7 +611,7 @@ def q18_large_volume_customers(sf_dir: str):
     moves once); sort+limit on the surviving rows only."""
     from ray.data.aggregate import Sum
 
-    from .stages.joins import lookup_hash_join
+    from .stages.joins import hash_join
 
     li = _read(sf_dir, "lineitem", columns=["l_orderkey", "l_quantity"])
 
@@ -635,12 +635,12 @@ def q18_large_volume_customers(sf_dir: str):
     orders = _read(sf_dir, "orders",
                    columns=["o_orderkey", "o_custkey", "o_orderdate",
                             "o_totalprice"])
-    withq = lookup_hash_join(
+    withq = hash_join(
         orders, big, "o_orderkey", "l_orderkey",
         right_schema=pa.schema([("l_orderkey", pa.int64()),
                                 ("sum_qty", pa.float64())]))
     cust = _read(sf_dir, "customer", columns=["c_custkey", "c_name"])
-    named = lookup_hash_join(
+    named = hash_join(
         withq, cust, "o_custkey", "c_custkey",
         left_schema=pa.schema([("o_orderkey", pa.int64()),
                                ("o_custkey", pa.int64()),
@@ -728,7 +728,7 @@ def q22_sales_opportunity(sf_dir: str):
     dedup combiner, ONE shuffle); final groupby on nation keys."""
     from ray.data.aggregate import Count, Mean, Sum
 
-    from .stages.joins import bucket_anti_join
+    from .stages.joins import hash_join
 
     cust = _read(sf_dir, "customer",
                  columns=["c_custkey", "c_nationkey", "c_acctbal"])
@@ -747,7 +747,7 @@ def q22_sales_opportunity(sf_dir: str):
         batch_format="pyarrow", zero_copy_batch=True)
     recent = _read(sf_dir, "orders", columns=["o_custkey"],
                    filter=(pads.field("o_orderdate") >= _Q22_CUTOFF))
-    dormant = bucket_anti_join(rich, recent, "c_custkey", "o_custkey")
+    dormant = hash_join(rich, recent, "c_custkey", "o_custkey", how="anti")
 
     def key_only(batch: pa.Table) -> pa.Table:
         return pa.table({
@@ -781,7 +781,7 @@ def q8_market_share(sf_dir: str):
     the final exchange carries (years x 2) cells."""
     from ray.data.aggregate import Sum
 
-    from .stages.joins import bucket_hash_join, lookup_hash_join
+    from .stages.joins import hash_join
 
     lo = datetime.datetime(1995, 1, 1)
     hi = datetime.datetime(1997, 1, 1)
@@ -822,7 +822,7 @@ def q8_market_share(sf_dir: str):
                    columns=["o_orderkey", "o_custkey", "o_orderdate"],
                    filter=((pads.field("o_orderdate") >= lo)
                            & (pads.field("o_orderdate") < hi)))
-    oc = bucket_hash_join(orders, cust, "o_custkey", "c_custkey")
+    oc = hash_join(orders, cust, "o_custkey", "c_custkey")
     oc = oc.map_batches(
         lambda b: pa.table({
             "o_orderkey": b.column("o_orderkey"),
@@ -859,7 +859,7 @@ def q8_market_share(sf_dir: str):
         StdVolume,
         fn_constructor_kwargs={"std_ref": std_ref, "supp_ref": supp_ref},
         batch_format="pyarrow", concurrency=(1, 4))
-    joined = lookup_hash_join(
+    joined = hash_join(
         li, oc, "l_orderkey", "o_orderkey",
         right_schema=pa.schema([("o_orderkey", pa.int64()),
                                 ("o_year", pa.int64())]))
@@ -905,7 +905,7 @@ def q9_product_profit(sf_dir: str):
     the final (nation x year) groupby fed by map-side partials."""
     from ray.data.aggregate import Sum
 
-    from .stages.joins import lookup_hash_join
+    from .stages.joins import hash_join
 
     part = pq.read_table(os.path.join(sf_dir, "part.parquet"),
                          columns=["p_partkey", "p_name", "p_retailprice"])
@@ -957,7 +957,7 @@ def q9_product_profit(sf_dir: str):
             "o_year": pc.cast(pc.year(b.column("o_orderdate")),
                               pa.int64())}),
         batch_format="pyarrow", zero_copy_batch=True)
-    joined = lookup_hash_join(
+    joined = hash_join(
         li, orders, "l_orderkey", "o_orderkey",
         right_schema=pa.schema([("o_orderkey", pa.int64()),
                                 ("o_year", pa.int64())]))
@@ -1077,7 +1077,7 @@ def q12_shipping_priority_classes(sf_dir: str):
     class per batch."""
     from ray.data.aggregate import Sum
 
-    from .stages.joins import lookup_hash_join
+    from .stages.joins import hash_join
 
     lo = datetime.datetime(1996, 1, 1)
     hi = datetime.datetime(1997, 1, 1)
@@ -1087,7 +1087,7 @@ def q12_shipping_priority_classes(sf_dir: str):
                        & (pads.field("l_returnflag").isin(["R", "A"]))))
     orders = _read(sf_dir, "orders",
                    columns=["o_orderkey", "o_orderpriority"])
-    joined = lookup_hash_join(
+    joined = hash_join(
         li, orders, "l_orderkey", "o_orderkey",
         right_schema=pa.schema([("o_orderkey", pa.int64()),
                                 ("o_orderpriority", pa.string())]))
@@ -1210,14 +1210,14 @@ def q21_waiting_suppliers(sf_dir: str):
     final count is supplier-cardinality and decorates driver-side."""
     from ray.data.aggregate import Count, Max, Sum
 
-    from .stages.joins import lookup_hash_join
+    from .stages.joins import hash_join
 
     orders = _read(sf_dir, "orders",
                    columns=["o_orderkey", "o_orderdate"],
                    filter=(pads.field("o_orderstatus") == "F"))
     li = _read(sf_dir, "lineitem",
                columns=["l_orderkey", "l_suppkey", "l_shipdate"])
-    joined = lookup_hash_join(
+    joined = hash_join(
         li, orders, "l_orderkey", "o_orderkey",
         right_schema=pa.schema([("o_orderkey", pa.int64()),
                                 ("o_orderdate", pa.timestamp("us"))]))

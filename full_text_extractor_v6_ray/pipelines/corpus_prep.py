@@ -19,7 +19,7 @@ BOTH the near-dup pair mining and the final filter (the round-2 lesson:
 without the cut every consumer re-runs the scorer pools); near-dup
 removal goes through ``remove_neardup_members`` — the drop set is
 COUNTED first, broadcast only under ``max_broadcast_drop`` keys, and
-otherwise removed with one distributed bucket_anti_join shuffle (CC
+otherwise removed with one distributed anti-join shuffle (CC
 near-dup fractions run 20-40% of the corpus: the drop set must never
 be assumed driver-sized).
 """

@@ -392,7 +392,7 @@ def read_current_corpus(state_dir: str) -> "ray.data.Dataset":
     bucket-joined, never driver-materialized). Only rounds with a
     committed manifest are read."""
     from ..stages.dedup import keyed_keep_one
-    from ..stages.joins import bucket_hash_join, lookup_hash_join
+    from ..stages.joins import hash_join
 
     done = _rounds(state_dir)
     files = _round_files(state_dir, "delta", done)
@@ -412,11 +412,11 @@ def read_current_corpus(state_dir: str) -> "ray.data.Dataset":
         batch_format="pyarrow", zero_copy_batch=True)
 
     # tombstone resolution on SLIM (url, round) rows only — the wide
-    # extracted rows (nested spans/links) never enter a pandas join;
-    # survivors re-attach through the all-Arrow lookup join
+    # extracted rows (nested spans/links) meet just the survivors' urls,
+    # in one semi join
     live_slim = ray.data.read_parquet(files, columns=["url", "round"])
     live_slim = keyed_keep_one(live_slim, "url", [("round", "descending")])
-    joined = bucket_hash_join(live_slim, tombs, "url", "url", how="left")
+    joined = hash_join(live_slim, tombs, "url", how="left")
 
     def survivors(batch: pa.Table) -> pa.Table:
         tr = batch.column("tomb_round")
@@ -431,9 +431,8 @@ def read_current_corpus(state_dir: str) -> "ray.data.Dataset":
 
     live_schema = pa.schema(list(EXTRACTED_SCHEMA)
                             + [pa.field("round", pa.int64())])
-    return lookup_hash_join(live, keep_urls, "url", "url",
-                            left_schema=live_schema,
-                            right_schema=pa.schema([("url", pa.string())]))
+    return hash_join(live, keep_urls, "url", how="semi",
+                     left_schema=live_schema)
 
 
 def compact_state(state_dir: str) -> dict:

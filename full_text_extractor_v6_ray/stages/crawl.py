@@ -11,7 +11,7 @@ composition of the repo's shuffle machinery:
 
 - one bucketed exchange per keyed reduce (``bucketed_group_agg`` /
   ``hash_bucketed_distinct``), partials combined map-side first;
-- big⋈big equality joins through ``bucket_hash_join`` (payload moves
+- big⋈big equality joins through ``joins.hash_join`` (payload moves
   once);
 - dimension-sized sides (robots rules) broadcast via ``ray.put``,
   probed vectorized in every batch — never re-shipped, never shuffled.

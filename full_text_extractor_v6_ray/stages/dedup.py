@@ -192,90 +192,6 @@ def dedup_latest_by_ts(ds: "ray.data.Dataset",
                           num_buckets=num_buckets)
 
 
-def bucketed_except(left: "ray.data.Dataset", right: "ray.data.Dataset",
-                    left_col: str, right_col: str,
-                    num_buckets: int | None = None) -> "ray.data.Dataset":
-    """SQL EXCEPT: distinct ``left_col`` values with no match in
-    ``right_col`` (the set-difference companion of order_keys_union).
-
-    One shuffle: both sides project to the key (cast to a common type by
-    the caller), tag a side bit, hash-bucket on the key; each bucket is
-    a vectorized pandas pass (drop_duplicates + isin). Map-side
-    per-batch dedup caps hot-key traffic at O(batches) like every other
-    keyed stage here.
-    """
-    import pandas as pd
-
-    if num_buckets is None:
-        num_buckets = default_num_buckets(32)
-
-    def prep(col: str, side: int):
-        def fn(batch: pa.Table) -> pa.Table:
-            k = batch.column(col)
-            t = pa.table({"__k": k}).append_column(
-                "__side", pa.array(
-                    np.full(len(k), side, dtype=np.int8)))
-            # per-batch distinct: the combiner that bounds skew
-            t = t.group_by(["__k", "__side"]).aggregate([])
-            return t.append_column(
-                _BUCKET, _stable_bucket(t.column("__k"), num_buckets))
-        return fn
-
-    lt = left.select_columns([left_col]).map_batches(
-        prep(left_col, 0), batch_format="pyarrow", zero_copy_batch=True)
-    rt = right.select_columns([right_col]).map_batches(
-        prep(right_col, 1), batch_format="pyarrow", zero_copy_batch=True)
-
-    def diff_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        lk = g.loc[g["__side"] == 0, "__k"].drop_duplicates()
-        rk = g.loc[g["__side"] == 1, "__k"]
-        out = lk[~lk.isin(rk)]
-        return pd.DataFrame({left_col: out.to_numpy()})
-
-    return (lt.union(rt).groupby(_BUCKET)
-            .map_groups(diff_bucket, batch_format="pandas"))
-
-
-def bucketed_intersect(left: "ray.data.Dataset", right: "ray.data.Dataset",
-                       left_col: str, right_col: str,
-                       num_buckets: int | None = None
-                       ) -> "ray.data.Dataset":
-    """SQL INTERSECT: distinct ``left_col`` values that also appear in
-    ``right_col`` — completes the set-ops family (union:
-    order_keys_union, difference: bucketed_except). Same scale shape as
-    bucketed_except: per-batch distinct combiner caps hot-key traffic,
-    ONE tagged hash-bucket shuffle, vectorized per-bucket isin."""
-    import pandas as pd
-
-    if num_buckets is None:
-        num_buckets = default_num_buckets(32)
-
-    def prep(col: str, side: int):
-        def fn(batch: pa.Table) -> pa.Table:
-            k = batch.column(col)
-            t = pa.table({"__k": k}).append_column(
-                "__side", pa.array(
-                    np.full(len(k), side, dtype=np.int8)))
-            t = t.group_by(["__k", "__side"]).aggregate([])
-            return t.append_column(
-                _BUCKET, _stable_bucket(t.column("__k"), num_buckets))
-        return fn
-
-    lt = left.select_columns([left_col]).map_batches(
-        prep(left_col, 0), batch_format="pyarrow", zero_copy_batch=True)
-    rt = right.select_columns([right_col]).map_batches(
-        prep(right_col, 1), batch_format="pyarrow", zero_copy_batch=True)
-
-    def both_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        lk = g.loc[g["__side"] == 0, "__k"].drop_duplicates()
-        rk = g.loc[g["__side"] == 1, "__k"]
-        out = lk[lk.isin(rk)]
-        return pd.DataFrame({left_col: out.to_numpy()})
-
-    return (lt.union(rt).groupby(_BUCKET)
-            .map_groups(both_bucket, batch_format="pandas"))
-
-
 def bucketed_group_agg(ds: "ray.data.Dataset", key: str,
                        aggs: list[tuple[str, str]],
                        num_buckets: int | None = None

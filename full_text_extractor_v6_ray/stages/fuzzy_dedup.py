@@ -237,7 +237,7 @@ def minhash_dup_pairs(docs: "ray.data.Dataset", text_col: str = "text",
     if pair_mode not in ("all", "star"):
         raise ValueError(f"pair_mode must be 'all' or 'star', got {pair_mode!r}")
     from .dedup import materialize_rebased
-    from .joins import lookup_hash_join
+    from .joins import hash_join
 
     sigs = docs.map_batches(
         MinHashBatch, fn_constructor_kwargs={
@@ -280,10 +280,10 @@ def minhash_dup_pairs(docs: "ray.data.Dataset", text_col: str = "text",
     sb = sig_cols.map_batches(lambda b: b.rename_columns(["doc_id", "sig_b"]),
                               batch_format="pyarrow")
     j1 = materialize_rebased(
-        lookup_hash_join(pairs, sa, "doc_a", "doc_id",
-                         num_buckets=num_buckets), num_buckets,
+        hash_join(pairs, sa, "doc_a", "doc_id",
+                  num_buckets=num_buckets), num_buckets,
         spill_dir=spill_dir)
-    j2 = lookup_hash_join(j1, sb, "doc_b", "doc_id", num_buckets=num_buckets)
+    j2 = hash_join(j1, sb, "doc_b", "doc_id", num_buckets=num_buckets)
 
     def score(batch: pa.Table) -> pa.Table:
         if batch.num_rows == 0:
@@ -465,7 +465,7 @@ def jaccard_verified_pairs(docs: "ray.data.Dataset",
     unique arrays (np.intersect1d assume_unique, C-speed).
     """
     from .dedup import materialize_rebased
-    from .joins import lookup_hash_join
+    from .joins import hash_join
 
     cands = minhash_dup_pairs(docs, text_col=text_col,
                               threshold=candidate_threshold,
@@ -483,10 +483,10 @@ def jaccard_verified_pairs(docs: "ray.data.Dataset",
     sb = sh.map_batches(lambda b: b.rename_columns(["doc_id", "sh_b"]),
                         batch_format="pyarrow")
     j1 = materialize_rebased(
-        lookup_hash_join(pairs, sa, "doc_a", "doc_id",
-                         num_buckets=num_buckets), num_buckets,
+        hash_join(pairs, sa, "doc_a", "doc_id",
+                  num_buckets=num_buckets), num_buckets,
         spill_dir=spill_dir)
-    j2 = lookup_hash_join(j1, sb, "doc_b", "doc_id", num_buckets=num_buckets)
+    j2 = hash_join(j1, sb, "doc_b", "doc_id", num_buckets=num_buckets)
 
     def verify(batch: pa.Table) -> pa.Table:
         n = batch.num_rows
@@ -546,7 +546,7 @@ def dup_components_ds(pairs: "ray.data.Dataset", num_buckets: int = 32,
     """
     from ray.data.aggregate import Min, Sum
 
-    from .joins import lookup_hash_join
+    from .joins import hash_join
 
     def to_edges(batch: pa.Table) -> pa.Table:
         a = batch.column("doc_a").to_numpy(zero_copy_only=False)
@@ -608,8 +608,8 @@ def dup_components_ds(pairs: "ray.data.Dataset", num_buckets: int = 32,
         })
 
     for _ in range(max_iters):
-        neighbor = lookup_hash_join(edges, labels, "src", "node",
-                                    num_buckets=num_buckets)
+        neighbor = hash_join(edges, labels, "src", "node",
+                             num_buckets=num_buckets)
 
         def as_candidate(batch: pa.Table) -> pa.Table:
             return pa.table({"node": batch.column("dst"),
@@ -821,9 +821,9 @@ def remove_neardup_members(ds: "ray.data.Dataset",
       - n <= ``max_broadcast``: the sorted int64 id array broadcasts
         once via ray.put and every batch filters with np.isin — zero
         extra shuffle (the small-corpus fast path).
-      - n > ``max_broadcast``: distributed ``joins.bucket_anti_join`` —
-        ONE payload shuffle of ``ds``, keys-only right side, vectorized
-        per-bucket isin. Nothing ever materializes on the driver.
+      - n > ``max_broadcast``: distributed ``joins.hash_join(how="anti")``
+        — ONE payload shuffle of ``ds``, keys-only right side.
+        Nothing ever materializes on the driver.
     """
     import pyarrow.compute as pc
 
@@ -845,18 +845,18 @@ def remove_keys(ds: "ray.data.Dataset", drop_ds: "ray.data.Dataset",
     """Size-dispatched key removal (the shared tail of every dedup
     flavor): count the drop keys first; broadcast a sorted int64 array
     via ray.put + np.isin only when provably small, else ONE
-    distributed ``bucket_anti_join`` payload shuffle. Nothing
+    distributed anti-join payload shuffle. Nothing
     data-scale ever materializes on the driver."""
     import ray
 
-    from .joins import bucket_anti_join
+    from .joins import hash_join
 
     n_drop = drop_ds.count()
     if n_drop == 0:
         return ds
     if n_drop > max_broadcast:
-        return bucket_anti_join(ds, drop_ds, key, key,
-                                num_buckets=num_buckets)
+        return hash_join(ds, drop_ds, key, how="anti",
+                         num_buckets=num_buckets)
 
     drop = np.sort(drop_ds.to_pandas()[key].to_numpy(dtype=np.int64))
     ref = ray.put(drop)
@@ -898,7 +898,7 @@ def remove_neardup_members_by_quality(ds: "ray.data.Dataset",
     import pyarrow.compute as pc
 
     from .dedup import keyed_keep_one
-    from .joins import bucket_anti_join, lookup_hash_join
+    from .joins import hash_join
 
     sid = scores.map_batches(
         lambda b: pa.table({"_sid": pc.cast(b.column(key), pa.int64()),
@@ -910,7 +910,7 @@ def remove_neardup_members_by_quality(ds: "ray.data.Dataset",
                             "component": pc.cast(b.column("component"),
                                                  pa.int64())}),
         batch_format="pyarrow", zero_copy_batch=True)
-    decorated = lookup_hash_join(
+    decorated = hash_join(
         comp64, sid, key, "_sid", num_buckets=num_buckets,
         left_schema=pa.schema([(key, pa.int64()),
                                ("component", pa.int64())]),
@@ -926,8 +926,8 @@ def remove_neardup_members_by_quality(ds: "ray.data.Dataset",
     member_ids = comp64.map_batches(
         lambda b: pa.table({key: b.column(key)}),
         batch_format="pyarrow", zero_copy_batch=True)
-    drop_ds = bucket_anti_join(member_ids, keeper_ids, key, "_kid",
-                               num_buckets=num_buckets)
+    drop_ds = hash_join(member_ids, keeper_ids, key, "_kid", how="anti",
+                        num_buckets=num_buckets)
     return remove_keys(ds, drop_ds, key, max_broadcast=max_broadcast,
                        num_buckets=num_buckets)
 
@@ -1115,7 +1115,7 @@ def exact_substring_dedup(docs: "ray.data.Dataset",
     single-space split with empties dropped — reproducible in SQL, so
     the whole rewrite is DuckDB-oracle-checkable."""
     from .dedup import default_num_buckets, _stable_bucket
-    from .joins import lookup_hash_join
+    from .joins import hash_join
 
     if num_buckets is None:
         num_buckets = default_num_buckets(32)
@@ -1165,7 +1165,7 @@ def exact_substring_dedup(docs: "ray.data.Dataset",
                  .groupby("_bkt").map_groups(pack_lists,
                                              batch_format="pyarrow"))
 
-    joined = lookup_hash_join(
+    joined = hash_join(
         docs.select_columns([id_col, text_col]), pos_lists,
         id_col, id_col, num_buckets=num_buckets, how="left",
         right_schema=pa.schema([(id_col, pa.int64()),

@@ -1,231 +1,176 @@
-"""Join operators Ray Data lacks natively: partitioned hash join, as-of join.
+"""Bucketed joins: one exchange shape, one per-bucket Arrow kernel.
 
-Patterns per the Ray guide ("Joins and lookups"):
+  - ``hash_join``: the partitioned equi-join (inner, left, full outer,
+    semi, anti; one key column or several). Both sides get ``bucket =
+    hash(key) % B``, a side tag and typed-null padding to the union
+    schema; ONE groupby-bucket exchange moves each row once; B bounds
+    per-task memory (raise it to dilute hot keys). Inside a bucket the
+    kernel matches row INDICES with ``pa.Table.join`` over slim tables
+    (the key columns plus an int64 row index) and ``take``s the payload,
+    so every dtype (int64 above 2^53, uint64, lists, structs) leaves
+    exactly as it came in, and a null key matches nothing, as in SQL.
 
-  - ``bucket_hash_join``: the explicit partitioned hash join — add
-    ``bucket = hash(key) % B`` to BOTH sides, tag the side, pad each side
-    with the other's columns as TYPED nulls (schemas must match for
-    union), union, groupby the bucket, and join the two sides pairwise
-    inside each bucket group (pandas merge). ONE shuffle total; B bounds
-    per-task memory; raise B to dilute hot keys.
+  - ``range_join`` (inner match + interval filter), ``asof_join``
+    (``pa.Table.join_asof`` per bucket), ``skew_hash_join`` and
+    ``bloom_hash_join`` build on the same exchange and kernel.
 
-  - ``asof_join``: same bucketing; inside each bucket sort both sides by
-    (key, ts) and ``pd.merge_asof`` — each left row matched to the latest
-    right row with ``right_ts <= left_ts`` for the same key.
+Partitioning assumption: equal keys land in equal buckets — guaranteed
+by the shared version-independent hash (stages/hashing.py) on both
+sides, with both sides' keys cast to the left key types before hashing.
 
-Partitioning assumption (documented per the briefing): equal keys land in
-equal buckets — guaranteed by the shared version-independent hash
-(stages/hashing.py) on both sides.
-
-Caveat: the per-bucket pandas merge round-trips null-padded integer
-columns through float64, so uint64 VALUES above 2^53 survive the join
-only approximately (and never crash — unsigned dtypes are restored, not
-force-cast to int64). Store 64-bit hashes as int64 bit-views (the
-repo-wide convention for bucket/band ids) when they must join exactly.
+Why not Ray's native ``Dataset.join``: Ray 2.49 has every join type used
+here, but its hash-shuffle join starts a pool of aggregator actors sized
+for a cluster. A 50k x 5k int64-key inner join on a one-CPU Ray
+(``num_cpus=1``, ``num_partitions=32``) warned "Required: 4.0 CPUs for
+32 aggregators" and "Required: 28.00 GiB for 32 aggregators" and had
+not finished after 200 s; ``hash_join`` ran the same join in 0.74 s.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
 import ray.data
 
-from .dedup import _stable_bucket, default_num_buckets
+from .dedup import default_num_buckets
 
 _SIDE = "__side"
 _BUCKET = "__jbucket"
+# hash_join's ``how`` -> Acero join type
+_JOIN_TYPES = {"inner": "inner", "left": "left outer",
+               "outer": "full outer", "semi": "left semi",
+               "anti": "left anti"}
 
 
-def _fields(schema) -> list[tuple[str, pa.DataType]]:
-    """(name, arrow type) pairs from an arrow Schema OR PandasBlockSchema."""
+def _schema(ds: "ray.data.Dataset", given: pa.Schema | None) -> pa.Schema:
+    """``given``, else the Arrow schema of a ``ds.schema()`` probe (a
+    PandasBlockSchema's numpy dtypes mapped to Arrow types)."""
+    if given is not None:
+        return given
+    schema = ds.schema().base_schema
     if isinstance(schema, pa.Schema):
-        return [(n, schema.field(n).type) for n in schema.names]
-    out = []
+        return schema
+    fields = []
     for n, t in zip(schema.names, schema.types):
-        if isinstance(t, pa.DataType):
-            out.append((n, t))
-        else:
+        if not isinstance(t, pa.DataType):
             try:
-                out.append((n, pa.from_numpy_dtype(t)))
+                t = pa.from_numpy_dtype(t)
             except Exception:
-                out.append((n, pa.string()))
-    return out
+                t = pa.string()
+        fields.append((n, t))
+    return pa.schema(fields)
 
 
-def _prep_side(ds: "ray.data.Dataset", key: str, side: int,
-               num_buckets: int, own, other) -> "ray.data.Dataset":
-    """Tag + bucket + pad to the union schema (own cols then other-only)."""
-    own_names = list(own.names)
-    other_only = [(n, t) for n, t in _fields(other) if n not in own_names]
-    ordered = own_names + [n for n, _ in other_only]
-
-    def fn(batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
-        for name, typ in other_only:
-            batch = batch.append_column(name, pa.nulls(n, typ))
-        batch = batch.select(ordered)
-        batch = batch.append_column(_SIDE, pa.array([side] * n, pa.int8()))
-        return batch.append_column(_BUCKET,
-                                   _stable_bucket(batch.column(key),
-                                                  num_buckets))
-
-    return ds.map_batches(fn, batch_format="pyarrow", zero_copy_batch=True)
+def _concat(a: pa.Table, b: pa.Table) -> pa.Table:
+    """Columns of ``a`` then those of ``b`` (equal row counts)."""
+    return pa.Table.from_arrays(a.columns + b.columns,
+                                names=a.column_names + b.column_names)
 
 
-def _pd_dtype(t: pa.DataType) -> str:
-    """Pandas dtype used for typed empty/NA columns of an arrow type."""
-    if pa.types.is_integer(t):
-        return "Int64"
-    if pa.types.is_floating(t):
-        return "float64"
-    if pa.types.is_boolean(t):
-        return "boolean"
-    if pa.types.is_timestamp(t):
-        return "datetime64[ns]"
-    if (pa.types.is_binary(t) or pa.types.is_large_binary(t)
-            or pa.types.is_fixed_size_binary(t)):
-        # bytes stay object-dtype: an empty bucket emitting a pandas
-        # 'string' column would carry arrow type string while populated
-        # buckets carry binary — schema unification breakage (advisor
-        # finding, round 2). An empty object column converts to arrow
-        # null, which promotes cleanly against binary.
-        return "object"
-    return "string"
-
-
-def _typed_empty(fields: list[tuple[str, pa.DataType]]) -> pa.Table:
-    """Empty bucket output as an ARROW table whose types match what the
-    pandas->arrow conversion yields for populated buckets (bytes columns
-    especially: a pandas 'string' empty would carry arrow type string
-    where populated buckets carry binary — schema unification breakage;
-    advisor finding, round 2)."""
-    def arrow_t(t: pa.DataType) -> pa.DataType:
-        if pa.types.is_integer(t):
-            return pa.int64()
-        if pa.types.is_floating(t):
-            return pa.float64()
-        if pa.types.is_boolean(t):
-            return pa.bool_()
-        if pa.types.is_timestamp(t):
-            return pa.timestamp("ns")
-        if (pa.types.is_binary(t) or pa.types.is_large_binary(t)
-                or pa.types.is_fixed_size_binary(t)):
-            return pa.binary()
-        return pa.string()
-    return pa.table({n: pa.array([], arrow_t(t)) for n, t in fields})
-
-
-def _split_sides(g: pd.DataFrame, lcols: list[str], rcols: list[str],
-                 ltypes: dict, rtypes: dict):
-    lg = g.loc[g[_SIDE] == 0, lcols].copy()
-    rg = g.loc[g[_SIDE] == 1, rcols].copy()
-    # The union pads each side's rows with nulls in the OTHER side's
-    # columns, so after the pandas conversion every int/bool column whose
-    # opposite side had rows became float64/object. Restore from the
-    # ORIGINAL arrow schema — never by value inspection (an all-integral
-    # float column like totalprice=100.0 must stay float64).
-    for df, types in ((lg, ltypes), (rg, rtypes)):
-        for c in df.columns:
-            t = types.get(c)
-            if t is None:
-                continue
-            if pa.types.is_unsigned_integer(t):
-                # uint64 values >= 2^63 overflow an int64 cast (advisor
-                # finding, round 2) — keep the unsigned dtype
-                if df[c].dtype != "uint64":
-                    df[c] = df[c].astype("uint64")
-            elif pa.types.is_integer(t) and df[c].dtype != "int64":
-                df[c] = df[c].astype("int64")  # own side: never null
-            elif pa.types.is_boolean(t) and df[c].dtype == object:
-                df[c] = df[c].astype(bool)
-    return lg, rg
-
-
-def _coerce_merged(df: pd.DataFrame, types: dict, cols: list[str]) -> pd.DataFrame:
-    """Right-side value columns after an outer-ish merge: unmatched rows
-    hold NaN, floating int-origin columns -> nullable Int64 (arrow int64)."""
-    for c in cols:
-        t = types.get(c)
-        if t is None or c not in df.columns:
-            continue
-        if pa.types.is_integer(t) and str(df[c].dtype) == "float64":
-            df[c] = df[c].astype("Int64")
-    return df
-
-
-def bucket_hash_join(left: "ray.data.Dataset", right: "ray.data.Dataset",
-                     left_key: str, right_key: str,
-                     num_buckets: int | None = None,
-                     how: str = "inner") -> "ray.data.Dataset":
-    """Partitioned hash join on an equality key (non-key names must differ).
-
-    Output = left columns + right columns minus the right key.
-    ``how``: "inner", "left", or "outer" (FULL OUTER: right-only rows
-    appear with the key COALESCEd into ``left_key`` and nulls in the
-    other left columns — the usual COALESCE(l.k, r.k) result shape).
-    ``num_buckets=None`` scales with the cluster (4 x CPUs, min 32) —
-    bucket-grouped joins fix parallelism at the bucket count.
-    """
+def _exchange(left: "ray.data.Dataset", right: "ray.data.Dataset",
+              lkeys: list[str], rkeys: list[str],
+              ls: pa.Schema, rs: pa.Schema, num_buckets: int | None,
+              per_bucket) -> "ray.data.Dataset":
+    """ONE bucketed exchange of both sides: the key columns of both are
+    cast to the left key types of ``ls`` (Acero joins equal types only),
+    both sides bucket on the key hash and pad to one union schema (left
+    columns, then right-only ones; the other side's as typed nulls), and
+    ``per_bucket(left rows, right rows)`` runs once per bucket."""
     if num_buckets is None:
         num_buckets = default_num_buckets(32)
-    ls, rs = left.schema().base_schema, right.schema().base_schema
-    lcols, rcols = list(ls.names), list(rs.names)
-    ltypes, rtypes = dict(_fields(ls)), dict(_fields(rs))
-    out_fields = (_fields(ls) + [(n, t) for n, t in _fields(rs)
-                                 if n != right_key])
-    rvals = [n for n in rcols if n != right_key]
-    lvals = [n for n in lcols if n != left_key]
-    lt = _prep_side(left, left_key, 0, num_buckets, ls, rs)
-    rt = _prep_side(right, right_key, 1, num_buckets, rs, ls)
+    types = [ls.field(k).type for k in lkeys]
+    lcast, rcast = dict(zip(lkeys, types)), dict(zip(rkeys, types))
+    rs = pa.schema([(n, rcast.get(n, t))
+                    for n, t in zip(rs.names, rs.types)])
+    union = {**dict(zip(rs.names, rs.types)), **dict(zip(ls.names, ls.types))}
+    names = list(dict.fromkeys(ls.names + rs.names))
 
-    def join_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        lg, rg = _split_sides(g, lcols, rcols, ltypes, rtypes)
-        if (lg.empty and rg.empty) or (lg.empty and how != "outer") \
-                or (rg.empty and how == "inner"):
-            return _typed_empty(out_fields)
-        merged = lg.merge(rg, left_on=left_key, right_on=right_key, how=how)
-        if how == "outer" and right_key in merged.columns \
-                and right_key != left_key:
-            # right-only rows carry the key only on the right side
-            merged[left_key] = merged[left_key].fillna(merged[right_key])
-        if right_key != left_key and right_key in merged.columns:
-            merged = merged.drop(columns=[right_key])
-        merged = _coerce_merged(merged, rtypes, rvals)
-        if how == "outer":
-            # right-only rows hold NaN in LEFT columns too
-            merged = _coerce_merged(merged, ltypes, lvals + [left_key])
-        return merged
+    def prep(keys: list[str], side: int, own: pa.Schema, cast: dict):
+        def fn(batch: pa.Table) -> pa.Table:
+            t = pa.Table.from_arrays(
+                [batch.column(c).cast(cast[c]) if c in cast
+                 else batch.column(c) for c in own.names], names=own.names)
+            n = t.num_rows
+            return pa.Table.from_arrays(
+                [t.column(c) if c in own.names else pa.nulls(n, union[c])
+                 for c in names]
+                + [pa.array(np.full(n, side, np.int8)),
+                   _stable_bucket_multi(t, keys, num_buckets)],
+                names=names + [_SIDE, _BUCKET])
 
-    return lt.union(rt).groupby(_BUCKET).map_groups(join_bucket,
-                                                    batch_format="pandas")
+        return fn
+
+    lt = left.map_batches(prep(lkeys, 0, ls, lcast),
+                          batch_format="pyarrow", zero_copy_batch=True)
+    rt = right.map_batches(prep(rkeys, 1, rs, rcast),
+                           batch_format="pyarrow", zero_copy_batch=True)
+
+    def run(g: pa.Table) -> pa.Table:
+        lmask = pc.equal(g.column(_SIDE), 0)
+        return per_bucket(g.filter(lmask).select(ls.names),
+                          g.filter(pc.invert(lmask)).select(rs.names))
+
+    return lt.union(rt).groupby(_BUCKET).map_groups(run,
+                                                    batch_format="pyarrow")
 
 
-def lookup_hash_join(left: "ray.data.Dataset", right: "ray.data.Dataset",
-                     left_key: str, right_key: str,
-                     num_buckets: int | None = None,
-                     how: str = "inner",
-                     left_schema: pa.Schema | None = None,
-                     right_schema: pa.Schema | None = None
-                     ) -> "ray.data.Dataset":
-    """Join where the right side's key is UNIQUE (a lookup / decorate
-    join: one row per key on the build side — keeper elections,
-    per-term df tables, per-node rank/degree states, dimension
-    lookups). All-Arrow per-bucket probe: ``pc.index_in`` + ``take`` —
-    no pandas round-trip, so (a) string/list-heavy payloads skip
-    object boxing (the pandas merge was the measured hot stage of the
-    2M-doc paragraph dedup) and (b) every dtype survives exactly (the
-    module-caveat float64 null-padding corruption cannot occur).
-    ``how``: "inner" drops unmatched left rows; "left" keeps them with
-    null right columns (``take`` on a null index IS null — no extra
-    work).
+def _join_tables(lt: pa.Table, rt: pa.Table, lkeys: list[str],
+                 rkeys: list[str], how: str) -> pa.Table:
+    """The per-bucket kernel: equi-join two in-memory tables whose key
+    columns have equal types. Acero matches row indices on slim (keys,
+    row index) tables; the payload is ``take``n, so dtypes stay exact.
+    Rows come out in left order (each left row's matches in right
+    order), right-only rows of an outer join last."""
+    names = [f"__k{i}" for i in range(len(lkeys))]
+    lidx = pa.table([lt.column(k) for k in lkeys]
+                    + [pa.array(np.arange(lt.num_rows))],
+                    names=names + ["__li"])
+    ridx = pa.table([rt.column(k) for k in rkeys]
+                    + [pa.array(np.arange(rt.num_rows))],
+                    names=names + ["__ri"])
+    pairs = lidx.join(ridx, names, join_type=_JOIN_TYPES[how],
+                      use_threads=False)
+    pairs = pairs.sort_by([(c, "ascending") for c in ("__li", "__ri")
+                           if c in pairs.column_names])
+    out = lt.take(pairs.column("__li"))
+    if how in ("semi", "anti"):
+        return out
+    ri = pairs.column("__ri")
+    if how == "outer":
+        # right-only rows carry the key on the right side only
+        for lk, rk in zip(lkeys, rkeys):
+            i = out.schema.get_field_index(lk)
+            out = out.set_column(i, lk, pc.coalesce(
+                out.column(i), rt.column(rk).take(ri)))
+    return _concat(out, rt.drop_columns(rkeys).take(ri))
 
-    If the right key is NOT unique this silently joins each left row
-    to ONE arbitrary match (``index_in`` first-hit) — use
-    ``bucket_hash_join`` for general many-to-many joins. Same shuffle
-    shape: both sides pad to the union schema, ONE bucketed exchange.
+
+def hash_join(left: "ray.data.Dataset", right: "ray.data.Dataset",
+              on: str | list[str], right_on: str | list[str] | None = None,
+              how: str = "inner", num_buckets: int | None = None,
+              left_schema: pa.Schema | None = None,
+              right_schema: pa.Schema | None = None) -> "ray.data.Dataset":
+    """Partitioned hash join of ``left.on`` = ``right.right_on``
+    (``right_on`` defaults to ``on``; a list joins on a composite key).
+
+    Output = left columns + right columns minus the right keys; no
+    other name may appear on both sides. ``how``:
+
+      - "inner": one row per matching (left, right) pair;
+      - "left": every left row, right columns null when unmatched;
+      - "outer": FULL OUTER — right-only rows appear with the key
+        COALESCEd into the left key columns and nulls in the other
+        left columns;
+      - "semi": each left row with at least one match, once (EXISTS);
+      - "anti": each left row with NO match (NOT EXISTS) — a left row
+        whose key is null matches nothing, so it is kept.
+
+    Null keys never match (SQL equality). Semi and anti ship only the
+    right keys, deduped per batch (the combiner that bounds hot-key
+    traffic at O(batches)), and never probe the right schema.
+    ``num_buckets=None`` scales with the cluster (4 x CPUs, min 32).
 
     ``left_schema``/``right_schema``: pass ``pa.schema(...)`` to skip
     the ``ds.schema()`` probe. The probe triggers PARTIAL EXECUTION of
@@ -235,43 +180,29 @@ def lookup_hash_join(left: "ray.data.Dataset", right: "ray.data.Dataset",
     join (measured: ~25% of the 2M-doc paragraph-dedup wall time).
     Always pass schemas when the input is shuffle-derived.
     """
-    if how not in ("inner", "left"):
-        raise ValueError("lookup_hash_join supports how='inner'|'left'")
-    if num_buckets is None:
-        num_buckets = default_num_buckets(32)
-    ls = left_schema if left_schema is not None \
-        else left.schema().base_schema
-    rs = right_schema if right_schema is not None \
-        else right.schema().base_schema
-    lcols, rcols = list(ls.names), list(rs.names)
-    rvals = [n for n in rcols if n != right_key]
-    rtypes = dict(_fields(rs))
-    lt = _prep_side(left, left_key, 0, num_buckets, ls, rs)
-    rt = _prep_side(right, right_key, 1, num_buckets, rs, ls)
-
-    def join_bucket(g: pa.Table) -> pa.Table:
-        lmask = pc.equal(g.column(_SIDE), 0)
-        lg = g.filter(lmask).select(lcols)
-        rg = g.filter(pc.invert(lmask)).select(rcols)
-        rkeys = rg.column(right_key).combine_chunks()
-        idx = pc.index_in(lg.column(left_key), value_set=rkeys)
-        out = lg
-        if how == "inner":
-            keep = pc.is_valid(idx)
-            out = out.filter(keep)
-            idx = idx.filter(keep)
-        for c in rvals:
-            if len(rg) == 0:
-                # take on an empty array errors for non-null idx and
-                # loses the dtype: emit typed nulls directly
-                out = out.append_column(
-                    c, pa.nulls(out.num_rows, rtypes[c]))
-            else:
-                out = out.append_column(c, pc.take(rg.column(c), idx))
-        return out
-
-    return lt.union(rt).groupby(_BUCKET).map_groups(
-        join_bucket, batch_format="pyarrow")
+    lkeys = [on] if isinstance(on, str) else list(on)
+    rkeys = lkeys if right_on is None else (
+        [right_on] if isinstance(right_on, str) else list(right_on))
+    if how not in _JOIN_TYPES:
+        raise ValueError(f"hash_join: unknown how={how!r}")
+    if not lkeys or len(lkeys) != len(rkeys):
+        raise ValueError("hash_join: on/right_on must be equal-length, "
+                         "non-empty")
+    ls = _schema(left, left_schema)
+    if how in ("semi", "anti"):
+        right = right.select_columns(rkeys).map_batches(
+            lambda b: b.group_by(rkeys).aggregate([]),
+            batch_format="pyarrow", zero_copy_batch=True)
+        rs = pa.schema([(rk, ls.field(lk).type)
+                        for lk, rk in zip(lkeys, rkeys)])
+    else:
+        rs = _schema(right, right_schema)
+        clash = set(ls.names) & (set(rs.names) - set(rkeys))
+        if clash:
+            raise ValueError(f"hash_join: columns on both sides: "
+                             f"{sorted(clash)}")
+    return _exchange(left, right, lkeys, rkeys, ls, rs, num_buckets,
+                     lambda lg, rg: _join_tables(lg, rg, lkeys, rkeys, how))
 
 
 # Key lists up to this many rows broadcast to a map-side filter; longer
@@ -361,7 +292,7 @@ def filter_to_keys(ds: "ray.data.Dataset",
     the driver, ``ray.put`` once, and every batch of ``ds`` is filtered
     map-side against it, so the wide rows never enter a shuffle. Above
     it the key list is corpus-sized: ``ds`` and the keys meet in ONE
-    bucketed ``lookup_hash_join`` semi-join (``left_schema`` skips its
+    bucketed ``hash_join`` semi-join (``left_schema`` skips its
     schema probe of ``ds``).
     """
     if n_keys <= broadcast_max:
@@ -380,82 +311,21 @@ def filter_to_keys(ds: "ray.data.Dataset",
 
         return ds.map_batches(keep, batch_format="pyarrow",
                               zero_copy_batch=True)
-    return lookup_hash_join(ds, keys, key, key, left_schema=left_schema,
-                            right_schema=pa.schema([(key, pa.string())]))
+    return hash_join(ds, keys, key, how="semi", left_schema=left_schema)
 
 
 def _stable_bucket_multi(batch: pa.Table, keys: list[str],
                          num_buckets: int) -> pa.Array:
-    """Deterministic bucket over a COMPOSITE key: per-column stable
+    """Deterministic bucket over a (composite) key: per-column stable
     hash64, splitmix-remixed pairwise so (a, b) and (b, a) land
-    differently — same version-independence contract as the
-    single-column `_stable_bucket`."""
+    differently — for one key exactly ``dedup._stable_bucket``, the
+    same version-independence contract."""
     from .hashing import hash64, splitmix64
 
     h = hash64(batch.column(keys[0]))
     for k in keys[1:]:
         h = splitmix64(h ^ hash64(batch.column(k)))
     return pa.array((h % np.uint64(num_buckets)).astype(np.int64))
-
-
-def bucket_hash_join_multi(left: "ray.data.Dataset",
-                           right: "ray.data.Dataset",
-                           left_keys: list[str], right_keys: list[str],
-                           num_buckets: int | None = None,
-                           how: str = "inner") -> "ray.data.Dataset":
-    """Partitioned hash join on a COMPOSITE equality key (multi-column
-    ON clause). Same shuffle shape as `bucket_hash_join`; the bucket is
-    a splitmix-combined stable hash of every key column, so equal
-    composite keys co-locate. Output = left columns + right columns
-    minus the right keys. ``how``: "inner" or "left"."""
-    if num_buckets is None:
-        num_buckets = default_num_buckets(32)
-    if len(left_keys) != len(right_keys) or not left_keys:
-        raise ValueError("left_keys/right_keys must be equal-length, "
-                         "non-empty")
-    ls, rs = left.schema().base_schema, right.schema().base_schema
-    lcols, rcols = list(ls.names), list(rs.names)
-    ltypes, rtypes = dict(_fields(ls)), dict(_fields(rs))
-    out_fields = (_fields(ls) + [(n, t) for n, t in _fields(rs)
-                                 if n not in right_keys])
-    rvals = [n for n in rcols if n not in right_keys]
-
-    def prep(keys: list[str], side: int, own, other):
-        own_names = list(own.names)
-        other_only = [(n, t) for n, t in _fields(other)
-                      if n not in own_names]
-        ordered = own_names + [n for n, _ in other_only]
-
-        def fn(batch: pa.Table) -> pa.Table:
-            bucket = _stable_bucket_multi(batch, keys, num_buckets)
-            n = batch.num_rows
-            for name, typ in other_only:
-                batch = batch.append_column(name, pa.nulls(n, typ))
-            batch = batch.select(ordered)
-            batch = batch.append_column(_SIDE,
-                                        pa.array([side] * n, pa.int8()))
-            return batch.append_column(_BUCKET, bucket)
-        return fn
-
-    lt = left.map_batches(prep(left_keys, 0, ls, rs),
-                          batch_format="pyarrow", zero_copy_batch=True)
-    rt = right.map_batches(prep(right_keys, 1, rs, ls),
-                           batch_format="pyarrow", zero_copy_batch=True)
-
-    def join_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        lg, rg = _split_sides(g, lcols, rcols, ltypes, rtypes)
-        if lg.empty or (rg.empty and how == "inner"):
-            return _typed_empty(out_fields)
-        merged = lg.merge(rg, left_on=left_keys, right_on=right_keys,
-                          how=how)
-        drop = [k for k in right_keys
-                if k not in left_keys and k in merged.columns]
-        if drop:
-            merged = merged.drop(columns=drop)
-        return _coerce_merged(merged, rtypes, rvals)
-
-    return lt.union(rt).groupby(_BUCKET).map_groups(join_bucket,
-                                                    batch_format="pandas")
 
 
 def range_join(left: "ray.data.Dataset", right: "ray.data.Dataset",
@@ -465,41 +335,33 @@ def range_join(left: "ray.data.Dataset", right: "ray.data.Dataset",
     """Range (interval) join: each left row matched to every right row of
     the same key whose interval contains it —
     ``start_right <= ts_left < end_right``. Inner join (non-matching left
-    rows drop); one bucketed shuffle, per-bucket vectorized equi-merge on
-    the key followed by the interval filter.
+    rows drop): the ``hash_join`` inner match on the key followed by the
+    interval filter, fused into the same tasks.
 
-    Partitioning assumption (documented per the briefing): equal keys
-    co-locate via the shared stable hash; one bucket-group fits a task —
-    key fan-out (rows-per-key LEFT x rows-per-key RIGHT) bounds the
-    intermediate, so salt hot keys upstream if a single key's cartesian
-    block is large.
+    Partitioning assumption: equal keys co-locate via the shared stable
+    hash; one bucket-group fits a task — key fan-out (rows-per-key LEFT
+    x rows-per-key RIGHT) bounds the intermediate, so salt hot keys
+    upstream if a single key's cartesian block is large.
     """
-    if num_buckets is None:
-        num_buckets = default_num_buckets(32)
-    ls, rs = left.schema().base_schema, right.schema().base_schema
-    lcols, rcols = list(ls.names), list(rs.names)
-    ltypes, rtypes = dict(_fields(ls)), dict(_fields(rs))
-    out_fields = _fields(ls) + [(n, t) for n, t in _fields(rs)
-                                if n != key_right]
-    rvals = [n for n in rcols if n != key_right]
-    lt = _prep_side(left, key_left, 0, num_buckets, ls, rs)
-    rt = _prep_side(right, key_right, 1, num_buckets, rs, ls)
+    def within(batch: pa.Table) -> pa.Table:
+        ts = batch.column(ts_left)
+        return batch.filter(pc.and_(
+            pc.greater_equal(ts, batch.column(start_right)),
+            pc.less(ts, batch.column(end_right))))
 
-    def join_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        lg, rg = _split_sides(g, lcols, rcols, ltypes, rtypes)
-        if lg.empty or rg.empty:
-            return _typed_empty(out_fields)
-        merged = lg.merge(rg, left_on=key_left, right_on=key_right,
-                          how="inner")
-        keep = ((merged[ts_left] >= merged[start_right])
-                & (merged[ts_left] < merged[end_right]))
-        merged = merged.loc[keep]
-        if key_right != key_left and key_right in merged.columns:
-            merged = merged.drop(columns=[key_right])
-        return _coerce_merged(merged, rtypes, rvals)
+    return hash_join(left, right, key_left, key_right,
+                     num_buckets=num_buckets).map_batches(
+        within, batch_format="pyarrow", zero_copy_batch=True)
 
-    return lt.union(rt).groupby(_BUCKET).map_groups(join_bucket,
-                                                    batch_format="pandas")
+
+def _asof_on(col: pa.ChunkedArray, typ: pa.DataType) -> pa.Array:
+    """Order-preserving uint64 image of an as-of column: Acero's as-of
+    join compares its on-key unsigned, so a negative value (a timestamp
+    before 1970) would break the sort order it requires."""
+    if col.null_count:
+        raise ValueError("asof_join: null timestamps")
+    v = col.cast(typ).cast(pa.int64()).to_numpy()
+    return pa.array(v.view(np.uint64) ^ np.uint64(1 << 63))
 
 
 def asof_join(left: "ray.data.Dataset", right: "ray.data.Dataset",
@@ -508,43 +370,32 @@ def asof_join(left: "ray.data.Dataset", right: "ray.data.Dataset",
               num_buckets: int | None = None) -> "ray.data.Dataset":
     """As-of join: latest right row with ts_right <= ts_left per key.
 
-    Left rows with no earlier right row keep nulls in right columns.
+    Output = left columns + right columns minus ``key_right`` and
+    ``ts_right``. Left rows with no earlier right row keep nulls in
+    right columns; among right rows tied on (key, ts) the last one
+    wins. Same exchange as ``hash_join``; per bucket
+    ``pa.Table.join_asof`` matches row indices on slim (key, ts, row
+    index) tables and the payload is ``take``n. A match reaches back at
+    most 2^63 - 1 units of the ts column (292 years at ns).
     """
-    if num_buckets is None:
-        num_buckets = default_num_buckets(32)
-    ls, rs = left.schema().base_schema, right.schema().base_schema
-    lcols, rcols = list(ls.names), list(rs.names)
-    ltypes, rtypes = dict(_fields(ls)), dict(_fields(rs))
-    rvals = [c for c in rcols if c not in (key_right, ts_right)]
-    out_fields = _fields(ls) + [(n, t) for n, t in _fields(rs)
-                                if n in rvals]
-    lt = _prep_side(left, key_left, 0, num_buckets, ls, rs)
-    rt = _prep_side(right, key_right, 1, num_buckets, rs, ls)
+    ls, rs = _schema(left, None), _schema(right, None)
+    rvals = [n for n in rs.names if n not in (key_right, ts_right)]
+    ts_type = ls.field(ts_left).type
 
-    def join_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        lg, rg = _split_sides(g, lcols, rcols, ltypes, rtypes)
-        if lg.empty:
-            return _typed_empty(out_fields)
-        lg = lg.sort_values([ts_left, key_left], kind="mergesort")
-        if rg.empty:
-            for c in rvals:
-                t = rtypes[c]
-                fill = pd.NaT if pa.types.is_timestamp(t) else pd.NA
-                lg[c] = pd.Series([fill] * len(lg),
-                                  dtype=_pd_dtype(t), index=lg.index)
-            return lg
-        rg = rg.sort_values([ts_right, key_right], kind="mergesort")
-        merged = pd.merge_asof(
-            lg, rg, left_on=ts_left, right_on=ts_right,
-            left_by=key_left, right_by=key_right, direction="backward")
-        if ts_right in merged.columns and ts_right != ts_left:
-            merged = merged.drop(columns=[ts_right])
-        if key_right in merged.columns and key_right != key_left:
-            merged = merged.drop(columns=[key_right])
-        return _coerce_merged(merged, rtypes, rvals)
+    def per_bucket(lg: pa.Table, rg: pa.Table) -> pa.Table:
+        def slim(t: pa.Table, key: str, ts: str, idx: str) -> pa.Table:
+            return pa.table({"k": t.column(key),
+                             "t": _asof_on(t.column(ts), ts_type),
+                             idx: np.arange(t.num_rows)}).sort_by("t")
 
-    return lt.union(rt).groupby(_BUCKET).map_groups(join_bucket,
-                                                    batch_format="pandas")
+        m = slim(lg, key_left, ts_left, "__li").join_asof(
+            slim(rg, key_right, ts_right, "__ri"), on="t", by="k",
+            tolerance=-(2**63 - 1)).sort_by("__li")
+        return _concat(lg.take(m.column("__li")),
+                       rg.select(rvals).take(m.column("__ri")))
+
+    return _exchange(left, right, [key_left], [key_right], ls, rs,
+                     num_buckets, per_bucket)
 
 
 def skew_hash_join(left: "ray.data.Dataset", right: "ray.data.Dataset",
@@ -566,23 +417,17 @@ def skew_hash_join(left: "ray.data.Dataset", right: "ray.data.Dataset",
          OUTPUT is identical whichever path a key takes;
       2. the right-side rows of hot keys (assumed few per key — a dim
          table; documented partitioning assumption) broadcast once via
-         ``ray.put`` and hot left rows merge against them inside
-         ``map_batches`` — no shuffle, no straggler;
-      3. everything else takes the normal bucketed hash join;
+         ``ray.put`` and hot left rows join them inside ``map_batches``
+         with the per-bucket kernel — no shuffle, no straggler;
+      3. everything else takes the normal bucketed ``hash_join``;
       4. union of the two streams (identical column order/dtypes).
 
-    Same output contract as ``bucket_hash_join(how='inner')``:
-    left columns + right columns minus the right key.
+    Same output contract as ``hash_join(how='inner')``: left columns +
+    right columns minus the right key.
     """
-    import ray
-
     from ray.data.aggregate import Count
 
-    rs_schema = right.schema().base_schema
-    ls_schema = left.schema().base_schema
-    lcols = list(ls_schema.names)
-    rvals = [n for n in rs_schema.names if n != right_key]
-    out_order = lcols + rvals
+    ls, rs = _schema(left, None), _schema(right, None)
 
     sample = (left.select_columns([left_key])
               .random_sample(sample_frac, seed=seed))
@@ -592,8 +437,9 @@ def skew_hash_join(left: "ray.data.Dataset", right: "ray.data.Dataset",
                           if r["__c"] >= hot_min_samples), dtype=np.int64)
 
     if hot.size == 0:
-        return bucket_hash_join(left, right, left_key, right_key,
-                                num_buckets=num_buckets, how="inner")
+        return hash_join(left, right, left_key, right_key,
+                         num_buckets=num_buckets, left_schema=ls,
+                         right_schema=rs)
 
     def keep(batch: pa.Table, key: str, invert: bool) -> pa.Table:
         k = batch.column(key).to_numpy(zero_copy_only=False).astype(np.int64)
@@ -601,34 +447,29 @@ def skew_hash_join(left: "ray.data.Dataset", right: "ray.data.Dataset",
         return batch.filter(pa.array(~m if invert else m))
 
     # small by the dim-table assumption: |hot keys| x rows-per-key
-    right_hot = (right.map_batches(lambda b: keep(b, right_key, False),
-                                   batch_format="pyarrow").to_pandas())
-    ref = ray.put(right_hot)
+    parts = list(right.map_batches(lambda b: keep(b, right_key, False),
+                                   batch_format="pyarrow")
+                 .iter_batches(batch_format="pyarrow"))
+    right_hot = pa.concat_tables(parts) if parts else rs.empty_table()
+    i = right_hot.schema.get_field_index(right_key)
+    ref = ray.put(right_hot.set_column(i, right_key, right_hot.column(i)
+                                       .cast(ls.field(left_key).type)))
 
-    class HotMerge:
-        def __init__(self, ref):
-            self.rdf = ray.get(ref)
+    def hot_join(batch: pa.Table) -> pa.Table:
+        return _join_tables(batch, ray.get(ref), [left_key], [right_key],
+                            "inner")
 
-        def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-            merged = batch.merge(self.rdf, left_on=left_key,
-                                 right_on=right_key, how="inner")
-            if right_key != left_key and right_key in merged.columns:
-                merged = merged.drop(columns=[right_key])
-            return merged.reindex(columns=out_order)
-
-    left_hot = left.map_batches(lambda b: keep(b, left_key, False),
-                                batch_format="pyarrow")
-    hot_joined = left_hot.map_batches(
-        HotMerge, fn_constructor_kwargs={"ref": ref},
-        batch_format="pandas", concurrency=(1, 4))
+    hot_joined = left.map_batches(lambda b: keep(b, left_key, False),
+                                  batch_format="pyarrow").map_batches(
+        hot_join, batch_format="pyarrow")
 
     left_cold = left.map_batches(lambda b: keep(b, left_key, True),
                                  batch_format="pyarrow")
     right_cold = right.map_batches(lambda b: keep(b, right_key, True),
                                    batch_format="pyarrow")
-    cold_joined = bucket_hash_join(left_cold, right_cold,
-                                   left_key, right_key,
-                                   num_buckets=num_buckets, how="inner")
+    cold_joined = hash_join(left_cold, right_cold, left_key, right_key,
+                            num_buckets=num_buckets, left_schema=ls,
+                            right_schema=rs)
     return hot_joined.union(cold_joined)
 
 
@@ -691,11 +532,9 @@ def bloom_hash_join(left: "ray.data.Dataset", right: "ray.data.Dataset",
     non-matching rows BEFORE the shuffle — the standard way to keep a
     selective join from moving the whole big side through the
     exchange. False positives only let extra rows into the exact
-    ``bucket_hash_join``, so the OUTPUT is byte-identical to the plain
+    ``hash_join``, so the OUTPUT is byte-identical to the plain
     join (fully oracle-able); false negatives are impossible.
     """
-    import ray
-
     def build(batch: pa.Table) -> pa.Table:
         bf = BloomFilter(n_bits)
         bf.add(batch.column(right_key).to_numpy(zero_copy_only=False)
@@ -710,58 +549,12 @@ def bloom_hash_join(left: "ray.data.Dataset", right: "ray.data.Dataset",
         bf.bits |= np.frombuffer(row["bits"], dtype=np.uint8)
     ref = ray.put(bf)
 
-    class Prefilter:
-        def __init__(self):
-            self.bf = ray.get(ref)
+    def prefilter(batch: pa.Table) -> pa.Table:
+        k = batch.column(left_key).to_numpy(
+            zero_copy_only=False).astype(np.int64)
+        return batch.filter(pa.array(ray.get(ref).might_contain(k)))
 
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            k = batch.column(left_key).to_numpy(
-                zero_copy_only=False).astype(np.int64)
-            return batch.filter(pa.array(self.bf.might_contain(k)))
-
-    slim = left.map_batches(Prefilter, batch_format="pyarrow",
-                            batch_size=8192, concurrency=(1, 4))
-    return bucket_hash_join(slim, right, left_key, right_key,
-                            num_buckets=num_buckets, how="inner")
-
-
-def bucket_anti_join(left: "ray.data.Dataset", right: "ray.data.Dataset",
-                     left_key: str, right_key: str,
-                     num_buckets: int | None = None) -> "ray.data.Dataset":
-    """ANTI join: every left row (full payload) whose key has NO match
-    in ``right[right_key]`` — the distributed dual of the broadcast
-    np.isin filter, for when the right side is NOT small (a near-dup
-    drop set at CC scale runs 20-40% of the corpus and cannot live on
-    the driver).
-
-    ONE shuffle: the left payload moves once; the right side ships only
-    its key column, per-batch-deduped before the exchange (the combiner
-    that bounds hot-key traffic at O(batches)). Per-bucket work is one
-    vectorized pandas isin — O(num_buckets) Python calls total.
-    """
-    if num_buckets is None:
-        num_buckets = default_num_buckets(32)
-    ls = left.schema().base_schema
-    lcols = list(ls.names)
-    ltypes = dict(_fields(ls))
-    out_fields = _fields(ls)
-
-    def rdistinct(batch: pa.Table) -> pa.Table:
-        return batch.group_by([right_key]).aggregate([])
-
-    rkeys = right.select_columns([right_key]).map_batches(
-        rdistinct, batch_format="pyarrow", zero_copy_batch=True)
-    rs = pa.schema([(right_key, ltypes.get(left_key, pa.int64()))])
-    rtypes = dict(_fields(rs))
-    lt = _prep_side(left, left_key, 0, num_buckets, ls, rs)
-    rt = _prep_side(rkeys, right_key, 1, num_buckets, rs, ls)
-
-    def anti_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        lg, rg = _split_sides(g, lcols, [right_key], ltypes, rtypes)
-        if lg.empty:
-            return _typed_empty(out_fields)
-        out = lg[~lg[left_key].isin(rg[right_key])]
-        return out if len(out) else _typed_empty(out_fields)
-
-    return lt.union(rt).groupby(_BUCKET).map_groups(anti_bucket,
-                                                    batch_format="pandas")
+    slim = left.map_batches(prefilter, batch_format="pyarrow",
+                            batch_size=8192)
+    return hash_join(slim, right, left_key, right_key,
+                     num_buckets=num_buckets)

@@ -76,7 +76,7 @@ def bigram_logprob(docs: "ray.data.Dataset", id_col: str = "doc_id",
     arrays (16 B/row) and the token-scale exchange disappears, else
     the bucketed lookup join runs)."""
     from .dedup import bucketed_group_sum
-    from .joins import lookup_hash_join
+    from .joins import hash_join
     from .text_ops import vocab_stats
 
     slim = docs.select_columns([id_col, text_col])
@@ -126,13 +126,13 @@ def bigram_logprob(docs: "ray.data.Dataset", id_col: str = "doc_id",
     uni2_schema = pa.schema([("tok2", pa.string()), ("c2", pa.int64())])
     bi_keyed = bi.map_batches(split_key, batch_format="pyarrow",
                               zero_copy_batch=True)
-    j1 = lookup_hash_join(bi_keyed, uni1, "w1", "tok1",
-                          num_buckets=num_buckets,
-                          left_schema=bi_schema, right_schema=uni1_schema)
+    j1 = hash_join(bi_keyed, uni1, "w1", "tok1",
+                   num_buckets=num_buckets,
+                   left_schema=bi_schema, right_schema=uni1_schema)
     j1_schema = bi_schema.append(pa.field("c1", pa.int64()))
-    j2 = lookup_hash_join(j1, uni2, "w2", "tok2",
-                          num_buckets=num_buckets,
-                          left_schema=j1_schema, right_schema=uni2_schema)
+    j2 = hash_join(j1, uni2, "w2", "tok2",
+                   num_buckets=num_buckets,
+                   left_schema=j1_schema, right_schema=uni2_schema)
 
     def score_bigram(batch: pa.Table) -> pa.Table:
         from .hashing import hash64
@@ -220,10 +220,10 @@ def bigram_logprob(docs: "ray.data.Dataset", id_col: str = "doc_id",
         scored = pairs.map_batches(score_map, batch_format="pyarrow",
                                    zero_copy_batch=True)
     else:
-        scored = lookup_hash_join(pairs, scores_mat, "bhash", "kbhash",
-                                  num_buckets=num_buckets,
-                                  left_schema=pairs_schema,
-                                  right_schema=score_schema)
+        scored = hash_join(pairs, scores_mat, "bhash", "kbhash",
+                           num_buckets=num_buckets,
+                           left_schema=pairs_schema,
+                           right_schema=score_schema)
 
     def doc_partial(batch: pa.Table) -> pa.Table:
         nf = pc.cast(batch.column("n"), pa.float64())

@@ -393,11 +393,11 @@ def packed_chunk_text(docs: "ray.data.Dataset", id_col: str = "doc_id",
     in-task; the window assembly is one groupby over slice rows whose
     payload is already cut down to exactly the tokens that survive.
     Every window except the last has exactly ``ctx`` tokens."""
-    from .joins import lookup_hash_join
+    from .joins import hash_join
 
     slices = chunk_slices(docs, id_col, text_col, ctx=ctx,
                           num_ranges=num_ranges)
-    joined = lookup_hash_join(
+    joined = hash_join(
         slices, docs.select_columns([id_col, text_col]),
         id_col, id_col, num_buckets=num_buckets,
         left_schema=pa.schema([("chunk_id", pa.int64()),

@@ -73,7 +73,7 @@ def pagerank(edges: "ray.data.Dataset", src_col: str = "src",
     edges count once each (multigraph semantics, like repeated anchors
     on a page).
     """
-    from .joins import lookup_hash_join
+    from .joins import hash_join
 
     if num_buckets is None:
         num_buckets = default_num_buckets(32)
@@ -119,8 +119,8 @@ def pagerank(edges: "ray.data.Dataset", src_col: str = "src",
     r0 = round(1.0 / n_nodes, 12)
 
     # rank state: (node, rank, outdeg); outdeg 0 for sink-only nodes
-    ranks = lookup_hash_join(nodes, outdeg, "node", "node2",
-                             num_buckets=num_buckets, how="left")
+    ranks = hash_join(nodes, outdeg, "node", "node2",
+                      num_buckets=num_buckets, how="left")
 
     def init_rank(batch: pa.Table) -> pa.Table:
         deg = batch.column("outdeg").to_numpy(zero_copy_only=False)
@@ -146,7 +146,7 @@ def pagerank(edges: "ray.data.Dataset", src_col: str = "src",
             batch_format="pyarrow").sum("d") or 0.0
         spread = damping * dang / n_nodes
 
-        contribs = lookup_hash_join(
+        contribs = hash_join(
             e, ranks, "src", "node", num_buckets=num_buckets)
 
         def contrib_partial(batch: pa.Table) -> pa.Table:
@@ -172,8 +172,8 @@ def pagerank(edges: "ray.data.Dataset", src_col: str = "src",
                  .groupby(_BUCKET).map_groups(in_reduce,
                                               batch_format="pandas"))
 
-        joined = lookup_hash_join(ranks, insum, "node", "dst",
-                                  num_buckets=num_buckets, how="left")
+        joined = hash_join(ranks, insum, "node", "dst",
+                           num_buckets=num_buckets, how="left")
 
         def update(batch: pa.Table) -> pa.Table:
             c = batch.column("c").to_numpy(zero_copy_only=False)
@@ -254,7 +254,7 @@ def triangle_count(edges: "ray.data.Dataset",
     orientation bounds wedge fan-out by the ordered degree (the
     classic compact-forward argument), and the final count aggregates
     without materializing the wedge set anywhere."""
-    from .joins import bucket_hash_join, bucket_hash_join_multi
+    from .joins import hash_join
 
     e1 = edges.map_batches(
         lambda b: pa.table({"w_a": b.column("s1"), "w_b": b.column("s2")}),
@@ -262,9 +262,8 @@ def triangle_count(edges: "ray.data.Dataset",
     e2 = edges.map_batches(
         lambda b: pa.table({"w_b2": b.column("s1"), "w_c": b.column("s2")}),
         batch_format="pyarrow", zero_copy_batch=True)
-    wedges = bucket_hash_join(e1, e2, "w_b", "w_b2",
-                              num_buckets=num_buckets)
-    closed = bucket_hash_join_multi(
+    wedges = hash_join(e1, e2, "w_b", "w_b2", num_buckets=num_buckets)
+    closed = hash_join(
         wedges, edges, ["w_a", "w_c"], ["s1", "s2"],
         num_buckets=num_buckets)
     return int(closed.count())

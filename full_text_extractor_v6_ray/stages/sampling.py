@@ -35,6 +35,7 @@ import hashlib
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 _HEX_SPACE = 16 ** 8
 
@@ -48,13 +49,16 @@ def fraction_threshold(fraction: float) -> str:
                   "08x")
 
 
-def md5_prefixes(values: list) -> np.ndarray:
-    """8-hex-char md5 prefixes of str(value); '' / None never match."""
-    return np.array([
-        hashlib.md5(str(v).encode("utf-8")).hexdigest()[:8]
-        if v is not None else "~"  # '~' > any hex char: nulls drop
-        for v in values
-    ])
+def md5_head(col: "pa.Array | pa.ChunkedArray", nbytes: int = 4
+             ) -> np.ndarray:
+    """The leading ``nbytes`` (4 or 8) bytes of md5(str(value)) per row
+    as uint64 — the digest's first ``2 * nbytes`` hex chars read as a
+    number, so comparing them to a threshold orders rows exactly as
+    comparing the lowercase hex prefixes does (a null hashes as the
+    string 'None'; callers that must drop nulls mask them)."""
+    heads = b"".join(hashlib.md5(str(v).encode("utf-8")).digest()[:nbytes]
+                     for v in col.to_pylist())
+    return np.frombuffer(heads, f">u{nbytes}").astype(np.uint64)
 
 
 def md5_hash_sample(ds: "ray.data.Dataset", key_col: str,
@@ -65,11 +69,12 @@ def md5_hash_sample(ds: "ray.data.Dataset", key_col: str,
     '<threshold>'`` row-for-row (Python ``str(int)`` == DuckDB BIGINT
     -> VARCHAR; both md5 hex digests are lowercase).
     """
-    thresh = fraction_threshold(fraction)
+    thresh = int(fraction_threshold(fraction), 16)
 
     def keep(batch: pa.Table) -> pa.Table:
-        prefixes = md5_prefixes(batch.column(key_col).to_pylist())
-        return batch.filter(pa.array(prefixes < thresh))
+        col = batch.column(key_col)
+        return batch.filter(pa.array((md5_head(col) < thresh)
+                                     & pc.is_valid(col).to_numpy()))
 
     return ds.map_batches(keep, batch_format="pyarrow",
                           zero_copy_batch=True)
@@ -111,16 +116,19 @@ def stratified_hash_sample(ds: "ray.data.Dataset", key_col: str,
     rates dict is bounded (|strata| entries) and ships in the task
     closure once.
     """
-    thresholds = {s: ("~" if r >= 1.0 else floor_threshold(r))
+    thresholds = {s: (_HEX_SPACE if r >= 1.0
+                      else int(floor_threshold(r), 16))
                   for s, r in rates.items()}
-    # '~' sorts above every hex char: prefix < '~' is always true.
+    # 16^8 is above every 8-hex prefix: rate >= 1 keeps the stratum
 
     def keep(batch: pa.Table) -> pa.Table:
-        prefixes = md5_prefixes(batch.column(key_col).to_pylist())
+        col = batch.column(key_col)
         strata = batch.column(strata_col).to_pylist()
-        th = np.array([thresholds.get(s, "") for s in strata])
-        # '' never admits anything (no hex prefix < '').
-        return batch.filter(pa.array(prefixes < th))
+        th = np.array([thresholds.get(s, 0) for s in strata],
+                      dtype=np.uint64)
+        # 0 never admits anything (no prefix < 0)
+        return batch.filter(pa.array((md5_head(col) < th)
+                                     & pc.is_valid(col).to_numpy()))
 
     return ds.map_batches(keep, batch_format="pyarrow",
                           zero_copy_batch=True)
@@ -142,16 +150,6 @@ def uniform_mixture_rates(counts: dict) -> dict:
     return {s: min(1.0, target / c) for s, c in counts.items() if c}
 
 
-def md5_prefix_ints(values: list) -> np.ndarray:
-    """First 8 md5 hex chars of str(value) as uint32-range int64s
-    (nulls -> -1, never selected)."""
-    return np.array([
-        int(hashlib.md5(str(v).encode("utf-8")).hexdigest()[:8], 16)
-        if v is not None else -1
-        for v in values
-    ], dtype=np.int64)
-
-
 def weighted_hash_topk(ds: "ray.data.Dataset", key_col: str,
                        weight_col: str, k: int,
                        score_col: str = "score"
@@ -170,11 +168,10 @@ def weighted_hash_topk(ds: "ray.data.Dataset", key_col: str,
     top-k prune (argpartition), so the global sort sees k rows per
     batch, never the corpus."""
     def score_batch(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
         w = batch.column(weight_col).to_numpy(zero_copy_only=False)
-        h = md5_prefix_ints(batch.column(key_col).to_pylist())
-        ok = (h >= 0) & np.isfinite(w) & (w > 0)
+        col = batch.column(key_col)
+        h = md5_head(col).astype(np.int64)
+        ok = pc.is_valid(col).to_numpy() & np.isfinite(w) & (w > 0)
         u = (h + 0.5) / float(_HEX_SPACE)
         with np.errstate(invalid="ignore", divide="ignore"):
             s = np.where(ok, np.power(u, 1.0 / np.where(ok, w, 1.0)),
@@ -227,10 +224,7 @@ def mixture_quota_sample(ds: "ray.data.Dataset", part_col: str,
     from .packing import grouped_prefix_sum
 
     def add_h(batch: pa.Table) -> pa.Table:
-        keys = batch.column(key_col).to_pylist()
-        h = np.array([
-            int(hashlib.md5(str(k).encode("utf-8")).hexdigest()[:16], 16)
-            for k in keys], dtype=np.uint64)
+        h = md5_head(batch.column(key_col), 8)
         # order-preserving uint64 -> int64 bijection (raw uint64 >= 2^63
         # degrades to a pickled-object column in Ray reduces)
         h64 = (h ^ np.uint64(1 << 63)).view(np.int64)

@@ -146,7 +146,7 @@ def tfidf_top_terms(docs: "ray.data.Dataset", doc_col: str = "doc_id",
     from ray.data.aggregate import Sum
 
     from .dedup import materialize_rebased
-    from .joins import lookup_hash_join
+    from .joins import hash_join
     from .window import grouped_row_number
 
     if num_blocks is None:
@@ -230,7 +230,7 @@ def tfidf_top_terms(docs: "ray.data.Dataset", doc_col: str = "doc_id",
                              batch_format="pyarrow", zero_copy_batch=True)
     # df is unique per term (it IS the term groupby output) — the
     # all-Arrow unique-key lookup join applies, no pandas round-trip
-    scored_cold = (lookup_hash_join(tf_cold, df_cold, "term", "term_r")
+    scored_cold = (hash_join(tf_cold, df_cold, "term", "term_r")
                    .map_batches(score, batch_format="pyarrow",
                                 zero_copy_batch=True))
     scored = scored_hot.union(scored_cold)

@@ -85,13 +85,13 @@ def test_remove_neardup_members_dispatch_and_equality(ray_session,
     })
 
     calls = {"anti": 0}
-    real_anti = joins.bucket_anti_join
+    real_join = joins.hash_join
 
     def spy(*a, **k):
-        calls["anti"] += 1
-        return real_anti(*a, **k)
+        calls["anti"] += k.get("how") == "anti"
+        return real_join(*a, **k)
 
-    monkeypatch.setattr(joins, "bucket_anti_join", spy)
+    monkeypatch.setattr(joins, "hash_join", spy)
 
     def run(max_broadcast):
         return (fd.remove_neardup_members(

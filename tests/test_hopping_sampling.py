@@ -174,16 +174,16 @@ def test_grouped_approx_quantiles(ray_session):
 
 def test_left_join_unmatched_typed_nulls(ray_session):
     import ray.data
-    from full_text_extractor_v6_ray.stages.joins import bucket_hash_join
+    from full_text_extractor_v6_ray.stages.joins import hash_join
 
     left = pd.DataFrame({"k": np.arange(50, dtype=np.int64),
                          "lv": np.arange(50) * 1.0})
     right = pd.DataFrame({"rk": np.arange(0, 50, 5, dtype=np.int64),
                           "rv": np.arange(10, dtype=np.int64) * 100,
                           "rs": [f"s{i}" for i in range(10)]})
-    got = bucket_hash_join(ray.data.from_pandas(left),
-                           ray.data.from_pandas(right),
-                           "k", "rk", how="left").to_pandas()
+    got = hash_join(ray.data.from_pandas(left),
+                    ray.data.from_pandas(right),
+                    "k", "rk", how="left").to_pandas()
     exp = left.merge(right, left_on="k", right_on="rk",
                      how="left").drop(columns=["rk"])
     got = got.sort_values("k").reset_index(drop=True)
@@ -277,16 +277,16 @@ def test_grouped_approx_distinct(ray_session):
 
 def test_full_outer_join_matches_pandas(ray_session):
     import ray.data
-    from full_text_extractor_v6_ray.stages.joins import bucket_hash_join
+    from full_text_extractor_v6_ray.stages.joins import hash_join
 
     left = pd.DataFrame({"k": np.arange(0, 40, 2, dtype=np.int64),
                          "lv": np.arange(20, dtype=np.int64)})
     right = pd.DataFrame({"rk": np.arange(0, 60, 3, dtype=np.int64),
                           "rv": [f"r{i}" for i in range(20)]})
-    got = (bucket_hash_join(ray.data.from_pandas(left),
-                            ray.data.from_pandas(right),
-                            "k", "rk", how="outer")
-           .to_pandas().sort_values("k").reset_index(drop=True))
+    joined = hash_join(ray.data.from_pandas(left),
+                       ray.data.from_pandas(right),
+                       "k", "rk", how="outer").materialize()
+    got = joined.to_pandas().sort_values("k").reset_index(drop=True)
     exp = left.merge(right, left_on="k", right_on="rk", how="outer")
     exp["k"] = exp["k"].fillna(exp["rk"]).astype("int64")
     exp = (exp.drop(columns=["rk"])
@@ -297,14 +297,14 @@ def test_full_outer_join_matches_pandas(ray_session):
     assert got["rv"].isna().sum() == exp["rv"].isna().sum() > 0
     both = got["lv"].notna() & got["rv"].notna()
     assert both.sum() == len(set(left["k"]) & set(right["rk"]))
-    # int columns survive as integers (nullable), never floats
-    assert str(got["lv"].dtype) in ("Int64", "int64")
+    # int columns survive as integers (nullable), never floats: the
+    # join emits Arrow int64 (to_pandas turns any null int64 to float64)
+    assert joined.schema().base_schema.field("lv").type == pa.int64()
 
 
 def test_composite_key_join_matches_pandas(ray_session):
     import ray.data
-    from full_text_extractor_v6_ray.stages.joins import (
-        bucket_hash_join_multi)
+    from full_text_extractor_v6_ray.stages.joins import hash_join
 
     rng = np.random.RandomState(3)
     left = pd.DataFrame({
@@ -317,7 +317,7 @@ def test_composite_key_join_matches_pandas(ray_session):
         "b": np.tile(np.arange(10, dtype=np.int64), 10),
         "rv": np.arange(100, dtype=np.int64) * 7,
     })
-    got = (bucket_hash_join_multi(
+    got = (hash_join(
         ray.data.from_pandas(left), ray.data.from_pandas(right),
         ["a", "b"], ["a", "b"], num_buckets=8)
         .to_pandas().sort_values(["a", "b", "lv"]).reset_index(drop=True))
@@ -332,12 +332,11 @@ def test_composite_key_join_distinguishes_swapped_keys(ray_session):
     """(a=1,b=2) must NOT match (a=2,b=1) — the pairwise splitmix remix
     plus the equality merge keep swapped composites apart."""
     import ray.data
-    from full_text_extractor_v6_ray.stages.joins import (
-        bucket_hash_join_multi)
+    from full_text_extractor_v6_ray.stages.joins import hash_join
 
     left = pd.DataFrame({"a": [1, 2], "b": [2, 1], "lv": [10, 20]})
     right = pd.DataFrame({"a": [1], "b": [2], "rv": [99]})
-    got = bucket_hash_join_multi(
+    got = hash_join(
         ray.data.from_pandas(left), ray.data.from_pandas(right),
         ["a", "b"], ["a", "b"], num_buckets=4).to_pandas()
     assert len(got) == 1 and got["lv"].iloc[0] == 10

@@ -225,7 +225,7 @@ def test_round_execution_count(ray_session, tmp_path, monkeypatch,
             m.setattr(inc, "snapshot_diff" if n_prev <= bmax else
                       "SortedKeyIndex", never)
             if bmax:
-                m.setattr(joins, "lookup_hash_join", never)
+                m.setattr(joins, "hash_join", never)
             incremental_extraction_round(_pages(v), d, broadcast_max=bmax)
         assert 0 < len(count_executions) <= limit, count_executions
 
@@ -444,6 +444,20 @@ def test_crashed_round_rerun_leaves_no_partial_files(ray_session, state_dir):
     assert man.count() == len(v2)
     assert "https://stale.ex/x" not in {
         r["url"] for r in man.take_all()}
+
+
+def test_read_current_corpus_execution_count(ray_session, tmp_path,
+                                             count_executions):
+    # a tombstone (j5) makes the slim tombstone join run: its two
+    # schema probes of keep-one outputs (one row each) plus the final
+    # semi join that consumes everything — 3 executions
+    d = str(tmp_path / "x")
+    for v in (_EQ_V1, _EQ_V2):
+        incremental_extraction_round(_pages(v), d)
+    count_executions.clear()
+    urls = sorted(r["url"] for r in read_current_corpus(d).take_all())
+    assert urls == sorted(_EQ_V2)
+    assert len(count_executions) == 3, count_executions
 
 
 @pytest.mark.parametrize("bmax", [10**9, 0])

@@ -8,15 +8,15 @@ import pytest
 
 def test_bucket_hash_join_matches_pandas(ray_session):
     import ray.data
-    from full_text_extractor_v6_ray.stages.joins import bucket_hash_join
+    from full_text_extractor_v6_ray.stages.joins import hash_join
 
     rng = np.random.RandomState(3)
     left = pd.DataFrame({"k": rng.randint(0, 50, 300),
                          "lv": np.arange(300)})
     right = pd.DataFrame({"rk": np.arange(50), "rv": np.arange(50) * 10})
-    got = bucket_hash_join(ray.data.from_pandas(left),
-                           ray.data.from_pandas(right),
-                           "k", "rk", num_buckets=8).to_pandas()
+    got = hash_join(ray.data.from_pandas(left),
+                    ray.data.from_pandas(right),
+                    "k", "rk", num_buckets=8).to_pandas()
     exp = left.merge(right, left_on="k", right_on="rk").drop(columns=["rk"])
     key = ["k", "lv", "rv"]
     got = got[key].sort_values(key).reset_index(drop=True)
@@ -289,7 +289,7 @@ def test_bucket_anti_join_matches_duckdb(ray_session):
     import numpy as np
     import pandas as pd
     import ray.data
-    from full_text_extractor_v6_ray.stages.joins import bucket_anti_join
+    from full_text_extractor_v6_ray.stages.joins import hash_join
 
     rng = np.random.RandomState(7)
     left = pd.DataFrame({
@@ -300,9 +300,9 @@ def test_bucket_anti_join_matches_duckdb(ray_session):
     right = pd.DataFrame({"rk": np.repeat(
         rng.choice(200, 60, replace=False).astype(np.int64), 3)})
 
-    got = (bucket_anti_join(ray.data.from_pandas(left),
-                            ray.data.from_pandas(right), "k", "rk",
-                            num_buckets=8)
+    got = (hash_join(ray.data.from_pandas(left),
+                     ray.data.from_pandas(right), "k", "rk", how="anti",
+                     num_buckets=8)
            .to_pandas().sort_values("payload").reset_index(drop=True))
     con = duckdb.connect()
     con.register("l", left)
@@ -314,6 +314,81 @@ def test_bucket_anti_join_matches_duckdb(ray_session):
     pd.testing.assert_frame_equal(got[["k", "payload", "v"]], exp,
                                   check_dtype=False)
     assert str(got["k"].dtype) == "int64"
+
+
+_BIG = 2 ** 53
+_SQL_JOINS = {
+    "inner": "SELECT k, lv, rv FROM l JOIN r ON k = rk",
+    "left": "SELECT k, lv, rv FROM l LEFT JOIN r ON k = rk",
+    "outer": "SELECT COALESCE(k, rk) AS k, lv, rv FROM l FULL JOIN r "
+             "ON k = rk",
+    "semi": "SELECT k, lv FROM l WHERE EXISTS "
+            "(SELECT 1 FROM r WHERE rk = k)",
+    "anti": "SELECT k, lv FROM l WHERE NOT EXISTS "
+            "(SELECT 1 FROM r WHERE rk = k)",
+}
+
+
+@pytest.mark.parametrize("key_type", [pa.int64(), pa.string()])
+@pytest.mark.parametrize("how", list(_SQL_JOINS))
+def test_hash_join_matches_duckdb_exactly(ray_session, how, key_type):
+    """Every join type == DuckDB row for row: int64 payloads above 2^53
+    on both sides survive exactly (a float64 round trip turns 2^53+1
+    into 2^53), null keys match nothing, a left row with a null key is
+    kept by the anti join (NOT EXISTS) and by left/outer joins, and a
+    right key with two rows yields two inner rows but one semi row."""
+    import duckdb
+    import ray.data
+    from full_text_extractor_v6_ray.stages.joins import hash_join
+
+    def keys(vals):
+        return pa.array([None if v is None else v for v in vals],
+                        pa.int64()).cast(key_type)
+
+    left = pa.table({"k": keys([1, 2, None, 3, None, 5]),
+                     "lv": pa.array([_BIG + 1, _BIG + 3, _BIG + 5,
+                                     -_BIG - 7, _BIG + 9, _BIG + 11])})
+    right = pa.table({"rk": keys([1, None, 4, 2, None, 2]),
+                      "rv": pa.array([_BIG + 13, _BIG + 15, -_BIG - 17,
+                                      _BIG + 19, _BIG + 21, _BIG + 23])})
+    got = hash_join(ray.data.from_arrow(left), ray.data.from_arrow(right),
+                    "k", "rk", how=how, num_buckets=4)
+    con = duckdb.connect()
+    con.register("l", left)
+    con.register("r", right)
+    exp = con.execute(_SQL_JOINS[how]).arrow()
+
+    def rows(records):
+        return sorted((tuple(r.values()) for r in records),
+                      key=lambda t: [(v is None, v) for v in t])
+
+    assert rows(got.take_all()) == rows(exp.to_pylist())
+    assert got.schema().names == exp.column_names
+
+
+def test_hash_join_with_schemas_adds_no_execution(ray_session,
+                                                  count_executions):
+    """Shuffle-derived inputs with both schemas given: consuming the
+    join is ONE Ray execution (no schema probe re-runs an upstream
+    shuffle)."""
+    import ray.data
+    from full_text_extractor_v6_ray.stages.dedup import keyed_keep_one
+    from full_text_extractor_v6_ray.stages.joins import hash_join
+
+    left = keyed_keep_one(ray.data.from_items(
+        [{"k": f"u{i % 40}", "v": i} for i in range(120)]), "k",
+        [("v", "descending")])
+    right = keyed_keep_one(ray.data.from_items(
+        [{"rk": f"u{i}", "w": i} for i in range(0, 40, 3)]), "rk",
+        [("w", "ascending")])
+    count_executions.clear()
+    out = hash_join(
+        left, right, "k", "rk",
+        left_schema=pa.schema([("k", pa.string()), ("v", pa.int64())]),
+        right_schema=pa.schema([("rk", pa.string()), ("w", pa.int64())]))
+    got = sorted((r["k"], r["v"], r["w"]) for r in out.take_all())
+    assert got == sorted((f"u{i}", 80 + i, i) for i in range(0, 40, 3))
+    assert len(count_executions) == 1, count_executions
 
 
 @pytest.mark.parametrize("buckets", [None, 4, 1])

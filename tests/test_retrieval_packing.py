@@ -181,12 +181,12 @@ def test_first_fit_pack_invariants(ray_session):
         again.sort_values("doc_id").reset_index(drop=True))
 
 
-def test_lookup_hash_join_matches_bucket_hash_join(ray_session):
-    """All-Arrow unique-build-key lookup join == general pandas-merge
-    join on the same inputs (string and int keys, exact dtypes)."""
+def test_hash_join_matches_duckdb_reference(ray_session):
+    """Unique-build-key decorate join == DuckDB's inner join on the same
+    inputs (string keys, int payloads, exact dtypes)."""
+    import duckdb
     import ray.data
-    from full_text_extractor_v6_ray.stages.joins import (
-        bucket_hash_join, lookup_hash_join)
+    from full_text_extractor_v6_ray.stages.joins import hash_join
 
     rng = np.random.RandomState(3)
     left = pd.DataFrame({
@@ -197,16 +197,15 @@ def test_lookup_hash_join_matches_bucket_hash_join(ray_session):
         "rk": [f"key{i}" for i in range(0, 50, 2)],   # unique, partial
         "val": np.arange(25) * 7,
     })
-    a = (lookup_hash_join(ray.data.from_pandas(left),
-                          ray.data.from_pandas(right), "k", "rk",
-                          num_buckets=8)
+    a = (hash_join(ray.data.from_pandas(left),
+                   ray.data.from_pandas(right), "k", "rk", num_buckets=8)
          .to_pandas().sort_values(["k", "payload"])
          .reset_index(drop=True))
-    b = (bucket_hash_join(ray.data.from_pandas(left),
-                          ray.data.from_pandas(right), "k", "rk",
-                          num_buckets=8)
-         .to_pandas().sort_values(["k", "payload"])
-         .reset_index(drop=True))
+    con = duckdb.connect()
+    con.register("l", left)
+    con.register("r", right)
+    b = (con.execute("SELECT k, payload, val FROM l JOIN r ON k = rk").df()
+         .sort_values(["k", "payload"]).reset_index(drop=True))
     pd.testing.assert_frame_equal(a, b[a.columns])
 
 
@@ -214,15 +213,15 @@ def test_lookup_hash_join_preserves_int64_extremes(ray_session):
     """Values near ±2^63 survive exactly (the pandas-merge float64
     round-trip caveat cannot occur on the Arrow path)."""
     import ray.data
-    from full_text_extractor_v6_ray.stages.joins import lookup_hash_join
+    from full_text_extractor_v6_ray.stages.joins import hash_join
 
     big = [(1 << 62) + 1, (1 << 62) + 2, -(1 << 62) - 3]
     left = pd.DataFrame({"k": ["a", "b", "c"], "payload": big})
     right = pd.DataFrame({"rk": ["a", "b", "c"],
                           "val": [b + 1 for b in big]})
-    got = (lookup_hash_join(ray.data.from_pandas(left),
-                            ray.data.from_pandas(right), "k", "rk",
-                            num_buckets=4)
+    got = (hash_join(ray.data.from_pandas(left),
+                     ray.data.from_pandas(right), "k", "rk",
+                     num_buckets=4)
            .to_pandas().sort_values("k").reset_index(drop=True))
     assert got["payload"].tolist() == big
     assert got["val"].tolist() == [b + 1 for b in big]

@@ -178,13 +178,17 @@ def test_mode_cube_dense_oracles(ray_session):
 
 def test_bucketed_except(ray_session):
     import ray.data
-    from full_text_extractor_v6_ray.stages.dedup import bucketed_except
+    from full_text_extractor_v6_ray.stages.dedup import (
+        hash_bucketed_distinct)
+    from full_text_extractor_v6_ray.stages.joins import hash_join
 
     left = pd.DataFrame({"k": [1, 2, 2, 3, 4, 5]})
     right = pd.DataFrame({"j": [2, 4, 4, 9]})
-    got = sorted(bucketed_except(ray.data.from_pandas(left),
-                                 ray.data.from_pandas(right),
-                                 "k", "j", num_buckets=4)
+    # EXCEPT = distinct, then anti join
+    distinct = hash_bucketed_distinct(ray.data.from_pandas(left), ["k"],
+                                      num_buckets=4)
+    got = sorted(hash_join(distinct, ray.data.from_pandas(right),
+                           "k", "j", how="anti", num_buckets=4)
                  .to_pandas()["k"].tolist())
     assert got == [1, 3, 5]  # distinct left minus right
 

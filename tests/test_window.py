@@ -231,14 +231,19 @@ def test_grouped_rolling_mean_matches_duckdb(ray_session):
 
 def test_bucketed_intersect_matches_set(ray_session):
     import ray.data
-    from full_text_extractor_v6_ray.stages.dedup import bucketed_intersect
+    from full_text_extractor_v6_ray.stages.dedup import (
+        hash_bucketed_distinct)
+    from full_text_extractor_v6_ray.stages.joins import hash_join
 
     left = pd.DataFrame({"a": np.r_[np.arange(0, 80),
                                     np.arange(0, 80)]})  # dups in input
     right = pd.DataFrame({"b": np.arange(50, 200)})
-    got = sorted(bucketed_intersect(
-        ray.data.from_pandas(left), ray.data.from_pandas(right),
-        "a", "b", num_buckets=4).to_pandas()["a"])
+    # INTERSECT = distinct, then semi join
+    distinct = hash_bucketed_distinct(ray.data.from_pandas(left), ["a"],
+                                      num_buckets=4)
+    got = sorted(hash_join(
+        distinct, ray.data.from_pandas(right),
+        "a", "b", how="semi", num_buckets=4).to_pandas()["a"])
     assert got == list(range(50, 80))   # distinct, both sides only
 
 
