@@ -227,8 +227,7 @@ def run_bench() -> dict:
         t = time.perf_counter()
         para_rows = paragraph_dedup(
             rd.read_parquet(docs_dir), "doc_id", "text",
-            chunk_words=10,
-            num_buckets=max(32, 4 * NUM_CPUS)).count()
+            chunk_words=10).count()
         queries["paragraph_dedup_docs"] = round(time.perf_counter() - t, 3)
         shutil.rmtree(docs_dir, ignore_errors=True)
 
@@ -254,8 +253,7 @@ def run_bench() -> dict:
          .write_parquet(docs_dir))
         t = time.perf_counter()
         lm_rows = bigram_logprob(
-            rd.read_parquet(docs_dir), "doc_id", "text",
-            num_buckets=max(32, 4 * NUM_CPUS)).count()
+            rd.read_parquet(docs_dir), "doc_id", "text").count()
         queries["bigram_lm_docs"] = round(time.perf_counter() - t, 3)
         shutil.rmtree(docs_dir, ignore_errors=True)
 
@@ -283,8 +281,7 @@ def run_bench() -> dict:
          .write_parquet(docs_dir))
         t = time.perf_counter()
         exsub_rows = exact_substring_dedup(
-            rd.read_parquet(docs_dir), "text", "doc_id", n=8,
-            num_buckets=max(32, 4 * NUM_CPUS)).count()
+            rd.read_parquet(docs_dir), "text", "doc_id", n=8).count()
         queries["exact_substring_docs"] = round(
             time.perf_counter() - t, 3)
         shutil.rmtree(docs_dir, ignore_errors=True)
@@ -339,9 +336,7 @@ def run_bench() -> dict:
                               columns=["doc_id", "text"])
               .map_batches(_mk_eval, batch_format="pyarrow",
                            zero_copy_batch=True))
-        decon_rows = contamination_counts(
-            train, ev, n=13,
-            num_buckets=max(32, 4 * NUM_CPUS)).count()
+        decon_rows = contamination_counts(train, ev, n=13).count()
         queries["decontaminate_docs"] = round(time.perf_counter() - t, 3)
         shutil.rmtree(docs_dir, ignore_errors=True)
 

@@ -519,7 +519,7 @@ def q_extract_top_by_chars(sf_dir: str):
     return top
 
 
-def q_events_sessions(sf_dir: str, num_buckets: int = 64):
+def q_events_sessions(sf_dir: str):
     """Gap-based sessionization (30-min inactivity window) per user —
     the streaming-shaped windowed aggregate.
 
@@ -527,18 +527,14 @@ def q_events_sessions(sf_dir: str, num_buckets: int = 64):
     and each bucket is ONE vectorized pandas pass — sort by
     (user, ts, event_id), session boundaries via shift/diff, per-session
     rollup via a cython groupby on the integer session id. Python-call
-    cost is O(num_buckets), not O(users); a naive
+    cost is O(buckets), not O(users); a naive
     ``groupby(user_id).map_groups`` pays a Python call per user (measured
     in stages/dedup.py to halve throughput at 45k keys).
     """
-    from .stages.dedup import _stable_bucket
+    from .stages.exchange import by_bucket
 
     ds = _read(sf_dir, "events",
                columns=["event_id", "ts", "user_id", "value"])
-
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "__bucket", _stable_bucket(batch.column("user_id"), num_buckets))
 
     def bucket_sessions(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
@@ -553,10 +549,7 @@ def q_events_sessions(sf_dir: str, num_buckets: int = 64):
         )
         return out.reset_index(drop=True)
 
-    return (ds.map_batches(add_bucket, batch_format="pyarrow",
-                           zero_copy_batch=True)
-            .groupby("__bucket")
-            .map_groups(bucket_sessions, batch_format="pandas"))
+    return by_bucket(ds, "user_id", bucket_sessions, batch_format="pandas")
 
 
 def q_events_sliding(sf_dir: str):
@@ -776,8 +769,7 @@ def q_orders_customer_hashjoin(sf_dir: str):
                    columns=["o_orderkey", "o_custkey", "o_totalprice"])
     cust = _read(sf_dir, "customer",
                  columns=["c_custkey", "c_name", "c_mktsegment"])
-    joined = hash_join(orders, cust, "o_custkey", "c_custkey",
-                       num_buckets=16)
+    joined = hash_join(orders, cust, "o_custkey", "c_custkey")
     return joined.select_columns(["o_orderkey", "o_custkey", "o_totalprice",
                                   "c_name", "c_mktsegment"])
 
@@ -818,8 +810,7 @@ def q_returned_revenue_topk(sf_dir: str):
     li_partial = li.map_batches(partial_rev, batch_format="pyarrow",
                                 batch_size=4096)
     orders = _read(sf_dir, "orders", columns=["o_orderkey", "o_custkey"])
-    joined = hash_join(li_partial, orders, "l_orderkey", "o_orderkey",
-                       num_buckets=16)
+    joined = hash_join(li_partial, orders, "l_orderkey", "o_orderkey")
     by_cust = (joined.select_columns(["o_custkey", "rev"])
                .groupby("o_custkey")
                .aggregate(Sum("rev", alias_name="revenue")))
@@ -865,8 +856,7 @@ def q_events_customer_skewjoin(sf_dir: str):
     events = _read(sf_dir, "events", columns=["event_id", "user_id", "value"])
     cust = _read(sf_dir, "customer",
                  columns=["c_custkey", "c_name", "c_mktsegment"])
-    return skew_hash_join(events, cust, "user_id", "c_custkey",
-                          num_buckets=16)
+    return skew_hash_join(events, cust, "user_id", "c_custkey")
 
 
 def q_events_orders_asof(sf_dir: str):
@@ -891,7 +881,7 @@ def q_events_orders_asof(sf_dir: str):
                              [("o_orderkey", "descending")]).drop_columns(["__ck"])
 
     joined = asof_join(events, orders1, "user_id", "o_custkey",
-                       "ts", "o_orderdate", num_buckets=16)
+                       "ts", "o_orderdate")
     return joined.select_columns(["event_id", "user_id", "ts", "o_orderkey"])
 
 
@@ -928,11 +918,22 @@ def q_events_user_approx_distinct(sf_dir: str):
 
 
 def q_events_type_count_salted(sf_dir: str):
-    """Skew-safe grouped aggregate: salted two-phase count+sum by type."""
-    from .stages.salted import salted_count_sum
+    """Skew-safe grouped aggregate: count+sum by type. Each batch
+    combines to one (type, n, sum) row per type before the keyed
+    exchange, so a hot type moves O(batches) rows, not O(events)."""
+    from .stages.dedup import bucketed_group_agg
 
     ds = _read(sf_dir, "events", columns=["event_type", "value"])
-    return salted_count_sum(ds, "event_type", sum_col="value", n_salts=8)
+
+    def partial(batch: pa.Table) -> pa.Table:
+        g = batch.group_by("event_type").aggregate(
+            [([], "count_all"), ("value", "sum")])
+        return g.rename_columns(["event_type", "n_rows", "total"])
+
+    return bucketed_group_agg(
+        ds.map_batches(partial, batch_format="pyarrow",
+                       zero_copy_batch=True),
+        "event_type", [("n_rows", "sum"), ("total", "sum")])
 
 
 def q_orders_top_per_customer(sf_dir: str):
@@ -1094,8 +1095,7 @@ def q_lineitem_bloom_join(sf_dir: str):
         return batch.filter(pa.array(v > 400_000.0))
 
     big = orders.map_batches(high, batch_format="pyarrow")
-    return bloom_hash_join(li, big, "l_orderkey", "o_orderkey",
-                           num_buckets=16)
+    return bloom_hash_join(li, big, "l_orderkey", "o_orderkey")
 
 
 def q_customer_order_list(sf_dir: str):
@@ -4433,19 +4433,13 @@ def q3_shipping_priority(sf_dir: str):
                  "o_orderpriority"],
         filter=pads.field("o_orderdate") < cutoff)
 
-    class SemiBuilding:
-        def __init__(self, ref):
-            self.incl = ray.get(ref)
+    def semi_building(batch: pa.Table) -> pa.Table:
+        ck = batch.column("o_custkey").to_numpy(
+            zero_copy_only=False).astype(np.int64)
+        keep = np.isin(ck, ray.get(ref))
+        return batch.filter(pa.array(keep)).drop_columns(["o_custkey"])
 
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            ck = batch.column("o_custkey").to_numpy(
-                zero_copy_only=False).astype(np.int64)
-            keep = np.isin(ck, self.incl, assume_unique=False)
-            return batch.filter(pa.array(keep)).drop_columns(["o_custkey"])
-
-    orders = orders.map_batches(SemiBuilding,
-                                fn_constructor_kwargs={"ref": ref},
-                                batch_format="pyarrow", concurrency=2)
+    orders = orders.map_batches(semi_building, batch_format="pyarrow")
 
     li = ray.data.read_parquet(
         os.path.join(sf_dir, "lineitem.parquet"),
@@ -4465,8 +4459,7 @@ def q3_shipping_priority(sf_dir: str):
 
     li_partial = li.map_batches(partial_rev, batch_format="pyarrow",
                                 batch_size=4096)
-    joined = hash_join(li_partial, orders,
-                       "l_orderkey", "o_orderkey", num_buckets=16)
+    joined = hash_join(li_partial, orders, "l_orderkey", "o_orderkey")
     agg = (joined.groupby(["l_orderkey", "o_orderdate", "o_orderpriority"])
            .aggregate(Sum("rev", alias_name="revenue")))
 

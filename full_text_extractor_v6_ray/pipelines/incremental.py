@@ -416,7 +416,13 @@ def read_current_corpus(state_dir: str) -> "ray.data.Dataset":
     # in one semi join
     live_slim = ray.data.read_parquet(files, columns=["url", "round"])
     live_slim = keyed_keep_one(live_slim, "url", [("round", "descending")])
-    joined = hash_join(live_slim, tombs, "url", how="left")
+    # both schemas are known: a ``ds.schema()`` probe would run each
+    # keep-one shuffle once more just for one row
+    joined = hash_join(
+        live_slim, tombs, "url", how="left",
+        left_schema=pa.schema([("url", pa.string()), ("round", pa.int64())]),
+        right_schema=pa.schema([("url", pa.string()),
+                                ("tomb_round", pa.int64())]))
 
     def survivors(batch: pa.Table) -> pa.Table:
         tr = batch.column("tomb_round")

@@ -9,8 +9,8 @@ work that the extraction engine has to run before/alongside per-page
 extraction. Each operator here is a thin, explicitly-partitioned
 composition of the repo's shuffle machinery:
 
-- one bucketed exchange per keyed reduce (``bucketed_group_agg`` /
-  ``hash_bucketed_distinct``), partials combined map-side first;
+- one keyed exchange per keyed reduce (``exchange.by_bucket``, through
+  ``bucketed_group_agg`` or directly), partials combined map-side first;
 - big⋈big equality joins through ``joins.hash_join`` (payload moves
   once);
 - dimension-sized sides (robots rules) broadcast via ``ray.put``,
@@ -28,10 +28,9 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 
-from .dedup import bucketed_group_agg, default_num_buckets
+from .dedup import bucketed_group_agg
+from .exchange import by_bucket
 from .window import grouped_row_number
-
-_BUCKET = "_bkt"
 
 
 # ---------------------------------------------------------------------------
@@ -40,8 +39,8 @@ _BUCKET = "_bkt"
 
 def snapshot_diff(prev: "ray.data.Dataset", cur: "ray.data.Dataset",
                   key: str = "url",
-                  prev_hash: str = "hash_a", cur_hash: str = "hash_b",
-                  num_buckets: int | None = None) -> "ray.data.Dataset":
+                  prev_hash: str = "hash_a", cur_hash: str = "hash_b"
+                  ) -> "ray.data.Dataset":
     """Classify every url across two crawl snapshots.
 
     ``prev`` carries (key, prev_hash), ``cur`` carries (key, cur_hash)
@@ -84,8 +83,7 @@ def snapshot_diff(prev: "ray.data.Dataset", cur: "ray.data.Dataset",
             .union(cur.map_batches(pad_cur, batch_format="pyarrow",
                                    zero_copy_batch=True)))
     merged = bucketed_group_agg(both, key,
-                                [(prev_hash, "min"), (cur_hash, "min")],
-                                num_buckets=num_buckets)
+                                [(prev_hash, "min"), (cur_hash, "min")])
 
     def classify(batch: pa.Table) -> pa.Table:
         ha, hb = batch.column(prev_hash), batch.column(cur_hash)
@@ -106,8 +104,8 @@ def snapshot_diff(prev: "ray.data.Dataset", cur: "ray.data.Dataset",
 # ---------------------------------------------------------------------------
 
 def host_degree(edges: "ray.data.Dataset",
-                src_col: str = "src_host", dst_col: str = "dst_host",
-                num_buckets: int | None = None) -> "ray.data.Dataset":
+                src_col: str = "src_host", dst_col: str = "dst_host"
+                ) -> "ray.data.Dataset":
     """Per-host total out-/in-link counts over a directed edge list.
 
     Map-side each batch collapses to at most 2×hosts partial rows
@@ -135,13 +133,12 @@ def host_degree(edges: "ray.data.Dataset",
     partials = edges.map_batches(partial, batch_format="pyarrow",
                                  zero_copy_batch=True)
     return bucketed_group_agg(partials, "host",
-                              [("n_out", "sum"), ("n_in", "sum")],
-                              num_buckets=num_buckets)
+                              [("n_out", "sum"), ("n_in", "sum")])
 
 
 def reciprocity_stats(edges: "ray.data.Dataset",
-                      src_col: str = "src_host", dst_col: str = "dst_host",
-                      num_buckets: int | None = None) -> "ray.data.Dataset":
+                      src_col: str = "src_host", dst_col: str = "dst_host"
+                      ) -> "ray.data.Dataset":
     """Host-graph reciprocity: of all distinct undirected host pairs
     with at least one link, how many are linked in BOTH directions.
 
@@ -153,9 +150,6 @@ def reciprocity_stats(edges: "ray.data.Dataset",
     O(distinct pairs) rows collapsing to a single (n_pairs,
     n_reciprocal) row via metadata-sized per-bucket partials.
     """
-    if num_buckets is None:
-        num_buckets = default_num_buckets(32)
-
     def directed_partial(batch: pa.Table) -> pa.Table:
         s = batch.column(src_col).to_numpy(zero_copy_only=False)
         d = batch.column(dst_col).to_numpy(zero_copy_only=False)
@@ -171,18 +165,9 @@ def reciprocity_stats(edges: "ray.data.Dataset",
         g = t.group_by(["lo", "hi", "dir"]).aggregate([([], "count_all")])
         return g.drop_columns(["count_all"])
 
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        lo = batch.column("lo").to_numpy(zero_copy_only=False)
-        hi = batch.column("hi").to_numpy(zero_copy_only=False)
-        h = (lo.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-             ^ hi.astype(np.uint64) * np.uint64(0xBF58476D1CE4E5B9))
-        return batch.append_column(
-            _BUCKET, pa.array((h % np.uint64(num_buckets)).astype(np.int64)))
-
     def pair_partial(g: pa.Table) -> pa.Table:
-        a = (g.drop_columns([_BUCKET])
-             .group_by(["lo", "hi"]).aggregate([("dir", "min"),
-                                                ("dir", "max")]))
+        a = g.group_by(["lo", "hi"]).aggregate([("dir", "min"),
+                                                ("dir", "max")])
         both = pc.and_(pc.equal(a.column("dir_min"), pa.scalar(1)),
                        pc.equal(a.column("dir_max"), pa.scalar(2)))
         return pa.table({
@@ -195,12 +180,10 @@ def reciprocity_stats(edges: "ray.data.Dataset",
 
     from ray.data.aggregate import Sum
 
-    partials = (edges.map_batches(directed_partial, batch_format="pyarrow",
-                                  zero_copy_batch=True)
-                .map_batches(add_bucket, batch_format="pyarrow",
-                             zero_copy_batch=True)
-                .groupby(_BUCKET)
-                .map_groups(pair_partial, batch_format="pyarrow"))
+    partials = by_bucket(
+        edges.map_batches(directed_partial, batch_format="pyarrow",
+                          zero_copy_batch=True),
+        ["lo", "hi"], pair_partial)
     out = partials.groupby("_g").aggregate(
         Sum("n_pairs", alias_name="n_pairs"),
         Sum("n_reciprocal", alias_name="n_reciprocal"))
@@ -210,8 +193,7 @@ def reciprocity_stats(edges: "ray.data.Dataset",
 def anchor_target_agg(links: "ray.data.Dataset",
                       target_col: str = "target_page",
                       anchor_col: str = "anchor",
-                      src_host_col: str = "src_host",
-                      num_buckets: int | None = None
+                      src_host_col: str = "src_host"
                       ) -> "ray.data.Dataset":
     """Per-target anchor-text aggregation over an exploded link table.
 
@@ -227,9 +209,6 @@ def anchor_target_agg(links: "ray.data.Dataset",
     O(links) — then ONE bucketed exchange on target; the per-bucket
     reduce double-groups vectorized (pair level → target level).
     """
-    if num_buckets is None:
-        num_buckets = default_num_buckets(32)
-
     def partial(batch: pa.Table) -> pa.Table:
         t = pa.table({
             target_col: batch.column(target_col),
@@ -241,28 +220,17 @@ def anchor_target_agg(links: "ray.data.Dataset",
         return g.rename_columns([target_col, src_host_col, "n",
                                  "min_anchor"])
 
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        v = (batch.column(target_col).to_numpy(zero_copy_only=False)
-             .astype(np.uint64))
-        h = v * np.uint64(0x9E3779B97F4A7C15)
-        return batch.append_column(
-            _BUCKET, pa.array((h % np.uint64(num_buckets)).astype(np.int64)))
-
     def reduce_bucket(g: pa.Table) -> pa.Table:
-        pair = (g.drop_columns([_BUCKET])
-                .group_by([target_col, src_host_col])
+        pair = (g.group_by([target_col, src_host_col])
                 .aggregate([("n", "sum"), ("min_anchor", "min")]))
         tgt = pair.group_by(target_col).aggregate(
             [("n_sum", "sum"), ([], "count_all"), ("min_anchor_min", "min")])
         return tgt.rename_columns(
             [target_col, "n_links", "n_src_hosts", "top_anchor"])
 
-    partials = links.map_batches(partial, batch_format="pyarrow",
-                                 zero_copy_batch=True)
-    return (partials.map_batches(add_bucket, batch_format="pyarrow",
-                                 zero_copy_batch=True)
-            .groupby(_BUCKET)
-            .map_groups(reduce_bucket, batch_format="pyarrow"))
+    return by_bucket(links.map_batches(partial, batch_format="pyarrow",
+                                       zero_copy_batch=True),
+                     target_col, reduce_bucket)
 
 
 # ---------------------------------------------------------------------------
@@ -270,8 +238,7 @@ def anchor_target_agg(links: "ray.data.Dataset",
 # ---------------------------------------------------------------------------
 
 def frontier_waves(frontier: "ray.data.Dataset", host_col: str,
-                   priority_col: str, id_col: str,
-                   num_buckets: int | None = None) -> "ray.data.Dataset":
+                   priority_col: str, id_col: str) -> "ray.data.Dataset":
     """Politeness-wave assignment for a crawl frontier: within each
     host, urls are ranked by priority (desc, id asc tiebreak); wave k
     is the set of per-host rank-k urls. A polite crawler fetches one
@@ -282,7 +249,7 @@ def frontier_waves(frontier: "ray.data.Dataset", host_col: str,
     return grouped_row_number(frontier, host_col,
                               [priority_col, id_col],
                               ascending=[False, True],
-                              out_col="wave", num_buckets=num_buckets)
+                              out_col="wave")
 
 
 def apply_robots_rules(pages: "ray.data.Dataset", rules: pa.Table,

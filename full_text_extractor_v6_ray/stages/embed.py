@@ -196,8 +196,8 @@ def knn_cosine_lsh(embeddings: "ray.data.Dataset", query_ids: list[int],
 
 def cosine_neardup_lsh(embeddings: "ray.data.Dataset",
                        threshold: float = 0.45, n_planes: int = 8,
-                       n_tables: int = 4, seed: int = 42,
-                       num_buckets: int = 32) -> "ray.data.Dataset":
+                       n_tables: int = 4, seed: int = 42
+                       ) -> "ray.data.Dataset":
     """Embedding-cosine near-dup pairs WITHOUT a full-matrix broadcast —
     the 10^12-scale path (the exact all-pairs variant is O(N^2) compute
     with O(N*d) per-actor memory and exists only as the small-scale
@@ -259,7 +259,7 @@ def cosine_neardup_lsh(embeddings: "ray.data.Dataset",
 
     pairs = bucketed.groupby(["lsh_table", "lsh_bucket"]).map_groups(
         per_bucket, batch_format="pyarrow")
-    return hash_bucketed_distinct(pairs, ["vec_a", "vec_b"], num_buckets)
+    return hash_bucketed_distinct(pairs, ["vec_a", "vec_b"])
 
 
 # ---------------------------------------------------------------------------
@@ -612,8 +612,7 @@ def kmeans_assign(embeddings: "ray.data.Dataset", centroids: np.ndarray,
 
 def semdedup(embeddings: "ray.data.Dataset", k: int = 8,
              threshold: float = 0.95, emb_col: str = "embedding",
-             id_col: str = "vec_id", n_iter: int = 10,
-             num_buckets: int | None = None) -> "ray.data.Dataset":
+             id_col: str = "vec_id", n_iter: int = 10) -> "ray.data.Dataset":
     """Semantic dedup: k-means clusters bound the pairwise cosine
     search (the paper's core trick — within-cluster comparisons only,
     never corpus all-pairs), pairs >= ``threshold`` form components,
@@ -663,5 +662,4 @@ def semdedup(embeddings: "ray.data.Dataset", k: int = 8,
     pairs = joined.groupby("cluster").map_groups(per_cluster,
                                                  batch_format="pyarrow")
     comp = dup_components_ds(pairs)
-    return remove_neardup_members(embeddings, comp, key=id_col,
-                                  num_buckets=num_buckets)
+    return remove_neardup_members(embeddings, comp, key=id_col)

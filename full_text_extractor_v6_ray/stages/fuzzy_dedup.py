@@ -33,6 +33,7 @@ import pyarrow as pa
 
 import ray.data
 
+from . import exchange
 from .text_ops import shingle_hashes
 
 _MERSENNE = np.uint64((1 << 61) - 1)
@@ -207,18 +208,16 @@ def _candidate_pairs_in_bucket(g: pa.Table,
                      "doc_b": pa.array(np.concatenate(out_b))})
 
 
-def _distinct_pairs(pairs: "ray.data.Dataset",
-                    num_buckets: int = 32) -> "ray.data.Dataset":
+def _distinct_pairs(pairs: "ray.data.Dataset") -> "ray.data.Dataset":
     """Global (doc_a, doc_b) distinct — vectorized, hash-bucketed."""
     from .dedup import hash_bucketed_distinct
 
-    return hash_bucketed_distinct(pairs, ["doc_a", "doc_b"], num_buckets)
+    return hash_bucketed_distinct(pairs, ["doc_a", "doc_b"])
 
 
 def minhash_dup_pairs(docs: "ray.data.Dataset", text_col: str = "text",
                       threshold: float = 0.8, num_perm: int = 128,
                       bands: int = 16, seed: int = 42,
-                      num_buckets: int = 32,
                       spill_dir: str | None = None,
                       pair_mode: str = "all") -> "ray.data.Dataset":
     """Full MinHash-LSH near-dup pipeline -> distinct
@@ -249,23 +248,18 @@ def minhash_dup_pairs(docs: "ray.data.Dataset", text_col: str = "text",
     # consumer re-runs the MinHash actor stage (measured: minutes vs
     # seconds). ~(num_perm*8)B/doc, never the text; at 10^12 docs use a
     # parquet intermediate instead (see materialize_rebased docstring).
+    blocks = exchange.bucket_count()
     sig_cols = materialize_rebased(
-        sigs.select_columns(["doc_id", "minhash"]), num_buckets,
+        sigs.select_columns(["doc_id", "minhash"]), blocks,
         spill_dir=spill_dir)
 
-    def band_rows(batch: pa.Table) -> pa.Table:
-        t = explode_bands(batch, num_perm, bands)
-        bh = t.column("band_hash").to_numpy(zero_copy_only=False)
-        return t.append_column(
-            "__bucket", pa.array((bh % np.uint64(num_buckets)).astype(np.int64)))
-
-    banded = sig_cols.map_batches(band_rows, batch_format="pyarrow")
-    cands = banded.groupby("__bucket").map_groups(
-        lambda g: _candidate_pairs_in_bucket(
-            g.drop_columns(["__bucket"]), pair_mode=pair_mode),
-        batch_format="pyarrow")
-    pairs = materialize_rebased(_distinct_pairs(cands, num_buckets),
-                                num_buckets, spill_dir=spill_dir)
+    banded = sig_cols.map_batches(
+        lambda b: explode_bands(b, num_perm, bands), batch_format="pyarrow")
+    cands = exchange.by_bucket(
+        banded, "band_hash",
+        lambda g: _candidate_pairs_in_bucket(g, pair_mode=pair_mode))
+    pairs = materialize_rebased(_distinct_pairs(cands), blocks,
+                                spill_dir=spill_dir)
     if pairs.count() == 0:
         # no LSH candidates at all (dup-free corpus): short-circuit with
         # a typed empty result — the signature joins below can't probe a
@@ -280,10 +274,9 @@ def minhash_dup_pairs(docs: "ray.data.Dataset", text_col: str = "text",
     sb = sig_cols.map_batches(lambda b: b.rename_columns(["doc_id", "sig_b"]),
                               batch_format="pyarrow")
     j1 = materialize_rebased(
-        hash_join(pairs, sa, "doc_a", "doc_id",
-                  num_buckets=num_buckets), num_buckets,
+        hash_join(pairs, sa, "doc_a", "doc_id"), blocks,
         spill_dir=spill_dir)
-    j2 = hash_join(j1, sb, "doc_b", "doc_id", num_buckets=num_buckets)
+    j2 = hash_join(j1, sb, "doc_b", "doc_id")
 
     def score(batch: pa.Table) -> pa.Table:
         if batch.num_rows == 0:
@@ -344,8 +337,7 @@ def _popcount64(x: np.ndarray) -> np.ndarray:
 
 
 def simhash_dup_pairs(docs: "ray.data.Dataset", text_col: str = "text",
-                      max_hamming: int = 3,
-                      num_buckets: int = 32) -> "ray.data.Dataset":
+                      max_hamming: int = 3) -> "ray.data.Dataset":
     """SimHash near-dup pairs via 4x16-bit band bucketing.
 
     Two signatures within Hamming distance <= 3 agree exactly on at least
@@ -364,8 +356,7 @@ def simhash_dup_pairs(docs: "ray.data.Dataset", text_col: str = "text",
         if n == 0:
             return pa.table({"band_key": pa.array([], pa.int64()),
                              "doc_id": pa.array([], pa.int64()),
-                             "simhash": pa.array([], pa.uint64()),
-                             "__bucket": pa.array([], pa.int64())})
+                             "simhash": pa.array([], pa.uint64())})
         s = batch.column("simhash").to_numpy(zero_copy_only=False).astype(np.uint64)
         d = batch.column("doc_id").to_numpy(zero_copy_only=False).astype(np.int64)
         keys, docs_, sims = [], [], []
@@ -374,12 +365,10 @@ def simhash_dup_pairs(docs: "ray.data.Dataset", text_col: str = "text",
             keys.append((np.uint64(bi) << np.uint64(16)) | k16)
             docs_.append(d)
             sims.append(s)
-        key = np.concatenate(keys)
-        bucket = ((key * _GOLDEN) % np.uint64(num_buckets)).astype(np.int64)
-        return pa.table({"band_key": pa.array(key.astype(np.int64)),
-                         "doc_id": pa.array(np.concatenate(docs_)),
-                         "simhash": pa.array(np.concatenate(sims)),
-                         "__bucket": pa.array(bucket)})
+        return pa.table({
+            "band_key": pa.array(np.concatenate(keys).astype(np.int64)),
+            "doc_id": pa.array(np.concatenate(docs_)),
+            "simhash": pa.array(np.concatenate(sims))})
 
     def bucket_pairs(g: pa.Table) -> pa.Table:
         key = g.column("band_key").to_numpy(zero_copy_only=False)
@@ -408,13 +397,12 @@ def simhash_dup_pairs(docs: "ray.data.Dataset", text_col: str = "text",
                          "doc_b": pa.array(np.concatenate(b_out).astype(np.int64)),
                          "hamming": pa.array(np.concatenate(dist).astype(np.int64))})
 
-    banded = sigs.map_batches(explode, batch_format="pyarrow")
-    pairs = banded.groupby("__bucket").map_groups(
-        lambda g: bucket_pairs(g.drop_columns(["__bucket"])),
-        batch_format="pyarrow")
+    pairs = exchange.by_bucket(
+        sigs.map_batches(explode, batch_format="pyarrow"), "band_key",
+        bucket_pairs)
     # a pair found in multiple bands appears multiple times -> distinct
     # (hamming is identical for every copy, so keeping any row is fine)
-    return _distinct_pairs(pairs, num_buckets)
+    return _distinct_pairs(pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -449,7 +437,6 @@ def jaccard_verified_pairs(docs: "ray.data.Dataset",
                            candidate_threshold: float = 0.5,
                            k: int = 3, num_perm: int = 128,
                            bands: int = 16, seed: int = 42,
-                           num_buckets: int = 32,
                            spill_dir: str | None = None) -> "ray.data.Dataset":
     """EXACT n-gram Jaccard near-dup pairs, LSH-candidated (the
     candidate->verify shape of production dedup pipelines): MinHash+LSH
@@ -470,23 +457,23 @@ def jaccard_verified_pairs(docs: "ray.data.Dataset",
     cands = minhash_dup_pairs(docs, text_col=text_col,
                               threshold=candidate_threshold,
                               num_perm=num_perm, bands=bands, seed=seed,
-                              num_buckets=num_buckets, spill_dir=spill_dir)
+                              spill_dir=spill_dir)
+    blocks = exchange.bucket_count()
     pairs = materialize_rebased(cands.select_columns(["doc_a", "doc_b"]),
-                                num_buckets, spill_dir=spill_dir)
+                                blocks, spill_dir=spill_dir)
 
     sh = materialize_rebased(
         docs.map_batches(ShingleSetBatch(text_col, k),
                          batch_format="pyarrow", batch_size=256),
-        num_buckets, spill_dir=spill_dir)
+        blocks, spill_dir=spill_dir)
     sa = sh.map_batches(lambda b: b.rename_columns(["doc_id", "sh_a"]),
                         batch_format="pyarrow")
     sb = sh.map_batches(lambda b: b.rename_columns(["doc_id", "sh_b"]),
                         batch_format="pyarrow")
     j1 = materialize_rebased(
-        hash_join(pairs, sa, "doc_a", "doc_id",
-                  num_buckets=num_buckets), num_buckets,
+        hash_join(pairs, sa, "doc_a", "doc_id"), blocks,
         spill_dir=spill_dir)
-    j2 = hash_join(j1, sb, "doc_b", "doc_id", num_buckets=num_buckets)
+    j2 = hash_join(j1, sb, "doc_b", "doc_id")
 
     def verify(batch: pa.Table) -> pa.Table:
         n = batch.num_rows
@@ -528,8 +515,7 @@ def ngram_jaccard(a: str, b: str, k: int = 3) -> float:
     return len(sa & sb) / len(sa | sb)
 
 
-def dup_components_ds(pairs: "ray.data.Dataset", num_buckets: int = 32,
-                      max_iters: int = 50,
+def dup_components_ds(pairs: "ray.data.Dataset", max_iters: int = 50,
                       spill_dir: str | None = None) -> "ray.data.Dataset":
     """Distributed connected components over a near-dup pair list:
     iterative min-label propagation (the 10^12-scale replacement for the
@@ -556,14 +542,15 @@ def dup_components_ds(pairs: "ray.data.Dataset", num_buckets: int = 32,
             "dst": pa.array(np.concatenate([b, a]).astype(np.int64)),
         })
 
-    from .dedup import _stable_bucket, materialize_rebased
+    from .dedup import materialize_rebased
+
+    blocks = exchange.bucket_count()
 
     def rebase(ds: "ray.data.Dataset") -> "ray.data.Dataset":
         # HARD lineage cut + pinned block count between rounds — without
         # both, each round's union+aggregate doubled the block count and
         # re-executed grown lineage (~4x slower per round, exponential)
-        return materialize_rebased(ds, num_buckets,
-                                   spill_dir=spill_dir)
+        return materialize_rebased(ds, blocks, spill_dir=spill_dir)
 
     edges = rebase(pairs.map_batches(to_edges, batch_format="pyarrow"))
     if edges.count() == 0:
@@ -589,10 +576,6 @@ def dup_components_ds(pairs: "ray.data.Dataset", num_buckets: int = 32,
                 "__old", pa.array(np.full(t.num_rows, is_old, dtype=np.int8)))
         return fn
 
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "__bucket", _stable_bucket(batch.column("node"), num_buckets))
-
     def bucket_min(g: pd.DataFrame) -> pd.DataFrame:
         # per-bucket vectorized: new label = min over old+candidates;
         # changed flag = new < old (every node carries exactly one old
@@ -608,20 +591,17 @@ def dup_components_ds(pairs: "ray.data.Dataset", num_buckets: int = 32,
         })
 
     for _ in range(max_iters):
-        neighbor = hash_join(edges, labels, "src", "node",
-                             num_buckets=num_buckets)
+        neighbor = hash_join(edges, labels, "src", "node")
 
         def as_candidate(batch: pa.Table) -> pa.Table:
             return pa.table({"node": batch.column("dst"),
                              "label": batch.column("label")})
 
         cand = neighbor.map_batches(as_candidate, batch_format="pyarrow")
-        merged = rebase(
+        merged = rebase(exchange.by_bucket(
             labels.map_batches(tag(1), batch_format="pyarrow")
-            .union(cand.map_batches(tag(0), batch_format="pyarrow"))
-            .map_batches(add_bucket, batch_format="pyarrow")
-            .groupby("__bucket").map_groups(bucket_min,
-                                            batch_format="pandas"))
+            .union(cand.map_batches(tag(0), batch_format="pyarrow")),
+            "node", bucket_min, batch_format="pandas"))
         n_changed = merged.aggregate(Sum("changed", alias_name="c"))["c"]
         labels = merged.select_columns(["node", "label"])
         if not n_changed:
@@ -639,7 +619,6 @@ _EMPTY_COMPONENTS = pa.schema([("doc_id", pa.int64()),
 
 
 def dup_components_star_ds(pairs: "ray.data.Dataset",
-                           num_buckets: int = 32,
                            max_iters: int = 32,
                            spill_dir: str | None = None
                            ) -> "ray.data.Dataset":
@@ -673,9 +652,10 @@ def dup_components_star_ds(pairs: "ray.data.Dataset",
     from .dedup import materialize_rebased
 
     golden = np.uint64(0x9E3779B97F4A7C15)
+    blocks = exchange.bucket_count()
 
     def rebase(ds: "ray.data.Dataset") -> "ray.data.Dataset":
-        return materialize_rebased(ds, num_buckets, spill_dir=spill_dir)
+        return materialize_rebased(ds, blocks, spill_dir=spill_dir)
 
     def canonical(batch: pa.Table) -> pa.Table:
         a = batch.column("doc_a").to_numpy(zero_copy_only=False).astype(np.int64)
@@ -711,11 +691,7 @@ def dup_components_star_ds(pairs: "ray.data.Dataset",
         return pa.table({"u": pa.array(np.concatenate([a, b])),
                          "v": pa.array(np.concatenate([b, a]))})
 
-    from .dedup import _stable_bucket, hash_bucketed_distinct
-
-    def add_u_bucket(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "__bucket", _stable_bucket(batch.column("u"), num_buckets))
+    from .dedup import hash_bucketed_distinct
 
     def large_star_bucket(g: pd.DataFrame) -> pd.DataFrame:
         # m(u) = min over N(u) ∪ {u}; emit (v, m(u)) for v > u
@@ -742,18 +718,16 @@ def dup_components_star_ds(pairs: "ray.data.Dataset",
                              "doc_b": np.concatenate([mu, mu])})
 
     def star_round(edges, rows_fn, bucket_fn):
-        emitted = (edges.map_batches(rows_fn, batch_format="pyarrow")
-                   .map_batches(add_u_bucket, batch_format="pyarrow")
-                   .groupby("__bucket")
-                   .map_groups(bucket_fn, batch_format="pandas")
-                   .map_batches(canonical, batch_format="pyarrow"))
-        return rebase(hash_bucketed_distinct(
-            emitted, ["doc_a", "doc_b"], num_buckets))
+        emitted = exchange.by_bucket(
+            edges.map_batches(rows_fn, batch_format="pyarrow"), "u",
+            bucket_fn, batch_format="pandas").map_batches(
+                canonical, batch_format="pyarrow")
+        return rebase(hash_bucketed_distinct(emitted, ["doc_a", "doc_b"]))
 
     edges = rebase(hash_bucketed_distinct(
         pairs.select_columns(["doc_a", "doc_b"])
         .map_batches(canonical, batch_format="pyarrow"),
-        ["doc_a", "doc_b"], num_buckets))
+        ["doc_a", "doc_b"]))
     prev = fingerprint(edges)
     if prev[0] == 0:
         return ray.data.from_arrow(_EMPTY_COMPONENTS.empty_table())
@@ -803,8 +777,7 @@ def dup_components(pairs_df: pd.DataFrame) -> pd.DataFrame:
 def remove_neardup_members(ds: "ray.data.Dataset",
                            comp: "ray.data.Dataset",
                            key: str = "doc_id",
-                           max_broadcast: int = 1_000_000,
-                           num_buckets: int | None = None
+                           max_broadcast: int = 1_000_000
                            ) -> "ray.data.Dataset":
     """Remove NON-CANONICAL near-dup members from ``ds``: every row whose
     ``key`` appears in ``comp`` (doc_id, component) with doc_id !=
@@ -835,13 +808,12 @@ def remove_neardup_members(ds: "ray.data.Dataset",
 
     drop_ds = comp.map_batches(non_canonical, batch_format="pyarrow",
                                zero_copy_batch=True)
-    return remove_keys(ds, drop_ds, key, max_broadcast=max_broadcast,
-                       num_buckets=num_buckets)
+    return remove_keys(ds, drop_ds, key, max_broadcast=max_broadcast)
 
 
 def remove_keys(ds: "ray.data.Dataset", drop_ds: "ray.data.Dataset",
-                key: str, max_broadcast: int = 1_000_000,
-                num_buckets: int | None = None) -> "ray.data.Dataset":
+                key: str, max_broadcast: int = 1_000_000
+                ) -> "ray.data.Dataset":
     """Size-dispatched key removal (the shared tail of every dedup
     flavor): count the drop keys first; broadcast a sorted int64 array
     via ray.put + np.isin only when provably small, else ONE
@@ -855,8 +827,7 @@ def remove_keys(ds: "ray.data.Dataset", drop_ds: "ray.data.Dataset",
     if n_drop == 0:
         return ds
     if n_drop > max_broadcast:
-        return hash_join(ds, drop_ds, key, how="anti",
-                         num_buckets=num_buckets)
+        return hash_join(ds, drop_ds, key, how="anti")
 
     drop = np.sort(drop_ds.to_pandas()[key].to_numpy(dtype=np.int64))
     ref = ray.put(drop)
@@ -879,8 +850,7 @@ def remove_neardup_members_by_quality(ds: "ray.data.Dataset",
                                       scores: "ray.data.Dataset",
                                       key: str = "doc_id",
                                       score_col: str = "score",
-                                      max_broadcast: int = 1_000_000,
-                                      num_buckets: int | None = None
+                                      max_broadcast: int = 1_000_000
                                       ) -> "ray.data.Dataset":
     """FineWeb-style quality-aware near-dup removal: per dup component
     keep the HIGHEST-``score_col`` member (tie → lowest id) instead of
@@ -911,25 +881,22 @@ def remove_neardup_members_by_quality(ds: "ray.data.Dataset",
                                                  pa.int64())}),
         batch_format="pyarrow", zero_copy_batch=True)
     decorated = hash_join(
-        comp64, sid, key, "_sid", num_buckets=num_buckets,
+        comp64, sid, key, "_sid",
         left_schema=pa.schema([(key, pa.int64()),
                                ("component", pa.int64())]),
         right_schema=pa.schema([("_sid", pa.int64()),
                                 ("_score", pa.float64())]))
     keepers = keyed_keep_one(decorated, "component",
                              [("_score", "descending"),
-                              (key, "ascending")],
-                             num_buckets=num_buckets)
+                              (key, "ascending")])
     keeper_ids = keepers.map_batches(
         lambda b: pa.table({"_kid": b.column(key)}),
         batch_format="pyarrow", zero_copy_batch=True)
     member_ids = comp64.map_batches(
         lambda b: pa.table({key: b.column(key)}),
         batch_format="pyarrow", zero_copy_batch=True)
-    drop_ds = hash_join(member_ids, keeper_ids, key, "_kid", how="anti",
-                        num_buckets=num_buckets)
-    return remove_keys(ds, drop_ds, key, max_broadcast=max_broadcast,
-                       num_buckets=num_buckets)
+    drop_ds = hash_join(member_ids, keeper_ids, key, "_kid", how="anti")
+    return remove_keys(ds, drop_ds, key, max_broadcast=max_broadcast)
 
 
 # ---------------------------------------------------------------------------
@@ -985,8 +952,7 @@ def ngram_doc_rows(docs: "ray.data.Dataset", text_col: str = "text",
 
 
 def dup_ngram_counts(docs: "ray.data.Dataset", text_col: str = "text",
-                     id_col: str = "doc_id", n: int = 8,
-                     num_buckets: int | None = None) -> "ray.data.Dataset":
+                     id_col: str = "doc_id", n: int = 8) -> "ray.data.Dataset":
     """(doc_id, n_dup_ngrams): per doc, how many of its distinct word
     n-grams also occur in at least one OTHER document.
 
@@ -997,25 +963,14 @@ def dup_ngram_counts(docs: "ray.data.Dataset", text_col: str = "text",
     groupby counting the survivors. Docs with zero duplicated grams do
     not appear (dominant case at corpus scale — emitting them would make
     the output O(corpus) instead of O(duplicated docs))."""
-    from .dedup import default_num_buckets, _stable_bucket
-
-    if num_buckets is None:
-        num_buckets = default_num_buckets(32)
-
     rows = ngram_doc_rows(docs, text_col=text_col, id_col=id_col, n=n)
-
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "_bkt", _stable_bucket(batch.column("ghash"), num_buckets))
 
     def keep_dups(g: pd.DataFrame) -> pd.DataFrame:
         cnt = g["ghash"].map(g["ghash"].value_counts())
         return g.loc[cnt >= 2, [id_col]]
 
-    survivors = (rows.map_batches(add_bucket, batch_format="pyarrow",
-                                  zero_copy_batch=True)
-                 .groupby("_bkt").map_groups(keep_dups,
-                                             batch_format="pandas"))
+    survivors = exchange.by_bucket(rows, "ghash", keep_dups,
+                                   batch_format="pandas")
 
     def cnt_batch(batch: pa.Table) -> pa.Table:
         # map-side combine: one (doc_id, partial_n) row per doc per batch
@@ -1025,20 +980,13 @@ def dup_ngram_counts(docs: "ray.data.Dataset", text_col: str = "text",
                          "n_dup_ngrams": pa.array(c.astype(np.int64))})
 
     def sum_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        out = g.groupby(id_col, sort=True, as_index=False)[
+        return g.groupby(id_col, sort=True, as_index=False)[
             "n_dup_ngrams"].sum()
-        return out.drop(columns="_bkt", errors="ignore")
 
     partial = survivors.map_batches(cnt_batch, batch_format="pyarrow",
                                     zero_copy_batch=True)
-
-    def add_doc_bucket(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "_bkt", _stable_bucket(batch.column(id_col), num_buckets))
-
-    return (partial.map_batches(add_doc_bucket, batch_format="pyarrow",
-                                zero_copy_batch=True)
-            .groupby("_bkt").map_groups(sum_bucket, batch_format="pandas"))
+    return exchange.by_bucket(partial, id_col, sum_bucket,
+                              batch_format="pandas")
 
 
 def ngram_pos_rows(docs: "ray.data.Dataset", text_col: str = "text",
@@ -1087,7 +1035,6 @@ def ngram_pos_rows(docs: "ray.data.Dataset", text_col: str = "text",
 def exact_substring_dedup(docs: "ray.data.Dataset",
                           text_col: str = "text",
                           id_col: str = "doc_id", n: int = 8,
-                          num_buckets: int | None = None,
                           keep_first: bool = False
                           ) -> "ray.data.Dataset":
     """ExactSubstr dedup (Lee et al. 2022, "Deduplicating Training
@@ -1114,17 +1061,9 @@ def exact_substring_dedup(docs: "ray.data.Dataset",
     its dup-position lists (text moves exactly once). Tokenization is
     single-space split with empties dropped — reproducible in SQL, so
     the whole rewrite is DuckDB-oracle-checkable."""
-    from .dedup import default_num_buckets, _stable_bucket
     from .joins import hash_join
 
-    if num_buckets is None:
-        num_buckets = default_num_buckets(32)
-
     rows = ngram_pos_rows(docs, text_col=text_col, id_col=id_col, n=n)
-
-    def add_gbucket(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "_bkt", _stable_bucket(batch.column("ghash"), num_buckets))
 
     def keep_dups(g: pd.DataFrame) -> pd.DataFrame:
         cnt = g["ghash"].map(g["ghash"].value_counts())
@@ -1137,14 +1076,8 @@ def exact_substring_dedup(docs: "ray.data.Dataset",
             d = d.loc[d["ghash"].duplicated()]
         return d[[id_col, "pos"]]
 
-    dup_pos = (rows.map_batches(add_gbucket, batch_format="pyarrow",
-                                zero_copy_batch=True)
-               .groupby("_bkt").map_groups(keep_dups,
-                                           batch_format="pandas"))
-
-    def add_dbucket(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "_bkt", _stable_bucket(batch.column(id_col), num_buckets))
+    dup_pos = exchange.by_bucket(rows, "ghash", keep_dups,
+                                 batch_format="pandas")
 
     def pack_lists(g: pa.Table) -> pa.Table:
         ids = g.column(id_col).to_numpy(zero_copy_only=False)
@@ -1160,14 +1093,11 @@ def exact_substring_dedup(docs: "ray.data.Dataset",
                 pa.array(pos.astype(np.int64))),
         })
 
-    pos_lists = (dup_pos.map_batches(add_dbucket, batch_format="pyarrow",
-                                     zero_copy_batch=True)
-                 .groupby("_bkt").map_groups(pack_lists,
-                                             batch_format="pyarrow"))
+    pos_lists = exchange.by_bucket(dup_pos, id_col, pack_lists)
 
     joined = hash_join(
         docs.select_columns([id_col, text_col]), pos_lists,
-        id_col, id_col, num_buckets=num_buckets, how="left",
+        id_col, id_col, how="left",
         right_schema=pa.schema([(id_col, pa.int64()),
                                 ("_dup_pos", pa.list_(pa.int64()))]))
 
@@ -1245,8 +1175,7 @@ def _deletion_variants(s: str, k: int) -> set:
 
 
 def symspell_match_pairs(ds: "ray.data.Dataset", id_col: str,
-                         string_col: str, max_dist: int = 1,
-                         num_buckets: int | None = None
+                         string_col: str, max_dist: int = 1
                          ) -> "ray.data.Dataset":
     """All pairs (id_a < id_b) whose strings are within Levenshtein
     distance ``max_dist`` — short-string record linkage (entity names,
@@ -1266,12 +1195,8 @@ def symspell_match_pairs(ds: "ray.data.Dataset", id_col: str,
     """
     import pandas as pd
 
-    from .dedup import _stable_bucket, default_num_buckets
-
     if max_dist not in (1, 2):
         raise ValueError("max_dist must be 1 or 2")
-    if num_buckets is None:
-        num_buckets = default_num_buckets(32)
 
     def explode_variants(batch: pa.Table) -> pa.Table:
         ids = batch.column(id_col).to_numpy(zero_copy_only=False)
@@ -1284,11 +1209,9 @@ def symspell_match_pairs(ds: "ray.data.Dataset", id_col: str,
                 out_v.append(v)
                 out_i.append(int(i))
                 out_s.append(s)
-        t = pa.table({"_variant": pa.array(out_v, pa.string()),
-                      id_col: pa.array(out_i, pa.int64()),
-                      string_col: pa.array(out_s, pa.string())})
-        return t.append_column(
-            "_vb", _stable_bucket(t.column("_variant"), num_buckets))
+        return pa.table({"_variant": pa.array(out_v, pa.string()),
+                         id_col: pa.array(out_i, pa.int64()),
+                         string_col: pa.array(out_s, pa.string())})
 
     def bucket_pairs(g: pd.DataFrame) -> pd.DataFrame:
         # within each variant value: unique (id, s), all ordered pairs
@@ -1311,10 +1234,10 @@ def symspell_match_pairs(ds: "ray.data.Dataset", id_col: str,
         # in-bucket dedup: the same pair recurs across variants
         return out.drop_duplicates(["id_a", "id_b"])
 
-    cands = (ds.map_batches(explode_variants, batch_format="pyarrow",
-                            zero_copy_batch=True)
-             .groupby("_vb")
-             .map_groups(bucket_pairs, batch_format="pandas"))
+    cands = exchange.by_bucket(
+        ds.map_batches(explode_variants, batch_format="pyarrow",
+                       zero_copy_batch=True),
+        "_variant", bucket_pairs, batch_format="pandas")
 
     def verify(g: pd.DataFrame) -> pd.DataFrame:
         g = g.drop_duplicates(["id_a", "id_b"])  # cross-bucket dedup
@@ -1325,11 +1248,7 @@ def symspell_match_pairs(ds: "ray.data.Dataset", id_col: str,
 
     # second tiny groupby: distinct pairs across variant buckets, then
     # one exact verify per pair
-    cands = cands.map_batches(
-        lambda b: b.append_column(
-            "_pb", _stable_bucket(b.column("id_a"), num_buckets)),
-        batch_format="pyarrow", zero_copy_batch=True)
-    out = cands.groupby("_pb").map_groups(verify, batch_format="pandas")
+    out = exchange.by_bucket(cands, "id_a", verify, batch_format="pandas")
 
     def typed(t: pd.DataFrame) -> pa.Table:
         return pa.table({
@@ -1343,8 +1262,7 @@ def symspell_match_pairs(ds: "ray.data.Dataset", id_col: str,
     # otherwise (same guard as the minhash family above).
     from .dedup import materialize_rebased
     out = materialize_rebased(out.map_batches(typed,
-                                              batch_format="pandas"),
-                              num_blocks=min(num_buckets, 32))
+                                              batch_format="pandas"))
     if out.count() == 0:
         import ray.data
         return ray.data.from_arrow(pa.schema(
@@ -1364,8 +1282,7 @@ def contamination_counts(train: "ray.data.Dataset",
                          id_col: str = "doc_id",
                          eval_text_col: str | None = None,
                          n: int = 13,
-                         max_broadcast: int = 2_000_000,
-                         num_buckets: int | None = None
+                         max_broadcast: int = 2_000_000
                          ) -> "ray.data.Dataset":
     """(doc_id, n_contaminated): per TRAIN doc, how many of its distinct
     word ``n``-grams also occur anywhere in ``eval_ds`` — docs with zero
@@ -1392,15 +1309,12 @@ def contamination_counts(train: "ray.data.Dataset",
     """
     import ray
 
-    from .dedup import _stable_bucket, default_num_buckets, hash_bucketed_distinct
-
-    if num_buckets is None:
-        num_buckets = default_num_buckets(32)
+    from .dedup import hash_bucketed_distinct
 
     tg = ngram_doc_rows(train, text_col=text_col, id_col=id_col, n=n)
     eg = ngram_doc_rows(eval_ds, text_col=eval_text_col or text_col,
                         id_col=id_col, n=n).select_columns(["ghash"])
-    eg = hash_bucketed_distinct(eg, ["ghash"], num_buckets=num_buckets)
+    eg = hash_bucketed_distinct(eg, ["ghash"])
     n_eval = eg.count()
 
     empty = pa.table({id_col: pa.array([], pa.int64()),
@@ -1433,20 +1347,13 @@ def contamination_counts(train: "ray.data.Dataset",
                                  batch_size=8192, concurrency=(1, 8),
                                  zero_copy_batch=True)
     else:
-        def tag_train(batch: pa.Table) -> pa.Table:
-            return batch.append_column(
-                "_bkt", _stable_bucket(batch.column("ghash"), num_buckets))
-
-        def tag_eval(batch: pa.Table) -> pa.Table:
+        def pad_eval(batch: pa.Table) -> pa.Table:
             return pa.table({
                 "ghash": batch.column("ghash"),
-                id_col: pa.nulls(batch.num_rows, pa.int64()),
-                "_bkt": _stable_bucket(batch.column("ghash"), num_buckets)})
+                id_col: pa.nulls(batch.num_rows, pa.int64())})
 
-        both = (tg.map_batches(tag_train, batch_format="pyarrow",
-                               zero_copy_batch=True)
-                .union(eg.map_batches(tag_eval, batch_format="pyarrow",
-                                      zero_copy_batch=True)))
+        both = tg.union(eg.map_batches(pad_eval, batch_format="pyarrow",
+                                       zero_copy_batch=True))
 
         def semi_bucket(g: pd.DataFrame) -> pd.DataFrame:
             ev = g[id_col].isna()
@@ -1456,17 +1363,12 @@ def contamination_counts(train: "ray.data.Dataset",
             out.columns = [id_col, "n_contaminated"]
             return out
 
-        partial = both.groupby("_bkt").map_groups(semi_bucket,
-                                                  batch_format="pandas")
-
-    def add_doc_bucket(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "_bkt2", _stable_bucket(batch.column(id_col), num_buckets))
+        partial = exchange.by_bucket(both, "ghash", semi_bucket,
+                                     batch_format="pandas")
 
     def sum_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        out = g.groupby(id_col, sort=True, as_index=False)[
+        return g.groupby(id_col, sort=True, as_index=False)[
             "n_contaminated"].sum()
-        return out
 
     def typed(t: pd.DataFrame) -> pa.Table:
         if not len(t):
@@ -1476,7 +1378,6 @@ def contamination_counts(train: "ray.data.Dataset",
             "n_contaminated": pa.array(
                 t["n_contaminated"].to_numpy(np.int64), pa.int64())})
 
-    return (partial.map_batches(add_doc_bucket, batch_format="pyarrow",
-                                zero_copy_batch=True)
-            .groupby("_bkt2").map_groups(sum_bucket, batch_format="pandas")
+    return (exchange.by_bucket(partial, id_col, sum_bucket,
+                               batch_format="pandas")
             .map_batches(typed, batch_format="pandas"))

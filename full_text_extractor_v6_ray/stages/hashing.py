@@ -1,12 +1,13 @@
-"""Version-independent vectorized 64-bit hashing — the bucket contract.
+"""Version-independent vectorized 64-bit hashing.
 
-Bucket identity is the co-partitioning contract for joins, keyed dedup,
-sessionization and HLL register merges: every worker MUST compute the
-same hash for the same key, or keyed reduces silently drop/duplicate
-rows with no error. Library hashes (polars ``Series.hash``, pandas
-``hash_array``) are documented as unstable across library versions and
-may be absent on a misconfigured worker — so the hash is pinned here to
-a pure-numpy implementation defined entirely by this file:
+``stages/exchange.py`` buckets every keyed exchange (joins, keyed dedup,
+windows, group aggregates) with ``hash64``, and HLL register merges use
+it too: every worker MUST compute the same hash for the same key, or
+keyed reduces silently drop/duplicate rows with no error. Library
+hashes (polars ``Series.hash``, pandas ``hash_array``) are documented
+as unstable across library versions and may be absent on a
+misconfigured worker — so the hash is pinned here to a pure-numpy
+implementation defined entirely by this file:
 
   - bytes/strings: polynomial byte hash (FNV-prime base, arithmetic mod
     2^64 via natural uint64 wraparound) + length mix + splitmix64

@@ -2,9 +2,11 @@
 
   - ``hash_join``: the partitioned equi-join (inner, left, full outer,
     semi, anti; one key column or several). Both sides get ``bucket =
-    hash(key) % B``, a side tag and typed-null padding to the union
-    schema; ONE groupby-bucket exchange moves each row once; B bounds
-    per-task memory (raise it to dilute hot keys). Inside a bucket the
+    exchange.bucket_ids(key)``, a side tag and typed-null padding to the
+    union schema; ONE groupby-bucket exchange moves each row once. The
+    bucket count (``exchange.bucket_count``) bounds per-task memory for
+    spread keys, never for a hot one: one key always lands in one bucket
+    (``skew_hash_join`` handles hot keys). Inside a bucket the
     kernel matches row INDICES with ``pa.Table.join`` over slim tables
     (the key columns plus an int64 row index) and ``take``s the payload,
     so every dtype (int64 above 2^53, uint64, lists, structs) leaves
@@ -15,8 +17,8 @@
     ``bloom_hash_join`` build on the same exchange and kernel.
 
 Partitioning assumption: equal keys land in equal buckets — guaranteed
-by the shared version-independent hash (stages/hashing.py) on both
-sides, with both sides' keys cast to the left key types before hashing.
+by ``exchange.bucket_ids`` on both sides, with both sides' keys cast to
+the left key types before hashing.
 
 Why not Ray's native ``Dataset.join``: Ray 2.49 has every join type used
 here, but its hash-shuffle join starts a pool of aggregator actors sized
@@ -34,10 +36,9 @@ import pyarrow.compute as pc
 
 import ray.data
 
-from .dedup import default_num_buckets
+from . import exchange
 
 _SIDE = "__side"
-_BUCKET = "__jbucket"
 # hash_join's ``how`` -> Acero join type
 _JOIN_TYPES = {"inner": "inner", "left": "left outer",
                "outer": "full outer", "semi": "left semi",
@@ -71,15 +72,14 @@ def _concat(a: pa.Table, b: pa.Table) -> pa.Table:
 
 def _exchange(left: "ray.data.Dataset", right: "ray.data.Dataset",
               lkeys: list[str], rkeys: list[str],
-              ls: pa.Schema, rs: pa.Schema, num_buckets: int | None,
+              ls: pa.Schema, rs: pa.Schema,
               per_bucket) -> "ray.data.Dataset":
     """ONE bucketed exchange of both sides: the key columns of both are
     cast to the left key types of ``ls`` (Acero joins equal types only),
     both sides bucket on the key hash and pad to one union schema (left
     columns, then right-only ones; the other side's as typed nulls), and
     ``per_bucket(left rows, right rows)`` runs once per bucket."""
-    if num_buckets is None:
-        num_buckets = default_num_buckets(32)
+    buckets = exchange.bucket_count()
     types = [ls.field(k).type for k in lkeys]
     lcast, rcast = dict(zip(lkeys, types)), dict(zip(rkeys, types))
     rs = pa.schema([(n, rcast.get(n, t))
@@ -97,8 +97,8 @@ def _exchange(left: "ray.data.Dataset", right: "ray.data.Dataset",
                 [t.column(c) if c in own.names else pa.nulls(n, union[c])
                  for c in names]
                 + [pa.array(np.full(n, side, np.int8)),
-                   _stable_bucket_multi(t, keys, num_buckets)],
-                names=names + [_SIDE, _BUCKET])
+                   exchange.bucket_ids(t, keys, buckets)],
+                names=names + [_SIDE, exchange.BUCKET])
 
         return fn
 
@@ -112,8 +112,8 @@ def _exchange(left: "ray.data.Dataset", right: "ray.data.Dataset",
         return per_bucket(g.filter(lmask).select(ls.names),
                           g.filter(pc.invert(lmask)).select(rs.names))
 
-    return lt.union(rt).groupby(_BUCKET).map_groups(run,
-                                                    batch_format="pyarrow")
+    return lt.union(rt).groupby(exchange.BUCKET).map_groups(
+        run, batch_format="pyarrow")
 
 
 def _join_tables(lt: pa.Table, rt: pa.Table, lkeys: list[str],
@@ -149,7 +149,7 @@ def _join_tables(lt: pa.Table, rt: pa.Table, lkeys: list[str],
 
 def hash_join(left: "ray.data.Dataset", right: "ray.data.Dataset",
               on: str | list[str], right_on: str | list[str] | None = None,
-              how: str = "inner", num_buckets: int | None = None,
+              how: str = "inner",
               left_schema: pa.Schema | None = None,
               right_schema: pa.Schema | None = None) -> "ray.data.Dataset":
     """Partitioned hash join of ``left.on`` = ``right.right_on``
@@ -170,7 +170,6 @@ def hash_join(left: "ray.data.Dataset", right: "ray.data.Dataset",
     Null keys never match (SQL equality). Semi and anti ship only the
     right keys, deduped per batch (the combiner that bounds hot-key
     traffic at O(batches)), and never probe the right schema.
-    ``num_buckets=None`` scales with the cluster (4 x CPUs, min 32).
 
     ``left_schema``/``right_schema``: pass ``pa.schema(...)`` to skip
     the ``ds.schema()`` probe. The probe triggers PARTIAL EXECUTION of
@@ -201,7 +200,7 @@ def hash_join(left: "ray.data.Dataset", right: "ray.data.Dataset",
         if clash:
             raise ValueError(f"hash_join: columns on both sides: "
                              f"{sorted(clash)}")
-    return _exchange(left, right, lkeys, rkeys, ls, rs, num_buckets,
+    return _exchange(left, right, lkeys, rkeys, ls, rs,
                      lambda lg, rg: _join_tables(lg, rg, lkeys, rkeys, how))
 
 
@@ -314,24 +313,10 @@ def filter_to_keys(ds: "ray.data.Dataset",
     return hash_join(ds, keys, key, how="semi", left_schema=left_schema)
 
 
-def _stable_bucket_multi(batch: pa.Table, keys: list[str],
-                         num_buckets: int) -> pa.Array:
-    """Deterministic bucket over a (composite) key: per-column stable
-    hash64, splitmix-remixed pairwise so (a, b) and (b, a) land
-    differently — for one key exactly ``dedup._stable_bucket``, the
-    same version-independence contract."""
-    from .hashing import hash64, splitmix64
-
-    h = hash64(batch.column(keys[0]))
-    for k in keys[1:]:
-        h = splitmix64(h ^ hash64(batch.column(k)))
-    return pa.array((h % np.uint64(num_buckets)).astype(np.int64))
-
-
 def range_join(left: "ray.data.Dataset", right: "ray.data.Dataset",
                key_left: str, key_right: str,
-               ts_left: str, start_right: str, end_right: str,
-               num_buckets: int | None = None) -> "ray.data.Dataset":
+               ts_left: str, start_right: str, end_right: str
+               ) -> "ray.data.Dataset":
     """Range (interval) join: each left row matched to every right row of
     the same key whose interval contains it —
     ``start_right <= ts_left < end_right``. Inner join (non-matching left
@@ -349,8 +334,7 @@ def range_join(left: "ray.data.Dataset", right: "ray.data.Dataset",
             pc.greater_equal(ts, batch.column(start_right)),
             pc.less(ts, batch.column(end_right))))
 
-    return hash_join(left, right, key_left, key_right,
-                     num_buckets=num_buckets).map_batches(
+    return hash_join(left, right, key_left, key_right).map_batches(
         within, batch_format="pyarrow", zero_copy_batch=True)
 
 
@@ -366,8 +350,7 @@ def _asof_on(col: pa.ChunkedArray, typ: pa.DataType) -> pa.Array:
 
 def asof_join(left: "ray.data.Dataset", right: "ray.data.Dataset",
               key_left: str, key_right: str,
-              ts_left: str, ts_right: str,
-              num_buckets: int | None = None) -> "ray.data.Dataset":
+              ts_left: str, ts_right: str) -> "ray.data.Dataset":
     """As-of join: latest right row with ts_right <= ts_left per key.
 
     Output = left columns + right columns minus ``key_right`` and
@@ -395,12 +378,11 @@ def asof_join(left: "ray.data.Dataset", right: "ray.data.Dataset",
                        rg.select(rvals).take(m.column("__ri")))
 
     return _exchange(left, right, [key_left], [key_right], ls, rs,
-                     num_buckets, per_bucket)
+                     per_bucket)
 
 
 def skew_hash_join(left: "ray.data.Dataset", right: "ray.data.Dataset",
                    left_key: str, right_key: str,
-                   num_buckets: int | None = None,
                    sample_frac: float = 0.05,
                    hot_min_samples: int = 8,
                    max_hot_keys: int = 64,
@@ -438,8 +420,7 @@ def skew_hash_join(left: "ray.data.Dataset", right: "ray.data.Dataset",
 
     if hot.size == 0:
         return hash_join(left, right, left_key, right_key,
-                         num_buckets=num_buckets, left_schema=ls,
-                         right_schema=rs)
+                         left_schema=ls, right_schema=rs)
 
     def keep(batch: pa.Table, key: str, invert: bool) -> pa.Table:
         k = batch.column(key).to_numpy(zero_copy_only=False).astype(np.int64)
@@ -468,8 +449,7 @@ def skew_hash_join(left: "ray.data.Dataset", right: "ray.data.Dataset",
     right_cold = right.map_batches(lambda b: keep(b, right_key, True),
                                    batch_format="pyarrow")
     cold_joined = hash_join(left_cold, right_cold, left_key, right_key,
-                            num_buckets=num_buckets, left_schema=ls,
-                            right_schema=rs)
+                            left_schema=ls, right_schema=rs)
     return hot_joined.union(cold_joined)
 
 
@@ -521,8 +501,7 @@ class BloomFilter:
 
 def bloom_hash_join(left: "ray.data.Dataset", right: "ray.data.Dataset",
                     left_key: str, right_key: str,
-                    n_bits: int = 1 << 20,
-                    num_buckets: int | None = None) -> "ray.data.Dataset":
+                    n_bits: int = 1 << 20) -> "ray.data.Dataset":
     """Bloom-pre-filtered inner hash join (the classic bloom join).
 
     The build side's keys fold into per-block Bloom bitmaps (one
@@ -556,5 +535,4 @@ def bloom_hash_join(left: "ray.data.Dataset", right: "ray.data.Dataset",
 
     slim = left.map_batches(prefilter, batch_format="pyarrow",
                             batch_size=8192)
-    return hash_join(slim, right, left_key, right_key,
-                     num_buckets=num_buckets)
+    return hash_join(slim, right, left_key, right_key)

@@ -65,7 +65,6 @@ def _doc_pairs(batch: pa.Table, id_col: str, text_col: str) -> pa.Table:
 def bigram_logprob(docs: "ray.data.Dataset", id_col: str = "doc_id",
                    text_col: str = "text", lam: float = 0.7,
                    ndigits: int = 6,
-                   num_buckets: int | None = None,
                    broadcast_scores_max: int = 4_000_000
                    ) -> "ray.data.Dataset":
     """(doc_id, n_pairs, avg_logprob): mean interpolated bigram
@@ -93,7 +92,7 @@ def bigram_logprob(docs: "ray.data.Dataset", id_col: str = "doc_id",
     bi = bucketed_group_sum(
         slim.map_batches(bi_partial, batch_format="pyarrow",
                          zero_copy_batch=True),
-        "bigram", ["c12"], num_buckets=num_buckets)
+        "bigram", ["c12"])
 
     # 2. unigram counts; T is a tiny driver-side reduction. The table
     # is vocab-scale and feeds THREE consumers (total, c1 side, c2
@@ -127,11 +126,9 @@ def bigram_logprob(docs: "ray.data.Dataset", id_col: str = "doc_id",
     bi_keyed = bi.map_batches(split_key, batch_format="pyarrow",
                               zero_copy_batch=True)
     j1 = hash_join(bi_keyed, uni1, "w1", "tok1",
-                   num_buckets=num_buckets,
                    left_schema=bi_schema, right_schema=uni1_schema)
     j1_schema = bi_schema.append(pa.field("c1", pa.int64()))
     j2 = hash_join(j1, uni2, "w2", "tok2",
-                   num_buckets=num_buckets,
                    left_schema=j1_schema, right_schema=uni2_schema)
 
     def score_bigram(batch: pa.Table) -> pa.Table:
@@ -221,7 +218,6 @@ def bigram_logprob(docs: "ray.data.Dataset", id_col: str = "doc_id",
                                    zero_copy_batch=True)
     else:
         scored = hash_join(pairs, scores_mat, "bhash", "kbhash",
-                           num_buckets=num_buckets,
                            left_schema=pairs_schema,
                            right_schema=score_schema)
 
@@ -248,6 +244,6 @@ def bigram_logprob(docs: "ray.data.Dataset", id_col: str = "doc_id",
     return (bucketed_group_sum(
                 scored.map_batches(doc_partial, batch_format="pyarrow",
                                    zero_copy_batch=True),
-                id_col, ["_slp", "_n"], num_buckets=num_buckets)
+                id_col, ["_slp", "_n"])
             .map_batches(finish, batch_format="pyarrow",
                          zero_copy_batch=True))

@@ -23,7 +23,7 @@ Partitioning assumption (documented per the briefing): the order key is
 integer and roughly uniform over its [min, max] span, so fixed-width
 ranges balance; raise ``num_ranges`` to dilute skewed id spaces. A
 single range's rows must fit in one task — num_ranges scales with the
-cluster (default 4×CPUs via ``default_num_buckets``).
+cluster (default ``exchange.bucket_count()``).
 """
 
 from __future__ import annotations
@@ -33,9 +33,11 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .dedup import default_num_buckets
+from . import exchange
 
 _RANGE = "__psrange"
+# part of every first_fit_pack bin id, so fixed, never cluster-scaled
+_PACK_PARTITIONS = 32
 
 
 def ordered_prefix_sum(ds: "ray.data.Dataset", order_col: str,
@@ -57,7 +59,7 @@ def ordered_prefix_sum(ds: "ray.data.Dataset", order_col: str,
     from ray.data.aggregate import Max, Min
 
     if num_ranges is None:
-        num_ranges = default_num_buckets(32)
+        num_ranges = exchange.bucket_count()
 
     bounds = ds.aggregate(Min(order_col, alias_name="lo"),
                           Max(order_col, alias_name="hi"))
@@ -135,7 +137,7 @@ def grouped_prefix_sum(ds: "ray.data.Dataset", part_col: str,
     from ray.data.aggregate import Max, Min, Sum
 
     if num_ranges is None:
-        num_ranges = default_num_buckets(32)
+        num_ranges = exchange.bucket_count()
 
     bounds = ds.aggregate(Min(order_col, alias_name="lo"),
                           Max(order_col, alias_name="hi"))
@@ -302,8 +304,8 @@ def chunk_slices(docs: "ray.data.Dataset", id_col: str = "doc_id",
 
 
 def first_fit_pack(docs: "ray.data.Dataset", id_col: str = "doc_id",
-                   text_col: str = "text", ctx: int = 2048,
-                   num_buckets: int | None = None) -> "ray.data.Dataset":
+                   text_col: str = "text", ctx: int = 2048
+                   ) -> "ray.data.Dataset":
     """First-fit-decreasing bin packing of whole documents into
     ``ctx``-token bins — the no-document-splitting packing flavor
     (contrast ``chunk_assignment``, which concatenates and cuts).
@@ -311,18 +313,17 @@ def first_fit_pack(docs: "ray.data.Dataset", id_col: str = "doc_id",
     (n_tok > ctx) get a dedicated bin each.
 
     FFD is inherently sequential, so bins are scoped PER HASH
-    PARTITION: docs hash-bucket on id (one shuffle), each bucket packs
-    independently with FFD, and bin ids namespace as
-    bucket·2^40 + local_bin. Packing quality equals single-node FFD
-    within each bucket (≥ (11/9)OPT per bucket); global bin count is
-    at most ``num_buckets``−1 bins worse than packing the whole corpus
-    in one sequence — the price of parallelism, documented. The
-    per-doc Python loop is confined to bucket tasks (the operator is a
-    combinatorial assignment, not a numeric kernel)."""
-    from .dedup import _stable_bucket
-
-    if num_buckets is None:
-        num_buckets = default_num_buckets(32)
+    PARTITION: each doc falls in one of ``_PACK_PARTITIONS`` (32)
+    partitions by ``exchange.bucket_ids`` of its id, the keyed exchange
+    co-locates each partition, each partition packs independently with
+    FFD, and bin ids namespace as partition·2^40 + local_bin. The
+    partition count is fixed, so the bins do not depend on the cluster
+    size. Packing quality equals single-node FFD within each partition
+    (≥ (11/9)OPT per partition); global bin count is at most 31 bins
+    worse than packing the whole corpus in one sequence — the price of
+    parallelism, documented. The per-doc Python loop is confined to
+    exchange tasks (the operator is a combinatorial assignment, not a
+    numeric kernel)."""
 
     def count_tokens(batch: pa.Table) -> pa.Table:
         n = pc.count_substring_regex(
@@ -331,12 +332,11 @@ def first_fit_pack(docs: "ray.data.Dataset", id_col: str = "doc_id",
             id_col: batch.column(id_col),
             "n_tok": pc.cast(n, pa.int64()),
         })
-        return t.append_column(
-            "_pbucket", _stable_bucket(t.column(id_col), num_buckets))
+        return t.append_column("_part", exchange.bucket_ids(
+            t, [id_col], _PACK_PARTITIONS))
 
-    def pack(g: pd.DataFrame) -> pd.DataFrame:
-        bucket = int(g["_pbucket"].iloc[0])
-        base = bucket << 40
+    def pack_partition(part: int, g: pd.DataFrame) -> pd.DataFrame:
+        base = part << 40
         g = g.sort_values(["n_tok", id_col], ascending=[False, True],
                           kind="mergesort")
         n = g["n_tok"].to_numpy()
@@ -367,17 +367,21 @@ def first_fit_pack(docs: "ray.data.Dataset", id_col: str = "doc_id",
             "oversize": oversize,
         })
 
-    return (docs.select_columns([id_col, text_col])
-            .map_batches(count_tokens, batch_format="pyarrow",
-                         zero_copy_batch=True)
-            .groupby("_pbucket")
-            .map_groups(pack, batch_format="pandas"))
+    def pack(g: pd.DataFrame) -> pd.DataFrame:
+        return pd.concat([pack_partition(int(p), pg)
+                          for p, pg in g.groupby("_part", sort=True)],
+                         ignore_index=True)
+
+    return exchange.by_bucket(
+        docs.select_columns([id_col, text_col])
+        .map_batches(count_tokens, batch_format="pyarrow",
+                     zero_copy_batch=True),
+        "_part", pack, batch_format="pandas")
 
 
 def packed_chunk_text(docs: "ray.data.Dataset", id_col: str = "doc_id",
                       text_col: str = "text", ctx: int = 2048,
-                      num_ranges: int | None = None,
-                      num_buckets: int | None = None
+                      num_ranges: int | None = None
                       ) -> "ray.data.Dataset":
     """Materialize the packed training chunks themselves: one row per
     context window — (chunk_id, text, n_tok) — where ``text`` is the
@@ -399,7 +403,7 @@ def packed_chunk_text(docs: "ray.data.Dataset", id_col: str = "doc_id",
                           num_ranges=num_ranges)
     joined = hash_join(
         slices, docs.select_columns([id_col, text_col]),
-        id_col, id_col, num_buckets=num_buckets,
+        id_col, id_col,
         left_schema=pa.schema([("chunk_id", pa.int64()),
                                (id_col, pa.int64()),
                                ("doc_from", pa.int64()),
@@ -434,15 +438,6 @@ def packed_chunk_text(docs: "ray.data.Dataset", id_col: str = "doc_id",
             "_slice_tok": pa.array((hi - lo).astype(np.int64)),
         })
 
-    from .dedup import _stable_bucket
-
-    if num_buckets is None:
-        num_buckets = default_num_buckets(32)
-
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "_bkt", _stable_bucket(batch.column("chunk_id"), num_buckets))
-
     def assemble(g: pd.DataFrame) -> pd.DataFrame:
         # one vectorized pandas groupby per BUCKET (not per chunk):
         # O(buckets) python frames, O(chunks) cheap str joins
@@ -452,12 +447,10 @@ def packed_chunk_text(docs: "ray.data.Dataset", id_col: str = "doc_id",
                      n_tok=("_slice_tok", "sum"))
                 .reset_index()[["chunk_id", "text", "n_tok"]])
 
-    return (joined.map_batches(cut, batch_format="pyarrow",
-                               zero_copy_batch=True)
-            .map_batches(add_bucket, batch_format="pyarrow",
-                         zero_copy_batch=True)
-            .groupby("_bkt")
-            .map_groups(assemble, batch_format="pandas"))
+    return exchange.by_bucket(
+        joined.map_batches(cut, batch_format="pyarrow",
+                           zero_copy_batch=True),
+        "chunk_id", assemble, batch_format="pandas")
 
 
 def iter_training_batches(chunks: "ray.data.Dataset",

@@ -32,40 +32,31 @@ import pyarrow as pa
 
 import ray.data
 
-from .dedup import _stable_bucket, default_num_buckets, materialize_rebased
-
-_BUCKET = "__prbucket"
+from . import exchange
+from .dedup import hash_bucketed_distinct, materialize_rebased
 
 
 def _distinct_nodes(edges: "ray.data.Dataset", src_col: str,
-                    dst_col: str, num_buckets: int) -> "ray.data.Dataset":
+                    dst_col: str) -> "ray.data.Dataset":
     """(node,) distinct union of both edge endpoints — map-side local
-    distinct, one bucketed shuffle, vectorized per-bucket dedup."""
+    distinct, then ``hash_bucketed_distinct``."""
 
     def endpoints(batch: pa.Table) -> pa.Table:
         col = pa.concat_arrays([
             batch.column(src_col).combine_chunks().cast(pa.large_string()),
             batch.column(dst_col).combine_chunks().cast(pa.large_string()),
         ])
-        uniq = col.unique()
-        return pa.table({
-            "node": uniq,
-            _BUCKET: _stable_bucket(uniq, num_buckets),
-        })
+        return pa.table({"node": col.unique()})
 
-    def bucket_distinct(g: pd.DataFrame) -> pd.DataFrame:
-        return g.drop_duplicates(["node"]).drop(columns=_BUCKET)
-
-    return (edges.map_batches(endpoints, batch_format="pyarrow",
-                              zero_copy_batch=True)
-            .groupby(_BUCKET).map_groups(bucket_distinct,
-                                         batch_format="pandas"))
+    return hash_bucketed_distinct(
+        edges.map_batches(endpoints, batch_format="pyarrow",
+                          zero_copy_batch=True), ["node"])
 
 
 def pagerank(edges: "ray.data.Dataset", src_col: str = "src",
              dst_col: str = "dst", damping: float = 0.85,
-             n_iter: int = 10, num_buckets: int | None = None,
-             spill_dir: str | None = None) -> "ray.data.Dataset":
+             n_iter: int = 10, spill_dir: str | None = None
+             ) -> "ray.data.Dataset":
     """(node, rank) after ``n_iter`` damped power iterations.
 
     Handles dangling nodes (no out-links) by redistributing their mass
@@ -75,8 +66,7 @@ def pagerank(edges: "ray.data.Dataset", src_col: str = "src",
     """
     from .joins import hash_join
 
-    if num_buckets is None:
-        num_buckets = default_num_buckets(32)
+    blocks = exchange.bucket_count()
 
     def norm_edges(batch: pa.Table) -> pa.Table:
         return pa.table({
@@ -86,9 +76,9 @@ def pagerank(edges: "ray.data.Dataset", src_col: str = "src",
 
     e = edges.map_batches(norm_edges, batch_format="pyarrow",
                           zero_copy_batch=True)
-    e = materialize_rebased(e, num_blocks=num_buckets, spill_dir=spill_dir)
+    e = materialize_rebased(e, num_blocks=blocks, spill_dir=spill_dir)
 
-    nodes = _distinct_nodes(e, "src", "dst", num_buckets)
+    nodes = _distinct_nodes(e, "src", "dst")
 
     def outdeg_partial(batch: pa.Table) -> pa.Table:
         src = batch.column("src")
@@ -96,20 +86,14 @@ def pagerank(edges: "ray.data.Dataset", src_col: str = "src",
         return pa.table({"node2": counts.field("values"),
                          "outdeg": counts.field("counts").cast(pa.int64())})
 
-    def odeg_bucket(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            _BUCKET, _stable_bucket(batch.column("node2"), num_buckets))
-
     def odeg_reduce(g: pd.DataFrame) -> pd.DataFrame:
         return (g.groupby("node2", sort=False, as_index=False)["outdeg"]
                 .sum())
 
-    outdeg = (e.map_batches(outdeg_partial, batch_format="pyarrow",
-                            zero_copy_batch=True)
-              .map_batches(odeg_bucket, batch_format="pyarrow",
-                           zero_copy_batch=True)
-              .groupby(_BUCKET).map_groups(odeg_reduce,
-                                           batch_format="pandas"))
+    outdeg = exchange.by_bucket(
+        e.map_batches(outdeg_partial, batch_format="pyarrow",
+                      zero_copy_batch=True),
+        "node2", odeg_reduce, batch_format="pandas")
 
     n_nodes = nodes.count()
     if n_nodes == 0:
@@ -119,8 +103,7 @@ def pagerank(edges: "ray.data.Dataset", src_col: str = "src",
     r0 = round(1.0 / n_nodes, 12)
 
     # rank state: (node, rank, outdeg); outdeg 0 for sink-only nodes
-    ranks = hash_join(nodes, outdeg, "node", "node2",
-                      num_buckets=num_buckets, how="left")
+    ranks = hash_join(nodes, outdeg, "node", "node2", how="left")
 
     def init_rank(batch: pa.Table) -> pa.Table:
         deg = batch.column("outdeg").to_numpy(zero_copy_only=False)
@@ -132,7 +115,7 @@ def pagerank(edges: "ray.data.Dataset", src_col: str = "src",
         })
 
     ranks = ranks.map_batches(init_rank, batch_format="pyarrow")
-    ranks = materialize_rebased(ranks, num_blocks=num_buckets,
+    ranks = materialize_rebased(ranks, num_blocks=blocks,
                                 spill_dir=spill_dir)
 
     base = (1.0 - damping) / n_nodes
@@ -146,8 +129,7 @@ def pagerank(edges: "ray.data.Dataset", src_col: str = "src",
             batch_format="pyarrow").sum("d") or 0.0
         spread = damping * dang / n_nodes
 
-        contribs = hash_join(
-            e, ranks, "src", "node", num_buckets=num_buckets)
+        contribs = hash_join(e, ranks, "src", "node")
 
         def contrib_partial(batch: pa.Table) -> pa.Table:
             r = batch.column("rank").to_numpy(zero_copy_only=False)
@@ -158,22 +140,14 @@ def pagerank(edges: "ray.data.Dataset", src_col: str = "src",
                                        observed=True)["c"].sum()
             return pa.Table.from_pandas(df, preserve_index=False)
 
-        def in_bucket(batch: pa.Table) -> pa.Table:
-            return batch.append_column(
-                _BUCKET, _stable_bucket(batch.column("dst"), num_buckets))
-
         def in_reduce(g: pd.DataFrame) -> pd.DataFrame:
             return g.groupby("dst", sort=False, as_index=False)["c"].sum()
 
-        insum = (contribs.map_batches(contrib_partial,
-                                      batch_format="pyarrow")
-                 .map_batches(in_bucket, batch_format="pyarrow",
-                              zero_copy_batch=True)
-                 .groupby(_BUCKET).map_groups(in_reduce,
-                                              batch_format="pandas"))
+        insum = exchange.by_bucket(
+            contribs.map_batches(contrib_partial, batch_format="pyarrow"),
+            "dst", in_reduce, batch_format="pandas")
 
-        joined = hash_join(ranks, insum, "node", "dst",
-                           num_buckets=num_buckets, how="left")
+        joined = hash_join(ranks, insum, "node", "dst", how="left")
 
         def update(batch: pa.Table) -> pa.Table:
             c = batch.column("c").to_numpy(zero_copy_only=False)
@@ -186,7 +160,7 @@ def pagerank(edges: "ray.data.Dataset", src_col: str = "src",
             })
 
         ranks = joined.map_batches(update, batch_format="pyarrow")
-        ranks = materialize_rebased(ranks, num_blocks=num_buckets,
+        ranks = materialize_rebased(ranks, num_blocks=blocks,
                                     spill_dir=spill_dir)
 
     def final(batch: pa.Table) -> pa.Table:
@@ -242,8 +216,7 @@ def co_occurrence_edges(pairs: "ray.data.Dataset", group_col: str,
                              batch_format="pyarrow", zero_copy_batch=True)
 
 
-def triangle_count(edges: "ray.data.Dataset",
-                   num_buckets: int | None = None) -> int:
+def triangle_count(edges: "ray.data.Dataset") -> int:
     """Distributed triangle count over DISTINCT undirected edges with
     the (s1 < s2) orientation — each triangle a < b < c is counted
     exactly once: wedges (a<b, b<c) form by joining the edge list with
@@ -262,8 +235,6 @@ def triangle_count(edges: "ray.data.Dataset",
     e2 = edges.map_batches(
         lambda b: pa.table({"w_b2": b.column("s1"), "w_c": b.column("s2")}),
         batch_format="pyarrow", zero_copy_batch=True)
-    wedges = hash_join(e1, e2, "w_b", "w_b2", num_buckets=num_buckets)
-    closed = hash_join(
-        wedges, edges, ["w_a", "w_c"], ["s1", "s2"],
-        num_buckets=num_buckets)
+    wedges = hash_join(e1, e2, "w_b", "w_b2")
+    closed = hash_join(wedges, edges, ["w_a", "w_c"], ["s1", "s2"])
     return int(closed.count())

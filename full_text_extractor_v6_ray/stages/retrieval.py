@@ -28,7 +28,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .dedup import _stable_bucket, default_num_buckets
+from .exchange import by_bucket
 
 _STATS = ""  # impossible token for \S+ tokenization — marks stats rows
 
@@ -139,14 +139,11 @@ def bm25_topk(docs: "ray.data.Dataset", query_terms: list[str],
 
 
 def inverted_index(docs: "ray.data.Dataset", id_col: str = "doc_id",
-                   text_col: str = "text", min_df: int = 1,
-                   num_buckets: int | None = None) -> "ray.data.Dataset":
+                   text_col: str = "text", min_df: int = 1
+                   ) -> "ray.data.Dataset":
     """(term, df, postings, tfs): sorted doc-id posting list and
     matching term frequencies per corpus term. One term-key shuffle;
     posting lists assemble zero-copy from run offsets per bucket."""
-    if num_buckets is None:
-        num_buckets = default_num_buckets(32)
-
     def tf_partial(batch: pa.Table) -> pa.Table:
         text = pc.cast(batch.column(text_col), pa.string())
         toks = pc.split_pattern_regex(text, pattern=r"\s+")
@@ -156,9 +153,7 @@ def inverted_index(docs: "ray.data.Dataset", id_col: str = "doc_id",
                       "term": flat})
         t = t.filter(pc.not_equal(t["term"], ""))
         g = t.group_by([id_col, "term"]).aggregate([([], "count_all")])
-        g = g.rename_columns([id_col, "term", "tf"])
-        return g.append_column(
-            "_ibucket", _stable_bucket(g.column("term"), num_buckets))
+        return g.rename_columns([id_col, "term", "tf"])
 
     def assemble(t: pa.Table) -> pa.Table:
         t = t.take(pc.sort_indices(t, sort_keys=[
@@ -191,8 +186,7 @@ def inverted_index(docs: "ray.data.Dataset", id_col: str = "doc_id",
             out = out.filter(pc.greater_equal(out["df"], min_df))
         return out
 
-    return (docs.select_columns([id_col, text_col])
-            .map_batches(tf_partial, batch_format="pyarrow",
-                         zero_copy_batch=True)
-            .groupby("_ibucket")
-            .map_groups(assemble, batch_format="pyarrow"))
+    return by_bucket(docs.select_columns([id_col, text_col])
+                     .map_batches(tf_partial, batch_format="pyarrow",
+                                  zero_copy_batch=True),
+                     "term", assemble)

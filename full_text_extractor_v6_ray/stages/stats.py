@@ -12,7 +12,7 @@ users are hash-bucketed (ONE shuffle on the user key); inside a bucket
 every user's full history is local, so first-week assignment, week
 offsets and per-user distinctness are exact vectorized pandas; buckets
 emit per-(cohort_week, weeks_since) partial counts that a tiny
-groupby-sum combines. Python-call cost is O(num_buckets), never O(users).
+groupby-sum combines. Python-call cost is O(buckets), never O(users).
 """
 
 from __future__ import annotations
@@ -22,9 +22,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .dedup import _stable_bucket, default_num_buckets
-
-_BUCKET = "__bucket"
+from . import exchange
 
 
 def grouped_corr(ds: "ray.data.Dataset", key: str, x: str, y: str,
@@ -129,7 +127,7 @@ def tfidf_top_terms(docs: "ray.data.Dataset", doc_col: str = "doc_id",
     ``spill_dir``: the intermediate becomes a parquet checkpoint on
     (shared) storage instead of pinning token-scale blocks in the object
     store, and ``num_blocks`` (default: cluster-scaled via
-    ``default_num_buckets``, never a fixed 32) keeps downstream
+    ``exchange.bucket_count``, never a fixed 32) keeps downstream
     parallelism at the cluster width (VERDICT round-3 item 2).
 
     ``min_df`` (default 1 = exact oracle semantics) is the hapax-prune
@@ -150,7 +148,7 @@ def tfidf_top_terms(docs: "ray.data.Dataset", doc_col: str = "doc_id",
     from .window import grouped_row_number
 
     if num_blocks is None:
-        num_blocks = default_num_buckets(32)
+        num_blocks = exchange.bucket_count()
     n_docs = docs.count()  # parquet metadata count — no scan
 
     def tf_partial(batch: pa.Table) -> pa.Table:
@@ -277,7 +275,6 @@ def cold_only_keys(hot_ref, col: str):
 
 
 def cohort_retention(ds: "ray.data.Dataset", user_col: str, ts_col: str,
-                     num_buckets: int | None = None,
                      count_alias: str = "n_users") -> "ray.data.Dataset":
     """Weekly cohort retention: for each (cohort_week, weeks_since) cell,
     the number of DISTINCT users whose first event fell in cohort_week
@@ -289,15 +286,10 @@ def cohort_retention(ds: "ray.data.Dataset", user_col: str, ts_col: str,
     """
     from ray.data.aggregate import Sum
 
-    if num_buckets is None:
-        num_buckets = default_num_buckets(32)
-
-    def add_week_bucket(batch: pa.Table) -> pa.Table:
-        week = pc.floor_temporal(batch[ts_col], unit="week")
+    def add_week(batch: pa.Table) -> pa.Table:
         return pa.table({
             user_col: batch[user_col],
-            "_week": week,
-            _BUCKET: _stable_bucket(batch.column(user_col), num_buckets),
+            "_week": pc.floor_temporal(batch[ts_col], unit="week"),
         })
 
     def bucket_cells(g: pd.DataFrame) -> pd.DataFrame:
@@ -312,11 +304,10 @@ def cohort_retention(ds: "ray.data.Dataset", user_col: str, ts_col: str,
                .size().rename("_partial").reset_index())
         return out
 
-    partials = (ds.select_columns([user_col, ts_col])
-                .map_batches(add_week_bucket, batch_format="pyarrow",
-                             zero_copy_batch=True)
-                .groupby(_BUCKET)
-                .map_groups(bucket_cells, batch_format="pandas"))
+    partials = exchange.by_bucket(
+        ds.select_columns([user_col, ts_col]).map_batches(
+            add_week, batch_format="pyarrow", zero_copy_batch=True),
+        user_col, bucket_cells, batch_format="pandas")
     return (partials.groupby(["cohort_week", "weeks_since"])
             .aggregate(Sum("_partial", alias_name=count_alias)))
 
@@ -470,8 +461,7 @@ def grouped_skew_kurt(ds: "ray.data.Dataset", key: str, col: str,
 
 def grouped_mad(ds: "ray.data.Dataset", key: str, col: str,
                 mad_col: str = "mad", median_col: str = "median",
-                ndigits: int = 6,
-                num_buckets: int | None = None) -> "ray.data.Dataset":
+                ndigits: int = 6) -> "ray.data.Dataset":
     """Per-``key`` exact median and median-absolute-deviation
     (DuckDB ``median()`` / ``mad()``, linear interpolation on even
     counts — pandas semantics, verified equal).
@@ -483,13 +473,6 @@ def grouped_mad(ds: "ray.data.Dataset", key: str, col: str,
     keys; for billion-row groups use the mergeable quantile sketch
     (``stages.sketches.grouped_approx_quantiles``) instead.
     """
-    if num_buckets is None:
-        num_buckets = default_num_buckets(32)
-
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            _BUCKET, _stable_bucket(batch.column(key), num_buckets))
-
     def mad_bucket(g: pd.DataFrame) -> pd.DataFrame:
         med = g.groupby(key, sort=False)[col].transform("median")
         dev = (g[col] - med).abs()
@@ -505,11 +488,8 @@ def grouped_mad(ds: "ray.data.Dataset", key: str, col: str,
             mad_col: out["_d"].round(ndigits),
         })
 
-    return (ds.select_columns([key, col])
-            .map_batches(add_bucket, batch_format="pyarrow",
-                         zero_copy_batch=True)
-            .groupby(_BUCKET)
-            .map_groups(mad_bucket, batch_format="pandas"))
+    return exchange.by_bucket(ds.select_columns([key, col]), key,
+                              mad_bucket, batch_format="pandas")
 
 
 def grouped_first_last(ds: "ray.data.Dataset", key: str, order_col: str,
@@ -699,8 +679,7 @@ def grouped_geomean(ds: "ray.data.Dataset", key: str, col: str,
 
 
 def grouped_quantile_disc(ds: "ray.data.Dataset", key: str, col: str,
-                          q: float, out_col: str = "qval",
-                          num_buckets: int | None = None
+                          q: float, out_col: str = "qval"
                           ) -> "ray.data.Dataset":
     """Exact PERCENTILE_DISC(q): the smallest actual value whose CDF ≥ q
     per key (inverted-CDF index ceil(q·n)−1 — DuckDB ``quantile_disc``).
@@ -711,15 +690,6 @@ def grouped_quantile_disc(ds: "ray.data.Dataset", key: str, col: str,
     discrete quantiles need all of a key's values on one node by
     definition; for the mergeable-sketch approximation at 10^12 rows
     use stages/sketches.py instead."""
-    import math as _math
-
-    if num_buckets is None:
-        num_buckets = default_num_buckets(32)
-
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "_qbucket", _stable_bucket(batch.column(key), num_buckets))
-
     def pick(g: pd.DataFrame) -> pd.DataFrame:
         g = g.dropna(subset=[col]).sort_values([key, col], kind="mergesort")
         sizes = g.groupby(key, sort=False)[col].size()
@@ -730,16 +700,12 @@ def grouped_quantile_disc(ds: "ray.data.Dataset", key: str, col: str,
         return pd.DataFrame({key: sizes.index, out_col: vals,
                              "n": sizes.to_numpy().astype("int64")})
 
-    return (ds.select_columns([key, col])
-            .map_batches(add_bucket, batch_format="pyarrow",
-                         zero_copy_batch=True)
-            .groupby("_qbucket")
-            .map_groups(pick, batch_format="pandas"))
+    return exchange.by_bucket(ds.select_columns([key, col]), key, pick,
+                              batch_format="pandas")
 
 
 def profile_table(ds: "ray.data.Dataset",
-                  columns: list[str] | None = None,
-                  num_buckets: int | None = None) -> "ray.data.Dataset":
+                  columns: list[str] | None = None) -> "ray.data.Dataset":
     """Column-profile a table — per column: row count, null count,
     EXACT distinct count, and (numeric columns only) min/max/sum. The
     "profile before you train on it" data-quality pass.
@@ -774,8 +740,6 @@ def profile_table(ds: "ray.data.Dataset",
     numeric = [c for c in columns
                if pa.types.is_integer(types[c])
                or pa.types.is_floating(types[c])]
-    if num_buckets is None:
-        num_buckets = default_num_buckets(32)
 
     def count_partials(batch: pa.Table) -> pa.Table:
         rows = {"column": [], "n": [], "n_null": [], "mn": [], "mx": [],
@@ -825,20 +789,17 @@ def profile_table(ds: "ray.data.Dataset",
                 k = [x for x in u.to_pylist() if x is not None]
             cols.extend([c] * len(k))
             keys.extend(k)
-        t = pa.table({"column": pa.array(cols, pa.string()),
-                      "key": pa.array(keys, pa.string())})
-        return t.append_column(
-            _BUCKET, _stable_bucket(t.column("key"), num_buckets))
+        return pa.table({"column": pa.array(cols, pa.string()),
+                         "key": pa.array(keys, pa.string())})
 
     def bucket_distinct(g: pd.DataFrame) -> pd.DataFrame:
-        d = g[["column", "key"]].drop_duplicates()
-        out = d.groupby("column", sort=False).size().reset_index(name="nd")
-        return out
+        d = g.drop_duplicates()
+        return d.groupby("column", sort=False).size().reset_index(name="nd")
 
-    nd = (ds.map_batches(distinct_partials, batch_format="pyarrow",
-                         zero_copy_batch=True)
-          .groupby(_BUCKET)
-          .map_groups(bucket_distinct, batch_format="pandas")
+    nd = (exchange.by_bucket(
+              ds.map_batches(distinct_partials, batch_format="pyarrow",
+                             zero_copy_batch=True),
+              "key", bucket_distinct, batch_format="pandas")
           .groupby("column")
           .aggregate(Sum("nd", alias_name="n_distinct"))
           .to_pandas())  # |columns| rows

@@ -455,8 +455,7 @@ def explode_paragraphs(docs: "ray.data.Dataset", id_col: str = "doc_id",
 def paragraph_dedup(docs: "ray.data.Dataset", id_col: str = "doc_id",
                     text_col: str = "text", sep: str | None = None,
                     chunk_words: int | None = None,
-                    join_sep: str = " ",
-                    num_buckets: int | None = None
+                    join_sep: str = " "
                     ) -> "ray.data.Dataset":
     """Corpus-wide paragraph dedup, keep-FIRST occurrence (CCNet's
     paragraph hashing step: boilerplate paragraphs repeated across
@@ -529,15 +528,14 @@ def paragraph_dedup(docs: "ray.data.Dataset", id_col: str = "doc_id",
     kept = (bucketed_group_agg(
                 hashed.map_batches(elect_partial, batch_format="pyarrow",
                                    zero_copy_batch=True),
-                "para", [("packed", "min")], num_buckets=num_buckets)
+                "para", [("packed", "min")])
             .map_batches(
                 lambda b: b.rename_columns(["para", "keep_packed"]),
                 batch_format="pyarrow", zero_copy_batch=True)
             .map_batches(unpack_winners, batch_format="pyarrow",
                          zero_copy_batch=True))
     out = grouped_string_agg(kept, id_col, "para", order_cols=["idx"],
-                             sep=join_sep, out_col=text_col,
-                             num_buckets=num_buckets)
+                             sep=join_sep, out_col=text_col)
     return out
 
 
@@ -764,8 +762,7 @@ def normalize_for_dedup(col) -> "pa.ChunkedArray":
 
 def normalized_keep_first(docs: "ray.data.Dataset",
                           id_col: str = "doc_id",
-                          text_col: str = "text",
-                          num_buckets: int | None = None
+                          text_col: str = "text"
                           ) -> "ray.data.Dataset":
     """Exact dedup on the NORMALIZED text (CCNet's hashing key):
     case/digit/punctuation variants of the same content collapse to one
@@ -782,7 +779,7 @@ def normalized_keep_first(docs: "ray.data.Dataset",
         docs.select_columns([id_col, text_col])
         .map_batches(add_norm, batch_format="pyarrow",
                      zero_copy_batch=True),
-        "_norm", [(id_col, "ascending")], num_buckets=num_buckets)
+        "_norm", [(id_col, "ascending")])
     return kept.select_columns([id_col, text_col])
 
 

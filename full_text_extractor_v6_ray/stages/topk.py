@@ -1,11 +1,11 @@
-"""Grouped top-k: keep the k best rows per key (one bucketed shuffle).
+"""Grouped top-k: keep the k best rows per key (one keyed exchange).
 
 The keyed generalization of O1/O3 (priority sort + preview limit,
-reference folder_processor.py:49, powerpoint_processor.py:83): hash-
-bucket the key with the pinned version-independent hash, then ONE
-vectorized pandas pass per bucket (stable sort + cython groupby head) —
-Python cost O(num_buckets), never O(keys), the same scale shape as
-keyed_keep_one (stages/dedup.py).
+reference folder_processor.py:49, powerpoint_processor.py:83): the
+keyed exchange of ``stages/exchange.py``, then ONE vectorized pandas
+pass per bucket (stable sort + cython groupby head) — Python cost
+O(buckets), never O(keys), the same scale shape as keyed_keep_one
+(stages/dedup.py).
 
 Partitioning assumption (documented per the briefing): equal keys
 co-locate via the shared stable hash; one bucket-group fits a task.
@@ -18,41 +18,28 @@ import pyarrow as pa
 
 import ray.data
 
-from .dedup import _stable_bucket, default_num_buckets
-
-_BUCKET = "__tbucket"
+from .exchange import by_bucket
 
 
 def grouped_top_k(ds: "ray.data.Dataset", key: str, order_col: str,
                   k: int, descending: bool = True,
-                  tie_col: str | None = None,
-                  num_buckets: int | None = None) -> "ray.data.Dataset":
+                  tie_col: str | None = None) -> "ray.data.Dataset":
     """Top ``k`` rows per ``key`` ordered by ``order_col`` (desc by
     default), ties broken by ``tie_col`` ascending (deterministic
     output requires a tie column unique within the key)."""
-    if num_buckets is None:
-        num_buckets = default_num_buckets(32)
-
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            _BUCKET, _stable_bucket(batch.column(key), num_buckets))
-
     sort_cols = [key, order_col] + ([tie_col] if tie_col else [])
     ascending = [True, not descending] + ([True] if tie_col else [])
 
     def bucket_top(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(sort_cols, ascending=ascending, kind="mergesort")
-        return g.groupby(key, sort=False).head(k).drop(columns=_BUCKET)
+        return g.groupby(key, sort=False).head(k)
 
-    return (ds.map_batches(add_bucket, batch_format="pyarrow",
-                           zero_copy_batch=True)
-            .groupby(_BUCKET).map_groups(bucket_top, batch_format="pandas"))
+    return by_bucket(ds, key, bucket_top, batch_format="pandas")
 
 
 def per_host_cap(ds: "ray.data.Dataset", url_col: str = "url",
                  quality_col: str = "quality_score", cap: int = 5,
-                 host_col: str = "host",
-                 num_buckets: int | None = None) -> "ray.data.Dataset":
+                 host_col: str = "host") -> "ray.data.Dataset":
     """FineWeb-style per-host page cap: keep at most ``cap`` pages per
     hostname, best ``quality_col`` first (ties broken by url asc for
     determinism). Guards the corpus against any single crawl-heavy
@@ -80,4 +67,4 @@ def per_host_cap(ds: "ray.data.Dataset", url_col: str = "url",
     return grouped_row_number(with_host, host_col,
                               [quality_col, url_col],
                               ascending=[False, True], out_col="rn",
-                              limit=cap, num_buckets=num_buckets)
+                              limit=cap)

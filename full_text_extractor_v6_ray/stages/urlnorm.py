@@ -111,8 +111,7 @@ def surt_keys(col: pa.ChunkedArray | pa.Array) -> pa.Array:
 
 
 def canonical_url_dedup(ds: "ray.data.Dataset", url_col: str = "url",
-                        id_col: str = "doc_id",
-                        num_buckets: int | None = None
+                        id_col: str = "doc_id"
                         ) -> "ray.data.Dataset":
     """(canonical_url, ``id_col`` = min id among the group's rows,
     n_dups): one row per canonical URL. Map-side combine inside each
@@ -131,5 +130,4 @@ def canonical_url_dedup(ds: "ray.data.Dataset", url_col: str = "url",
     return bucketed_group_agg(
         ds.map_batches(partial, batch_format="pyarrow",
                        zero_copy_batch=True),
-        "canonical_url", [(id_col, "min"), ("n_dups", "sum")],
-        num_buckets=num_buckets)
+        "canonical_url", [(id_col, "min"), ("n_dups", "sum")])

@@ -10,9 +10,10 @@ Scale shapes (the partitioning assumptions, per the briefing):
 
 - ``grouped_row_number`` / ``grouped_cumsum``: ONE bucketed shuffle on
   the pinned version-independent hash (stages/hashing.py) co-locates
-  equal keys; inside each bucket a single vectorized pandas pass
-  (stable mergesort + cython ``groupby.cumcount``/``cumsum``) — Python
-  cost O(num_buckets), never O(keys) or O(rows).
+  equal keys (``exchange.by_bucket``); inside each bucket a single
+  vectorized pandas pass (stable mergesort + cython
+  ``groupby.cumcount``/``cumsum``) — Python cost O(buckets), never
+  O(keys) or O(rows).
 - ``grouped_zscore``: two-phase. Phase 1 is a map-side combiner
   (per-batch ``(key, sum, sumsq, count)`` partials) so the shuffle
   moves one tiny row per key per block; phase 2 broadcasts the per-key
@@ -32,26 +33,15 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 
-from .dedup import _stable_bucket, default_num_buckets
-
-_BUCKET = "__wbucket"
-
-
-def _bucketed(ds: "ray.data.Dataset", key: str,
-              num_buckets: int) -> "ray.data.Dataset":
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            _BUCKET, _stable_bucket(batch.column(key), num_buckets))
-    return ds.map_batches(add_bucket, batch_format="pyarrow",
-                          zero_copy_batch=True)
+from .dedup import hash_bucketed_distinct
+from .exchange import by_bucket
 
 
 def grouped_row_number(ds: "ray.data.Dataset", key: str,
                        order_cols: list[str],
                        ascending: list[bool] | None = None,
                        out_col: str = "rn",
-                       limit: int | None = None,
-                       num_buckets: int | None = None
+                       limit: int | None = None
                        ) -> "ray.data.Dataset":
     """Per-``key`` ROW_NUMBER() ordered by ``order_cols`` (1-based).
 
@@ -60,8 +50,6 @@ def grouped_row_number(ds: "ray.data.Dataset", key: str,
     contract). ``limit`` keeps only rows with ``rn <= limit`` (top-N
     per key with explicit sequence numbers).
     """
-    if num_buckets is None:
-        num_buckets = default_num_buckets(32)
     if ascending is None:
         ascending = [True] * len(order_cols)
 
@@ -72,25 +60,20 @@ def grouped_row_number(ds: "ray.data.Dataset", key: str,
         g[out_col] = g.groupby(key, sort=False).cumcount() + 1
         if limit is not None:
             g = g[g[out_col] <= limit]
-        return g.drop(columns=_BUCKET)
+        return g
 
-    return (_bucketed(ds, key, num_buckets)
-            .groupby(_BUCKET).map_groups(number_bucket,
-                                         batch_format="pandas"))
+    return by_bucket(ds, key, number_bucket, batch_format="pandas")
 
 
 def grouped_percent_rank(ds: "ray.data.Dataset", key: str,
                          order_cols: list[str],
                          ascending: list[bool] | None = None,
-                         out_col: str = "pr",
-                         num_buckets: int | None = None
+                         out_col: str = "pr"
                          ) -> "ray.data.Dataset":
     """Per-``key`` PERCENT_RANK() = (rank-1)/(n-1) (0.0 for singleton
     groups). ``order_cols`` must be unique within a key, making rank ==
     row_number and the output deterministic; the division is two exact
     small ints, so it is bit-identical across engines."""
-    if num_buckets is None:
-        num_buckets = default_num_buckets(32)
     if ascending is None:
         ascending = [True] * len(order_cols)
 
@@ -102,44 +85,36 @@ def grouped_percent_rank(ds: "ray.data.Dataset", key: str,
         rn = grp.cumcount().to_numpy(dtype=np.float64)
         n = grp[key].transform("size").to_numpy(dtype=np.float64)
         g[out_col] = np.where(n > 1, rn / np.maximum(n - 1, 1), 0.0)
-        return g.drop(columns=_BUCKET)
+        return g
 
-    return (_bucketed(ds, key, num_buckets)
-            .groupby(_BUCKET).map_groups(pr_bucket,
-                                         batch_format="pandas"))
+    return by_bucket(ds, key, pr_bucket, batch_format="pandas")
 
 
 def grouped_dense_rank(ds: "ray.data.Dataset", key: str,
                        order_col: str,
                        ascending: bool = True,
-                       out_col: str = "dr",
-                       num_buckets: int | None = None
+                       out_col: str = "dr"
                        ) -> "ray.data.Dataset":
     """Per-``key`` DENSE_RANK() over ``order_col`` (1-based; ties share
     a rank, no gaps). Unlike row_number/percent_rank, the order column
     may contain duplicates — each row's rank depends only on the SET of
     distinct values below it, so the output is deterministic without a
     tiebreak column."""
-    if num_buckets is None:
-        num_buckets = default_num_buckets(32)
 
     def dr_bucket(g: pd.DataFrame) -> pd.DataFrame:
         r = g.groupby(key, sort=False)[order_col].rank(
             method="dense", ascending=ascending)
         g[out_col] = r.astype("int64")
-        return g.drop(columns=_BUCKET)
+        return g
 
-    return (_bucketed(ds, key, num_buckets)
-            .groupby(_BUCKET).map_groups(dr_bucket,
-                                         batch_format="pandas"))
+    return by_bucket(ds, key, dr_bucket, batch_format="pandas")
 
 
 def grouped_rolling_mean(ds: "ray.data.Dataset", key: str,
                          order_cols: list[str], value_col: str,
                          window: int,
                          out_col: str = "rolling_mean",
-                         ndigits: int = 6,
-                         num_buckets: int | None = None
+                         ndigits: int = 6
                          ) -> "ray.data.Dataset":
     """Per-``key`` trailing-window moving average: SQL
     ``AVG(v) OVER (PARTITION BY key ORDER BY order_cols ROWS BETWEEN
@@ -152,8 +127,6 @@ def grouped_rolling_mean(ds: "ray.data.Dataset", key: str,
     rounded, so the values cross-check against the DuckDB oracle
     bit-for-bit after rounding (a running-subtract rolling sum would
     accumulate float drift)."""
-    if num_buckets is None:
-        num_buckets = default_num_buckets(32)
 
     def roll_bucket(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values([key] + order_cols, kind="mergesort")
@@ -167,37 +140,29 @@ def grouped_rolling_mean(ds: "ray.data.Dataset", key: str,
             s = sh.fillna(0.0) if s is None else s + sh.fillna(0.0)
             cnt = have if cnt is None else cnt + have
         g[out_col] = (s / cnt).round(ndigits)
-        return g.drop(columns=_BUCKET)
+        return g
 
-    return (_bucketed(ds, key, num_buckets)
-            .groupby(_BUCKET).map_groups(roll_bucket,
-                                         batch_format="pandas"))
+    return by_bucket(ds, key, roll_bucket, batch_format="pandas")
 
 
 def grouped_cumsum(ds: "ray.data.Dataset", key: str,
                    order_cols: list[str], value_col: str,
-                   out_col: str = "running_sum",
-                   num_buckets: int | None = None) -> "ray.data.Dataset":
+                   out_col: str = "running_sum") -> "ray.data.Dataset":
     """Per-``key`` running SUM(``value_col``) in ``order_cols`` order
     (ROWS UNBOUNDED PRECEDING frame; sequential within a key, so both
     engines add in the same order)."""
-    if num_buckets is None:
-        num_buckets = default_num_buckets(32)
 
     def cumsum_bucket(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values([key] + order_cols, kind="mergesort")
         g[out_col] = g.groupby(key, sort=False)[value_col].cumsum()
-        return g.drop(columns=_BUCKET)
+        return g
 
-    return (_bucketed(ds, key, num_buckets)
-            .groupby(_BUCKET).map_groups(cumsum_bucket,
-                                         batch_format="pandas"))
+    return by_bucket(ds, key, cumsum_bucket, batch_format="pandas")
 
 
 def grouped_string_agg(ds: "ray.data.Dataset", key: str, value_col: str,
                        order_cols: list[str] | None = None,
-                       sep: str = ",", out_col: str = "agg",
-                       num_buckets: int | None = None
+                       sep: str = ",", out_col: str = "agg"
                        ) -> "ray.data.Dataset":
     """Per-``key`` ordered string concatenation (STRING_AGG / the
     collect_list shape): one bucketed shuffle, then all-Arrow per-bucket
@@ -212,8 +177,6 @@ def grouped_string_agg(ds: "ray.data.Dataset", key: str, value_col: str,
     keys — the collect-style aggregate is for bounded group sizes
     (per-doc links, per-user sessions), not unbounded corpora.
     """
-    if num_buckets is None:
-        num_buckets = default_num_buckets(32)
     order_cols = order_cols or [value_col]
 
     def agg_bucket(g: pa.Table) -> pa.Table:
@@ -237,38 +200,21 @@ def grouped_string_agg(ds: "ray.data.Dataset", key: str, value_col: str,
         return pa.table({key: k.take(pa.array(starts)),
                          out_col: joined})
 
-    return (_bucketed(ds, key, num_buckets)
-            .groupby(_BUCKET).map_groups(agg_bucket,
-                                         batch_format="pyarrow")
-            .select_columns([key, out_col]))
+    return by_bucket(ds, key, agg_bucket).select_columns([key, out_col])
 
 
 def grouped_exact_distinct(ds: "ray.data.Dataset", key: str,
                            value_col: str,
-                           out_col: str = "n_distinct",
-                           num_buckets: int | None = None
+                           out_col: str = "n_distinct"
                            ) -> "ray.data.Dataset":
     """Exact COUNT(DISTINCT value) per ``key``: distinct (key, value)
-    pairs via one bucketed shuffle (pairs deduped vectorized inside
-    each bucket — Python cost O(buckets)), then a tiny per-key count.
-    The exact companion of the HLL sketch path (stages/sketches.py)."""
-    if num_buckets is None:
-        num_buckets = default_num_buckets(32)
-
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            _BUCKET, _stable_bucket(batch.column(key), num_buckets))
-
-    def distinct_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        return (g.drop(columns=_BUCKET)
-                .drop_duplicates([key, value_col]))
-
+    pairs via one keyed exchange (``hash_bucketed_distinct``), then a
+    tiny per-key count. The exact companion of the HLL sketch path
+    (stages/sketches.py)."""
     from ray.data.aggregate import Count
-    pairs = (ds.select_columns([key, value_col])
-             .map_batches(add_bucket, batch_format="pyarrow",
-                          zero_copy_batch=True)
-             .groupby(_BUCKET).map_groups(distinct_bucket,
-                                          batch_format="pandas"))
+
+    pairs = hash_bucketed_distinct(ds.select_columns([key, value_col]),
+                                   [key, value_col])
     return pairs.groupby(key).aggregate(Count(alias_name=out_col))
 
 
@@ -373,8 +319,7 @@ def pivot_counts(ds: "ray.data.Dataset", group_key: str, pivot_key: str,
 
 
 def grouped_mode(ds: "ray.data.Dataset", key: str, value_col: str,
-                 count_alias: str = "n",
-                 num_buckets: int | None = None) -> "ray.data.Dataset":
+                 count_alias: str = "n") -> "ray.data.Dataset":
     """Modal (most frequent) ``value_col`` per ``key``; ties broken by
     the lexicographically smallest value (deterministic, engine-portable).
 
@@ -395,16 +340,13 @@ def grouped_mode(ds: "ray.data.Dataset", key: str, value_col: str,
 
 def grouped_lag_gap(ds: "ray.data.Dataset", key: str, ts_col: str,
                     order_cols: list[str] | None = None,
-                    out_col: str = "gap_s",
-                    num_buckets: int | None = None) -> "ray.data.Dataset":
+                    out_col: str = "gap_s") -> "ray.data.Dataset":
     """LAG analog: seconds since the previous row of the same ``key``
     in (ts, tiebreak) order; null for each key's first row.
 
     Same bucketed shape as grouped_row_number: one shuffle on the key
     hash, one vectorized pandas pass per bucket (sort + shift per key),
-    O(num_buckets) Python calls."""
-    if num_buckets is None:
-        num_buckets = default_num_buckets(32)
+    O(buckets) Python calls."""
     order = [ts_col] + (order_cols or [])
 
     def lag_bucket(g: pd.DataFrame) -> pd.DataFrame:
@@ -412,23 +354,18 @@ def grouped_lag_gap(ds: "ray.data.Dataset", key: str, ts_col: str,
         prev = g.groupby(key, sort=False)[ts_col].shift()
         gap = (g[ts_col] - prev).dt.total_seconds()
         g[out_col] = gap
-        return g.drop(columns=_BUCKET)
+        return g
 
-    return (_bucketed(ds, key, num_buckets)
-            .groupby(_BUCKET).map_groups(lag_bucket,
-                                         batch_format="pandas"))
+    return by_bucket(ds, key, lag_bucket, batch_format="pandas")
 
 
 def grouped_ntile(ds: "ray.data.Dataset", key: str,
                   order_cols: list[str], n: int,
                   ascending: list[bool] | None = None,
-                  out_col: str = "tile",
-                  num_buckets: int | None = None) -> "ray.data.Dataset":
+                  out_col: str = "tile") -> "ray.data.Dataset":
     """NTILE(n) per key: rows split into n as-even-as-possible ordered
     tiles (first ``size % n`` tiles one row larger — SQL semantics).
     ``order_cols`` must be unique within a key (window contract)."""
-    if num_buckets is None:
-        num_buckets = default_num_buckets(32)
     if ascending is None:
         ascending = [True] * len(order_cols)
 
@@ -446,18 +383,15 @@ def grouped_ntile(ds: "ray.data.Dataset", key: str,
             rn // np.maximum(big + 1, 1) + 1,
             np.where(big > 0, rem + (rn - cut) // np.maximum(big, 1) + 1,
                      rem)).astype(np.int64)
-        return g.drop(columns=_BUCKET)
+        return g
 
-    return (_bucketed(ds, key, num_buckets)
-            .groupby(_BUCKET).map_groups(tile_bucket,
-                                         batch_format="pandas"))
+    return by_bucket(ds, key, tile_bucket, batch_format="pandas")
 
 
 def grouped_ewma(ds: "ray.data.Dataset", key: str,
                  order_cols: list[str], value_col: str,
                  alpha: float, out_col: str = "ewma",
-                 ndigits: int = 6,
-                 num_buckets: int | None = None) -> "ray.data.Dataset":
+                 ndigits: int = 6) -> "ray.data.Dataset":
     """Per-``key`` exponentially weighted moving average in
     ``order_cols`` order: ewma₀ = v₀; ewmaₜ = α·vₜ + (1−α)·ewmaₜ₋₁
     (the recursive / ``adjust=False`` form — each observation's weight
@@ -471,8 +405,6 @@ def grouped_ewma(ds: "ray.data.Dataset", key: str,
     within a key (window-function contract). Null values propagate the
     previous ewma (pandas ``ignore_na=False`` semantics).
     """
-    if num_buckets is None:
-        num_buckets = default_num_buckets(32)
 
     def ewma_bucket(g: pd.DataFrame) -> pd.DataFrame:
         g = (g.sort_values([key] + order_cols, kind="mergesort")
@@ -482,59 +414,47 @@ def grouped_ewma(ds: "ray.data.Dataset", key: str,
         ew = (g.groupby(key, sort=False)[value_col]
               .ewm(alpha=alpha, adjust=False).mean().droplevel(0))
         g[out_col] = ew.round(ndigits)
-        return g.drop(columns=_BUCKET)
+        return g
 
-    return (_bucketed(ds, key, num_buckets)
-            .groupby(_BUCKET).map_groups(ewma_bucket,
-                                         batch_format="pandas"))
+    return by_bucket(ds, key, ewma_bucket, batch_format="pandas")
 
 
 def grouped_cume_dist(ds: "ray.data.Dataset", key: str, order_col: str,
-                      out_col: str = "cd",
-                      num_buckets: int | None = None
+                      out_col: str = "cd"
                       ) -> "ray.data.Dataset":
     """Per-``key`` CUME_DIST(): (# rows with value <= current) / n.
     Ties share a value (rank ``method="max"``), so the order column may
     contain duplicates and the output is still deterministic — the
     division is two exact small ints, bit-identical across engines."""
-    if num_buckets is None:
-        num_buckets = default_num_buckets(32)
 
     def cd_bucket(g: pd.DataFrame) -> pd.DataFrame:
         grp = g.groupby(key, sort=False)
         r = grp[order_col].rank(method="max").to_numpy(dtype=np.float64)
         n = grp[key].transform("size").to_numpy(dtype=np.float64)
         g[out_col] = r / n
-        return g.drop(columns=_BUCKET)
+        return g
 
-    return (_bucketed(ds, key, num_buckets)
-            .groupby(_BUCKET).map_groups(cd_bucket,
-                                         batch_format="pandas"))
+    return by_bucket(ds, key, cd_bucket, batch_format="pandas")
 
 
 def grouped_rank(ds: "ray.data.Dataset", key: str, order_col: str,
-                 ascending: bool = True, out_col: str = "rk",
-                 num_buckets: int | None = None) -> "ray.data.Dataset":
+                 ascending: bool = True,
+                 out_col: str = "rk") -> "ray.data.Dataset":
     """Per-``key`` RANK() over ``order_col`` (1-based; ties share the
     MINIMUM rank and leave gaps — SQL RANK, vs dense_rank's gapless
     ranks). Duplicate order values allowed; output deterministic."""
-    if num_buckets is None:
-        num_buckets = default_num_buckets(32)
 
     def rk_bucket(g: pd.DataFrame) -> pd.DataFrame:
         r = g.groupby(key, sort=False)[order_col].rank(
             method="min", ascending=ascending)
         g[out_col] = r.astype("int64")
-        return g.drop(columns=_BUCKET)
+        return g
 
-    return (_bucketed(ds, key, num_buckets)
-            .groupby(_BUCKET).map_groups(rk_bucket,
-                                         batch_format="pandas"))
+    return by_bucket(ds, key, rk_bucket, batch_format="pandas")
 
 
 def funnel_counts(ds: "ray.data.Dataset", user_col: str, ts_col: str,
-                  type_col: str, steps: list[str],
-                  num_buckets: int | None = None) -> pa.Table:
+                  type_col: str, steps: list[str]) -> pa.Table:
     """Ordered-funnel analysis: how many users completed step 1, then
     step 2 STRICTLY after their step-1 time, then step 3 after step 2,
     ... (the product-analytics conversion funnel).
@@ -547,8 +467,6 @@ def funnel_counts(ds: "ray.data.Dataset", user_col: str, ts_col: str,
     fold sums O(buckets) rows. Strict '>' between consecutive steps
     matches the SQL oracle's correlated MIN-chain semantics.
     """
-    if num_buckets is None:
-        num_buckets = default_num_buckets(32)
     step_list = list(steps)
 
     def prefilter(batch: pa.Table) -> pa.Table:
@@ -572,12 +490,10 @@ def funnel_counts(ds: "ray.data.Dataset", user_col: str, ts_col: str,
         return pd.DataFrame({f"n_step{i + 1}": [c]
                              for i, c in enumerate(counts)})
 
-    per_bucket = (_bucketed(ds.map_batches(prefilter,
-                                           batch_format="pyarrow",
-                                           zero_copy_batch=True),
-                            user_col, num_buckets)
-                  .groupby(_BUCKET)
-                  .map_groups(bucket_counts, batch_format="pandas"))
+    per_bucket = by_bucket(
+        ds.map_batches(prefilter, batch_format="pyarrow",
+                       zero_copy_batch=True),
+        user_col, bucket_counts, batch_format="pandas")
     cols = [f"n_step{i + 1}" for i in range(len(step_list))]
     totals = per_bucket.sum(cols) or {}
     if not isinstance(totals, dict):  # single-col sum returns a scalar
@@ -589,8 +505,7 @@ def funnel_counts(ds: "ray.data.Dataset", user_col: str, ts_col: str,
 
 def grouped_time_range_sum(ds: "ray.data.Dataset", key: str, ts_col: str,
                            value_col: str, window: str = "1h",
-                           out_col: str = "range_sum",
-                           num_buckets: int | None = None
+                           out_col: str = "range_sum"
                            ) -> "ray.data.Dataset":
     """Per-``key`` time-based frame sum: SQL
     ``SUM(v) OVER (PARTITION BY key ORDER BY ts
@@ -605,12 +520,9 @@ def grouped_time_range_sum(ds: "ray.data.Dataset", key: str, ts_col: str,
     both ends matches the SQL inclusive frame), then decorates the
     original rows back by (key, ts) merge. One bucketed shuffle; all
     post-shuffle work is vectorized pandas."""
-    if num_buckets is None:
-        num_buckets = default_num_buckets(32)
     w = pd.Timedelta(window)
 
     def roll_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.drop(columns=_BUCKET)
         # a null ts has no place on a value-bounded axis: drop explicitly
         # (pandas time-rolling would otherwise raise mid-task on NaT)
         g = g[g[ts_col].notna() & g[key].notna()]
@@ -627,6 +539,4 @@ def grouped_time_range_sum(ds: "ray.data.Dataset", key: str, ts_col: str,
         return g.merge(ded[[key, ts_col, out_col]], on=[key, ts_col],
                        how="left")
 
-    return (_bucketed(ds, key, num_buckets)
-            .groupby(_BUCKET).map_groups(roll_bucket,
-                                         batch_format="pandas"))
+    return by_bucket(ds, key, roll_bucket, batch_format="pandas")

@@ -30,3 +30,16 @@ def count_executions():
 
     with spy() as names:
         yield names
+
+
+@pytest.fixture()
+def bucket_count(monkeypatch):
+    """``bucket_count(n)`` makes every keyed exchange planned after the
+    call use ``n`` buckets (it patches ``exchange.bucket_count``, which
+    the plan reads on the driver)."""
+    from full_text_extractor_v6_ray.stages import exchange
+
+    def set_count(n: int) -> None:
+        monkeypatch.setattr(exchange, "bucket_count", lambda: n)
+
+    return set_count

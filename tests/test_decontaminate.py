@@ -41,7 +41,7 @@ EVAL = [
 N = 5
 
 
-def _run(ray_session, max_broadcast):
+def _run(ray_session, max_broadcast, bucket_count):
     import ray.data
 
     from full_text_extractor_v6_ray.stages.fuzzy_dedup import (
@@ -52,18 +52,19 @@ def _run(ray_session, max_broadcast):
         {"doc_id": list(TRAIN), "text": list(TRAIN.values())}))
     ev = ray.data.from_pandas(pd.DataFrame(
         {"doc_id": range(len(EVAL)), "text": EVAL}))
+    bucket_count(4)
     got = contamination_counts(train, ev, n=N,
-                               max_broadcast=max_broadcast,
-                               num_buckets=4).to_pandas()
+                               max_broadcast=max_broadcast).to_pandas()
     return dict(zip(got["doc_id"], got["n_contaminated"]))
 
 
 @pytest.mark.parametrize("max_broadcast", [2_000_000, 0],
                          ids=["broadcast", "semi_join"])
-def test_planted_overlap_both_paths(ray_session, max_broadcast):
+def test_planted_overlap_both_paths(ray_session, max_broadcast,
+                                    bucket_count):
     want = _py_contamination(TRAIN, EVAL, N)
     assert want  # the fixture must plant real overlap
-    assert _run(ray_session, max_broadcast) == want
+    assert _run(ray_session, max_broadcast, bucket_count) == want
 
 
 def test_empty_eval_returns_typed_empty(ray_session):

@@ -47,7 +47,8 @@ def test_task_survives_worker_kill(ray_session, tmp_path):
     pd.testing.assert_frame_equal(got, want)
 
 
-def test_shuffle_stage_survives_worker_kill(ray_session, tmp_path):
+def test_shuffle_stage_survives_worker_kill(ray_session, tmp_path,
+                                            bucket_count):
     """Same latch, but the kill lands UPSTREAM of a bucketed groupby —
     the recovery path must reproduce the exact aggregate, proving lost
     map output is recomputed (not silently dropped from the shuffle)."""
@@ -72,14 +73,15 @@ def test_shuffle_stage_survives_worker_kill(ray_session, tmp_path):
              .map_batches(maybe_die, batch_format="pyarrow"))
     ev = ray.data.from_pandas(pd.DataFrame(
         {"doc_id": [0], "text": ["alpha beta gamma delta epsilon"]}))
-    got = contamination_counts(train, ev, n=5, num_buckets=4).to_pandas()
+    bucket_count(4)
+    got = contamination_counts(train, ev, n=5).to_pandas()
     assert os.path.exists(flag)
     # every doc contains that 5-gram exactly once
     assert sorted(got["doc_id"]) == list(range(len(df)))
     assert set(got["n_contaminated"]) == {1}
 
 
-def test_hot_gram_skew_semi_join_path(ray_session):
+def test_hot_gram_skew_semi_join_path(ray_session, bucket_count):
     """Planted worst-case skew for the bucketed semi-join dispatch: ONE
     gram shared by EVERY doc (all its rows land in one bucket). The
     per-bucket vectorized isin must stay correct — and the per-doc
@@ -99,9 +101,10 @@ def test_hot_gram_skew_semi_join_path(ray_session):
         "text": [f"{hot} filler{i} {hot}" for i in range(n)],
     })
     ev = pd.DataFrame({"doc_id": [0], "text": [hot]})
+    bucket_count(8)
     got = contamination_counts(
         ray.data.from_pandas(df), ray.data.from_pandas(ev),
-        n=5, max_broadcast=0, num_buckets=8).to_pandas()
+        n=5, max_broadcast=0).to_pandas()
     assert sorted(got["doc_id"]) == list(range(n))
     assert set(got["n_contaminated"]) == {1}
 

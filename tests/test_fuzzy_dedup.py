@@ -87,7 +87,8 @@ def test_minhash_pipeline_finds_planted_dups(ray_session):
     assert len(found) == 2  # no false positives on random docs
 
 
-def test_minhash_spill_dir_flavor_equal_output(ray_session, tmp_path):
+def test_minhash_spill_dir_flavor_equal_output(ray_session, tmp_path,
+                                               bucket_count):
     """Parquet-intermediate rebase (object-store pinning OFF) must produce
     the same pairs and components as the object-store flavor."""
     import ray.data
@@ -119,9 +120,10 @@ def test_minhash_spill_dir_flavor_equal_output(ray_session, tmp_path):
     assert key(base_pairs) == key(spill_pairs)
     assert any(tmp_path.iterdir())   # the parquet flavor really spilled
 
+    bucket_count(4)
     comp = dup_components_ds(
         minhash_dup_pairs(mk(), threshold=0.7, spill_dir=str(tmp_path)),
-        num_buckets=4, spill_dir=str(tmp_path)).to_pandas()
+        spill_dir=str(tmp_path)).to_pandas()
     by = dict(zip(comp["doc_id"], comp["component"]))
     assert by[100] == by[102] == by[0]
 
@@ -159,7 +161,8 @@ def test_dup_components_union_find():
     assert by[10] == by[11] == 10
 
 
-def test_dup_components_distributed_matches_union_find(ray_session):
+def test_dup_components_distributed_matches_union_find(ray_session,
+                                                       bucket_count):
     """Min-label propagation (scale path) == union-find on a graph with a
     long chain (exercises multi-round convergence) + separate clusters."""
     import pandas as pd
@@ -176,7 +179,8 @@ def test_dup_components_distributed_matches_union_find(ray_session):
     pairs = ray.data.from_arrow(pa.table({
         "doc_a": pa.array(a, pa.int64()),
         "doc_b": pa.array(b, pa.int64())}))
-    got = dup_components_ds(pairs, num_buckets=4).to_pandas()
+    bucket_count(4)
+    got = dup_components_ds(pairs).to_pandas()
     got = got.sort_values("doc_id").reset_index(drop=True)
     exp = expect.sort_values("doc_id").reset_index(drop=True)
     assert got["doc_id"].tolist() == exp["doc_id"].tolist()
@@ -204,7 +208,7 @@ def test_neardup_dedup_removes_non_canonical(ray_session):
     assert expected_drop  # the synthetic corpus does contain near-dups
 
 
-def test_star_components_match_union_find(ray_session):
+def test_star_components_match_union_find(ray_session, bucket_count):
     """Large-star/small-star contraction == union-find on mixed topology:
     long path (deep chain — the case min-label propagation is slow on),
     star, triangle-with-tail, pair, and random noise edges."""
@@ -237,13 +241,14 @@ def test_star_components_match_union_find(ray_session):
     pairs = ray.data.from_arrow(pa.table({
         "doc_a": pa.array(a, pa.int64()),
         "doc_b": pa.array(b, pa.int64())}))
-    got = (dup_components_star_ds(pairs, num_buckets=4, max_iters=12)
+    bucket_count(4)
+    got = (dup_components_star_ds(pairs, max_iters=12)
            .to_pandas().sort_values("doc_id").reset_index(drop=True))
     assert got["doc_id"].tolist() == expect["doc_id"].tolist()
     assert got["component"].tolist() == expect["component"].tolist()
 
 
-def test_star_components_empty_and_duplicate_edges(ray_session):
+def test_star_components_empty_and_duplicate_edges(ray_session, bucket_count):
     import pyarrow as pa
     import ray.data
     from full_text_extractor_v6_ray.stages.fuzzy_dedup import (
@@ -253,13 +258,14 @@ def test_star_components_empty_and_duplicate_edges(ray_session):
     empty = ray.data.from_arrow(pa.table({
         "doc_a": pa.array([], pa.int64()),
         "doc_b": pa.array([], pa.int64())}))
-    assert dup_components_star_ds(empty, num_buckets=2).count() == 0
+    bucket_count(2)
+    assert dup_components_star_ds(empty).count() == 0
 
     # duplicate / reversed / self-loop edges collapse to one component
     pairs = ray.data.from_arrow(pa.table({
         "doc_a": pa.array([5, 6, 5, 7, 7], pa.int64()),
         "doc_b": pa.array([6, 5, 6, 7, 5], pa.int64())}))
-    got = dup_components_star_ds(pairs, num_buckets=2).to_pandas()
+    got = dup_components_star_ds(pairs).to_pandas()
     by = dict(zip(got["doc_id"], got["component"]))
     assert by == {5: 5, 6: 5, 7: 5}
 
@@ -281,7 +287,7 @@ def test_star_query_matches_propagation_query(ray_session):
     assert a["component"].tolist() == b["component"].tolist()
 
 
-def test_jaccard_verified_pairs_exact_values(ray_session):
+def test_jaccard_verified_pairs_exact_values(ray_session, bucket_count):
     """LSH-candidated exact Jaccard: planted near-dups survive with the
     TRUE set Jaccard (checked against a direct shingle_hashes compute),
     and unrelated docs are absent."""
@@ -306,9 +312,9 @@ def test_jaccard_verified_pairs_exact_values(ray_session):
     ds = ray.data.from_arrow(pa.table({
         "doc_id": pa.array(ids, pa.int64()),
         "text": pa.array(texts, pa.string())}))
+    bucket_count(4)
     got = jaccard_verified_pairs(ds, threshold=0.6,
-                                 candidate_threshold=0.4,
-                                 num_buckets=4).to_pandas()
+                                 candidate_threshold=0.4).to_pandas()
     by = {(a, b): j for a, b, j in
           zip(got["doc_a"], got["doc_b"], got["jaccard"])}
 
@@ -324,7 +330,7 @@ def test_jaccard_verified_pairs_exact_values(ray_session):
     assert all(j >= 0.6 for j in got["jaccard"])
 
 
-def test_exact_substring_dedup_rewrite(ray_session):
+def test_exact_substring_dedup_rewrite(ray_session, bucket_count):
     """Planted dup spans: cross-doc shared 8-gram removed from BOTH
     docs, a within-doc repeat removed at both positions, overlapping
     dup grams merge into one maximal span, clean docs untouched."""
@@ -341,8 +347,9 @@ def test_exact_substring_dedup_rewrite(ray_session):
         {"doc_id": 4, "text": "totally unique little document here"},
         {"doc_id": 5, "text": ""},
     ]
+    bucket_count(4)
     got = (exact_substring_dedup(ray.data.from_items(docs),
-                                 "text", "doc_id", n=8, num_buckets=4)
+                                 "text", "doc_id", n=8)
            .to_pandas().set_index("doc_id").sort_index())
     assert got.loc[1, "clean_text"] == "x1 y1 z1"
     assert got.loc[1, "n_removed"] == 8
@@ -359,7 +366,7 @@ def test_exact_substring_dedup_rewrite(ray_session):
     assert got.loc[5, "n_removed"] == 0
 
 
-def test_exact_substring_keepfirst(ray_session):
+def test_exact_substring_keepfirst(ray_session, bucket_count):
     """keep_first: the min-(doc,pos) occurrence of each dup gram
     survives — one copy of a repeated span stays in the corpus."""
     import ray.data
@@ -372,8 +379,9 @@ def test_exact_substring_keepfirst(ray_session):
         {"doc_id": 2, "text": f"{shared} q2"},
         {"doc_id": 3, "text": f"m n o p q r s t u m n o p q r s t"},
     ]
+    bucket_count(4)
     got = (exact_substring_dedup(ray.data.from_items(docs),
-                                 "text", "doc_id", n=8, num_buckets=4,
+                                 "text", "doc_id", n=8,
                                  keep_first=True)
            .to_pandas().set_index("doc_id").sort_index())
     assert got.loc[1, "clean_text"] == f"x1 {shared}"   # kept whole

@@ -302,7 +302,7 @@ def test_full_outer_join_matches_pandas(ray_session):
     assert joined.schema().base_schema.field("lv").type == pa.int64()
 
 
-def test_composite_key_join_matches_pandas(ray_session):
+def test_composite_key_join_matches_pandas(ray_session, bucket_count):
     import ray.data
     from full_text_extractor_v6_ray.stages.joins import hash_join
 
@@ -317,9 +317,10 @@ def test_composite_key_join_matches_pandas(ray_session):
         "b": np.tile(np.arange(10, dtype=np.int64), 10),
         "rv": np.arange(100, dtype=np.int64) * 7,
     })
+    bucket_count(8)
     got = (hash_join(
         ray.data.from_pandas(left), ray.data.from_pandas(right),
-        ["a", "b"], ["a", "b"], num_buckets=8)
+        ["a", "b"], ["a", "b"])
         .to_pandas().sort_values(["a", "b", "lv"]).reset_index(drop=True))
     exp = (left.merge(right, on=["a", "b"], how="inner")
            .sort_values(["a", "b", "lv"]).reset_index(drop=True))
@@ -328,7 +329,8 @@ def test_composite_key_join_matches_pandas(ray_session):
         assert got[c].tolist() == exp[c].tolist()
 
 
-def test_composite_key_join_distinguishes_swapped_keys(ray_session):
+def test_composite_key_join_distinguishes_swapped_keys(ray_session,
+                                                       bucket_count):
     """(a=1,b=2) must NOT match (a=2,b=1) — the pairwise splitmix remix
     plus the equality merge keep swapped composites apart."""
     import ray.data
@@ -336,9 +338,10 @@ def test_composite_key_join_distinguishes_swapped_keys(ray_session):
 
     left = pd.DataFrame({"a": [1, 2], "b": [2, 1], "lv": [10, 20]})
     right = pd.DataFrame({"a": [1], "b": [2], "rv": [99]})
+    bucket_count(4)
     got = hash_join(
         ray.data.from_pandas(left), ray.data.from_pandas(right),
-        ["a", "b"], ["a", "b"], num_buckets=4).to_pandas()
+        ["a", "b"], ["a", "b"]).to_pandas()
     assert len(got) == 1 and got["lv"].iloc[0] == 10
 
 

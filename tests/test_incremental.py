@@ -448,16 +448,16 @@ def test_crashed_round_rerun_leaves_no_partial_files(ray_session, state_dir):
 
 def test_read_current_corpus_execution_count(ray_session, tmp_path,
                                              count_executions):
-    # a tombstone (j5) makes the slim tombstone join run: its two
-    # schema probes of keep-one outputs (one row each) plus the final
-    # semi join that consumes everything — 3 executions
+    # a tombstone (j5) makes the slim tombstone join run; both its
+    # schemas are passed, so the final semi join that consumes
+    # everything is the one execution
     d = str(tmp_path / "x")
     for v in (_EQ_V1, _EQ_V2):
         incremental_extraction_round(_pages(v), d)
     count_executions.clear()
     urls = sorted(r["url"] for r in read_current_corpus(d).take_all())
     assert urls == sorted(_EQ_V2)
-    assert len(count_executions) == 3, count_executions
+    assert len(count_executions) == 1, count_executions
 
 
 @pytest.mark.parametrize("bmax", [10**9, 0])

@@ -6,7 +6,7 @@ import pyarrow as pa
 import pytest
 
 
-def test_bucket_hash_join_matches_pandas(ray_session):
+def test_bucket_hash_join_matches_pandas(ray_session, bucket_count):
     import ray.data
     from full_text_extractor_v6_ray.stages.joins import hash_join
 
@@ -14,9 +14,10 @@ def test_bucket_hash_join_matches_pandas(ray_session):
     left = pd.DataFrame({"k": rng.randint(0, 50, 300),
                          "lv": np.arange(300)})
     right = pd.DataFrame({"rk": np.arange(50), "rv": np.arange(50) * 10})
+    bucket_count(8)
     got = hash_join(ray.data.from_pandas(left),
                     ray.data.from_pandas(right),
-                    "k", "rk", num_buckets=8).to_pandas()
+                    "k", "rk").to_pandas()
     exp = left.merge(right, left_on="k", right_on="rk").drop(columns=["rk"])
     key = ["k", "lv", "rv"]
     got = got[key].sort_values(key).reset_index(drop=True)
@@ -24,7 +25,7 @@ def test_bucket_hash_join_matches_pandas(ray_session):
     pd.testing.assert_frame_equal(got.astype("int64"), exp.astype("int64"))
 
 
-def test_asof_join_matches_merge_asof(ray_session):
+def test_asof_join_matches_merge_asof(ray_session, bucket_count):
     import ray.data
     from full_text_extractor_v6_ray.stages.joins import asof_join
 
@@ -45,8 +46,9 @@ def test_asof_join_matches_merge_asof(ray_session):
     right = (right.sort_values("rv").groupby(["rk", "rts"], as_index=False)
              .last())
 
+    bucket_count(4)
     got = asof_join(ray.data.from_pandas(left), ray.data.from_pandas(right),
-                    "k", "rk", "lts", "rts", num_buckets=4).to_pandas()
+                    "k", "rk", "lts", "rts").to_pandas()
 
     exp = pd.merge_asof(left.sort_values(["lts", "k"], kind="mergesort"),
                         right.sort_values(["rts", "rk"], kind="mergesort"),
@@ -92,35 +94,43 @@ def test_stable_bucket_cross_process_determinism():
     """The bucketed join/dedup correctness contract: equal keys must land
     in equal buckets in EVERY process (both join sides hash separately).
     Verified against a fresh subprocess."""
+    import os
     import subprocess
     import sys
 
     import pyarrow as pa
 
-    from full_text_extractor_v6_ray.stages.dedup import _stable_bucket
+    from full_text_extractor_v6_ray.stages.exchange import bucket_ids
+
+    # the subprocess imports the package from this checkout
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
     vals = ["https://a.example/x", "https://b.example/y", "k" * 500, ""]
-    here = _stable_bucket(pa.chunked_array([pa.array(vals)]), 1024).to_pylist()
+    here = bucket_ids(pa.table({"k": vals}), ["k"], 1024).to_pylist()
     code = (
         "import pyarrow as pa\n"
-        "from full_text_extractor_v6_ray.stages.dedup import _stable_bucket\n"
+        "from full_text_extractor_v6_ray.stages.exchange import bucket_ids\n"
         f"vals = {vals!r}\n"
-        "print(_stable_bucket(pa.chunked_array([pa.array(vals)]), 1024)"
+        "print(bucket_ids(pa.table({'k': vals}), ['k'], 1024)"
         ".to_pylist())\n"
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True, cwd="/root/repo").stdout
+                         text=True, check=True, cwd=root).stdout
     assert eval(out.strip()) == here
 
 
-def test_keyed_keep_one_matches_pandas_oracle(ray_session):
+def test_keyed_keep_one_matches_pandas_oracle(ray_session, bucket_count):
     """Random keyed frame: keyed_keep_one == pandas sort+drop_duplicates,
-    at any bucket count and with/without the local combine."""
+    at any bucket count and with/without the local combine; hash_join
+    and grouped_row_number over the same frame match pandas at both
+    bucket counts too."""
     import numpy as np
     import pandas as pd
     import ray.data
 
     from full_text_extractor_v6_ray.stages.dedup import keyed_keep_one
+    from full_text_extractor_v6_ray.stages.joins import hash_join
+    from full_text_extractor_v6_ray.stages.window import grouped_row_number
 
     rng = np.random.RandomState(5)
     n = 3000
@@ -131,17 +141,35 @@ def test_keyed_keep_one_matches_pandas_oracle(ray_session):
     })
     expect = (df.sort_values(["k", "ts", "v"], kind="mergesort")
               .drop_duplicates("k").sort_values("k").reset_index(drop=True))
+    right = pd.DataFrame({"rk": [str(i) for i in range(0, 200, 3)],
+                          "rv": np.arange(0, 200, 3)})
+    order = ["k", "ts", "v"]
+    join_expect = (df.merge(right, left_on="k", right_on="rk")
+                   .drop(columns=["rk"]).sort_values(order)
+                   .reset_index(drop=True))
+    rn_expect = df.sort_values(order, kind="mergesort")
+    rn_expect = (rn_expect.assign(rn=rn_expect.groupby("k").cumcount() + 1)
+                 .sort_values(order).reset_index(drop=True))
 
     for buckets, combine in ((7, True), (64, False)):
+        bucket_count(buckets)
         got = keyed_keep_one(
             ray.data.from_pandas(df), "k",
             [("ts", "ascending"), ("v", "ascending")],
-            local_combine=combine, num_buckets=buckets,
+            local_combine=combine,
         ).to_pandas().sort_values("k").reset_index(drop=True)
         pd.testing.assert_frame_equal(got, expect)
+        joined = (hash_join(ray.data.from_pandas(df),
+                            ray.data.from_pandas(right), "k", "rk")
+                  .to_pandas().sort_values(order).reset_index(drop=True))
+        pd.testing.assert_frame_equal(joined, join_expect)
+        numbered = (grouped_row_number(ray.data.from_pandas(df), "k",
+                                       ["ts", "v"], out_col="rn")
+                    .to_pandas().sort_values(order).reset_index(drop=True))
+        pd.testing.assert_frame_equal(numbered, rn_expect)
 
 
-def test_hash_bucketed_distinct_matches_pandas(ray_session):
+def test_hash_bucketed_distinct_matches_pandas(ray_session, bucket_count):
     import numpy as np
     import pandas as pd
     import ray.data
@@ -151,15 +179,15 @@ def test_hash_bucketed_distinct_matches_pandas(ray_session):
     rng = np.random.RandomState(9)
     df = pd.DataFrame({"a": rng.randint(0, 40, 2000),
                        "b": rng.randint(0, 40, 2000)})
-    got = (hash_bucketed_distinct(ray.data.from_pandas(df), ["a", "b"],
-                                  num_buckets=16)
+    bucket_count(16)
+    got = (hash_bucketed_distinct(ray.data.from_pandas(df), ["a", "b"])
            .to_pandas().sort_values(["a", "b"]).reset_index(drop=True))
     expect = (df.drop_duplicates(["a", "b"]).sort_values(["a", "b"])
               .reset_index(drop=True))
     pd.testing.assert_frame_equal(got, expect)
 
 
-def test_range_join_matches_pandas(ray_session):
+def test_range_join_matches_pandas(ray_session, bucket_count):
     """Random intervals: range_join == pandas merge + interval filter."""
     import numpy as np
     import pandas as pd
@@ -183,10 +211,10 @@ def test_range_join_matches_pandas(ray_session):
     right["end"] = right["start"] + pd.to_timedelta(
         rng.randint(10, 2_000, 100), unit="m")
 
+    bucket_count(8)
     got = range_join(ray.data.from_pandas(left),
                      ray.data.from_pandas(right),
-                     "k", "rk", "ts", "start", "end",
-                     num_buckets=8).to_pandas()
+                     "k", "rk", "ts", "start", "end").to_pandas()
     exp = left.merge(right, left_on="k", right_on="rk")
     exp = exp.loc[(exp["ts"] >= exp["start"]) & (exp["ts"] < exp["end"])]
     exp = exp.drop(columns=["rk"])
@@ -198,7 +226,7 @@ def test_range_join_matches_pandas(ray_session):
     assert len(got) > 0
 
 
-def test_skew_hash_join_matches_pandas(ray_session):
+def test_skew_hash_join_matches_pandas(ray_session, bucket_count):
     import ray.data
     from full_text_extractor_v6_ray.stages.joins import skew_hash_join
 
@@ -211,9 +239,10 @@ def test_skew_hash_join_matches_pandas(ray_session):
     left = pd.DataFrame({"k": keys, "lv": np.arange(keys.size)})
     right = pd.DataFrame({"rk": np.arange(200), "rv": np.arange(200) * 7})
 
+    bucket_count(8)
     got = skew_hash_join(ray.data.from_pandas(left),
                          ray.data.from_pandas(right),
-                         "k", "rk", num_buckets=8,
+                         "k", "rk",
                          sample_frac=0.2, hot_min_samples=8).to_pandas()
     exp = left.merge(right, left_on="k", right_on="rk").drop(columns=["rk"])
     key = ["k", "lv", "rv"]
@@ -222,15 +251,16 @@ def test_skew_hash_join_matches_pandas(ray_session):
     pd.testing.assert_frame_equal(got.astype("int64"), exp.astype("int64"))
 
 
-def test_skew_hash_join_no_hot_keys_falls_back(ray_session):
+def test_skew_hash_join_no_hot_keys_falls_back(ray_session, bucket_count):
     import ray.data
     from full_text_extractor_v6_ray.stages.joins import skew_hash_join
 
     left = pd.DataFrame({"k": np.arange(100), "lv": np.arange(100)})
     right = pd.DataFrame({"rk": np.arange(100), "rv": np.arange(100) * 2})
+    bucket_count(4)
     got = skew_hash_join(ray.data.from_pandas(left),
                          ray.data.from_pandas(right),
-                         "k", "rk", num_buckets=4,
+                         "k", "rk",
                          sample_frac=0.3, hot_min_samples=5).to_pandas()
     assert len(got) == 100
     assert sorted(got.columns) == ["k", "lv", "rv"]
@@ -261,7 +291,7 @@ def test_bloom_filter_merge_is_union():
     assert a.might_contain(np.arange(100, dtype=np.int64)).all()
 
 
-def test_bloom_hash_join_matches_pandas(ray_session):
+def test_bloom_hash_join_matches_pandas(ray_session, bucket_count):
     import ray.data
     from full_text_extractor_v6_ray.stages.joins import bloom_hash_join
 
@@ -271,10 +301,10 @@ def test_bloom_hash_join_matches_pandas(ray_session):
     # selective build side: only 40 of 500 key values survive
     right = pd.DataFrame({"rk": np.arange(0, 500, 13).astype(np.int64),
                           "rv": np.arange(0, 500, 13) * 3})
+    bucket_count(4)
     got = bloom_hash_join(ray.data.from_pandas(left),
                           ray.data.from_pandas(right),
-                          "k", "rk", n_bits=1 << 12,
-                          num_buckets=4).to_pandas()
+                          "k", "rk", n_bits=1 << 12).to_pandas()
     exp = left.merge(right, left_on="k", right_on="rk").drop(columns=["rk"])
     key = ["k", "lv", "rv"]
     got = got[key].sort_values(key).reset_index(drop=True)
@@ -282,7 +312,7 @@ def test_bloom_hash_join_matches_pandas(ray_session):
     pd.testing.assert_frame_equal(got.astype("int64"), exp.astype("int64"))
 
 
-def test_bucket_anti_join_matches_duckdb(ray_session):
+def test_bucket_anti_join_matches_duckdb(ray_session, bucket_count):
     """Payload-preserving ANTI join == DuckDB NOT IN, including dtypes
     and an empty-result bucket."""
     import duckdb
@@ -300,9 +330,9 @@ def test_bucket_anti_join_matches_duckdb(ray_session):
     right = pd.DataFrame({"rk": np.repeat(
         rng.choice(200, 60, replace=False).astype(np.int64), 3)})
 
+    bucket_count(8)
     got = (hash_join(ray.data.from_pandas(left),
-                     ray.data.from_pandas(right), "k", "rk", how="anti",
-                     num_buckets=8)
+                     ray.data.from_pandas(right), "k", "rk", how="anti")
            .to_pandas().sort_values("payload").reset_index(drop=True))
     con = duckdb.connect()
     con.register("l", left)
@@ -331,7 +361,8 @@ _SQL_JOINS = {
 
 @pytest.mark.parametrize("key_type", [pa.int64(), pa.string()])
 @pytest.mark.parametrize("how", list(_SQL_JOINS))
-def test_hash_join_matches_duckdb_exactly(ray_session, how, key_type):
+def test_hash_join_matches_duckdb_exactly(ray_session, how, key_type,
+                                          bucket_count):
     """Every join type == DuckDB row for row: int64 payloads above 2^53
     on both sides survive exactly (a float64 round trip turns 2^53+1
     into 2^53), null keys match nothing, a left row with a null key is
@@ -351,8 +382,9 @@ def test_hash_join_matches_duckdb_exactly(ray_session, how, key_type):
     right = pa.table({"rk": keys([1, None, 4, 2, None, 2]),
                       "rv": pa.array([_BIG + 13, _BIG + 15, -_BIG - 17,
                                       _BIG + 19, _BIG + 21, _BIG + 23])})
+    bucket_count(4)
     got = hash_join(ray.data.from_arrow(left), ray.data.from_arrow(right),
-                    "k", "rk", how=how, num_buckets=4)
+                    "k", "rk", how=how)
     con = duckdb.connect()
     con.register("l", left)
     con.register("r", right)

@@ -24,7 +24,7 @@ def _expected(texts, lam=0.7):
     return out
 
 
-def test_bigram_logprob_matches_reference(ray_session):
+def test_bigram_logprob_matches_reference(ray_session, bucket_count):
     import ray.data
     from full_text_extractor_v6_ray.stages.lm import bigram_logprob
 
@@ -36,7 +36,8 @@ def test_bigram_logprob_matches_reference(ray_session):
         "the mat sat",
     ]
     docs = pd.DataFrame({"doc_id": range(len(texts)), "text": texts})
-    got = (bigram_logprob(ray.data.from_pandas(docs), num_buckets=8)
+    bucket_count(8)
+    got = (bigram_logprob(ray.data.from_pandas(docs))
            .to_pandas().set_index("doc_id").sort_index())
     expect = _expected(texts)
     assert sorted(got.index) == sorted(expect)
@@ -45,7 +46,8 @@ def test_bigram_logprob_matches_reference(ray_session):
         assert abs(got.loc[i, "avg_logprob"] - lp) < 1e-6
 
 
-def test_bigram_logprob_dominant_transition_scores_higher(ray_session):
+def test_bigram_logprob_dominant_transition_scores_higher(ray_session,
+                                                          bucket_count):
     """A doc riding the dominant continuation of a contested bigram
     scores above the doc taking the minority branch: p(b|a)=3/4 beats
     p(c|a)=1/4 — the quality-signal direction CCNet relies on.
@@ -58,12 +60,13 @@ def test_bigram_logprob_dominant_transition_scores_higher(ray_session):
         "doc_id": [0, 1],
         "text": ["a b a b a b", "a c"],
     })
-    got = (bigram_logprob(ray.data.from_pandas(docs), num_buckets=8)
+    bucket_count(8)
+    got = (bigram_logprob(ray.data.from_pandas(docs))
            .to_pandas().set_index("doc_id"))
     assert got.loc[0, "avg_logprob"] > got.loc[1, "avg_logprob"]
 
 
-def test_bigram_logprob_dispatch_paths_agree(ray_session):
+def test_bigram_logprob_dispatch_paths_agree(ray_session, bucket_count):
     """The broadcast fast path and the bucketed-join scale path are
     the same function: identical output either side of the
     broadcast_scores_max dispatch."""
@@ -76,10 +79,11 @@ def test_bigram_logprob_dispatch_paths_agree(ray_session):
         "text": ["the cat sat on the mat",
                  "the cat ran", "a dog sat on a log the cat"],
     })
-    a = (bigram_logprob(ray.data.from_pandas(docs), num_buckets=8,
+    bucket_count(8)
+    a = (bigram_logprob(ray.data.from_pandas(docs),
                         broadcast_scores_max=10**6)
          .to_pandas().sort_values("doc_id").reset_index(drop=True))
-    b = (bigram_logprob(ray.data.from_pandas(docs), num_buckets=8,
+    b = (bigram_logprob(ray.data.from_pandas(docs),
                         broadcast_scores_max=0)
          .to_pandas().sort_values("doc_id").reset_index(drop=True))
     pd.testing.assert_frame_equal(a, b)

@@ -1,5 +1,5 @@
-"""Remaining stage coverage: salted aggregate, links CSV sink,
-generation invariance to batch splits."""
+"""Remaining stage coverage: hot-key combined aggregate, links CSV
+sink, generation invariance to batch splits."""
 
 import os
 
@@ -8,16 +8,25 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 
 
-def test_salted_equals_plain_groupby(ray_session):
+def test_combined_count_sum_equals_plain_groupby(ray_session):
+    """A hot key's count/sum combined per batch, then one keyed
+    exchange (the events_type_count_salted shape) == pandas groupby."""
     import ray.data
-    from full_text_extractor_v6_ray.stages.salted import salted_count_sum
+    from full_text_extractor_v6_ray.stages.dedup import bucketed_group_agg
 
     df = pd.DataFrame({
         "k": ["hot"] * 500 + ["a"] * 20 + ["b"] * 3,
         "v": range(523),
     })
-    got = salted_count_sum(ray.data.from_pandas(df), "k", sum_col="v",
-                           n_salts=8).to_pandas()
+
+    def partial(batch: pa.Table) -> pa.Table:
+        g = batch.group_by("k").aggregate([([], "count_all"), ("v", "sum")])
+        return g.rename_columns(["k", "n_rows", "total"])
+
+    got = bucketed_group_agg(
+        ray.data.from_pandas(df).repartition(8).map_batches(
+            partial, batch_format="pyarrow"),
+        "k", [("n_rows", "sum"), ("total", "sum")]).to_pandas()
     exp = df.groupby("k").agg(n_rows=("v", "count"),
                               total=("v", "sum")).reset_index()
     got = got.sort_values("k").reset_index(drop=True)

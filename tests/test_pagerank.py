@@ -21,7 +21,7 @@ def _numpy_pagerank(nodes, edges, d=0.85, n_iter=10):
     return {n: r[idx[n]] for n in nodes}
 
 
-def test_pagerank_matches_numpy_oracle(ray_session):
+def test_pagerank_matches_numpy_oracle(ray_session, bucket_count):
     import ray.data
     from full_text_extractor_v6_ray.stages.pagerank import pagerank
 
@@ -29,7 +29,8 @@ def test_pagerank_matches_numpy_oracle(ray_session):
     nodes = ["a", "b", "c", "d"]          # d is a dangling sink
     tbl = pa.table({"src": pa.array([e[0] for e in edges]),
                     "dst": pa.array([e[1] for e in edges])})
-    got = pagerank(ray.data.from_arrow(tbl), n_iter=10, num_buckets=4).to_pandas()
+    bucket_count(4)
+    got = pagerank(ray.data.from_arrow(tbl), n_iter=10).to_pandas()
     expect = _numpy_pagerank(nodes, edges, n_iter=10)
     assert sorted(got["node"]) == nodes
     for _, row in got.iterrows():
@@ -37,7 +38,7 @@ def test_pagerank_matches_numpy_oracle(ray_session):
     assert abs(got["rank"].sum() - 1.0) < 1e-9   # mass conserved
 
 
-def test_pagerank_deterministic_and_ranks_authority(ray_session):
+def test_pagerank_deterministic_and_ranks_authority(ray_session, bucket_count):
     import ray.data
     from full_text_extractor_v6_ray.stages.pagerank import pagerank
 
@@ -46,18 +47,20 @@ def test_pagerank_deterministic_and_ranks_authority(ray_session):
     tbl = pa.table({"src": pa.array(spokes),
                     "dst": pa.array(["hub"] * 20)})
     ds = ray.data.from_arrow(tbl)
-    r1 = pagerank(ds, n_iter=6, num_buckets=4).to_pandas().sort_values("node")
-    r2 = pagerank(ds, n_iter=6, num_buckets=4).to_pandas().sort_values("node")
+    bucket_count(4)
+    r1 = pagerank(ds, n_iter=6).to_pandas().sort_values("node")
+    r2 = pagerank(ds, n_iter=6).to_pandas().sort_values("node")
     assert np.array_equal(r1["rank"].to_numpy(), r2["rank"].to_numpy())
     hub = float(r1.loc[r1["node"] == "hub", "rank"].iloc[0])
     assert hub > r1.loc[r1["node"] != "hub", "rank"].max() * 5
 
 
-def test_pagerank_empty_edges(ray_session):
+def test_pagerank_empty_edges(ray_session, bucket_count):
     import ray.data
     from full_text_extractor_v6_ray.stages.pagerank import pagerank
 
     tbl = pa.table({"src": pa.array([], pa.string()),
                     "dst": pa.array([], pa.string())})
-    out = pagerank(ray.data.from_arrow(tbl), n_iter=3, num_buckets=4).to_pandas()
+    bucket_count(4)
+    out = pagerank(ray.data.from_arrow(tbl), n_iter=3).to_pandas()
     assert len(out) == 0

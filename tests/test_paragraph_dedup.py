@@ -4,7 +4,7 @@ reassembly, full-doc disappearance, and the bigram combiner."""
 import pandas as pd
 
 
-def test_paragraph_dedup_keep_first_and_reassembly(ray_session):
+def test_paragraph_dedup_keep_first_and_reassembly(ray_session, bucket_count):
     import ray.data
     from full_text_extractor_v6_ray.stages.text_ops import paragraph_dedup
 
@@ -18,8 +18,9 @@ def test_paragraph_dedup_keep_first_and_reassembly(ray_session):
             "standalone text",
         ],
     })
+    bucket_count(4)
     got = (paragraph_dedup(ray.data.from_pandas(docs), "doc_id", "text",
-                           sep="\n\n", join_sep="\n\n", num_buckets=4)
+                           sep="\n\n", join_sep="\n\n")
            .to_pandas().sort_values("doc_id").reset_index(drop=True))
     assert got["doc_id"].tolist() == [0, 1, 3]
     # doc 0 holds the first occurrence -> keeps boiler, order preserved
@@ -28,7 +29,7 @@ def test_paragraph_dedup_keep_first_and_reassembly(ray_session):
     assert got.loc[2, "text"] == "standalone text"
 
 
-def test_paragraph_dedup_dup_within_one_doc(ray_session):
+def test_paragraph_dedup_dup_within_one_doc(ray_session, bucket_count):
     import ray.data
     from full_text_extractor_v6_ray.stages.text_ops import paragraph_dedup
 
@@ -36,9 +37,9 @@ def test_paragraph_dedup_dup_within_one_doc(ray_session):
         "doc_id": [7],
         "text": ["same para\n\nsame para\n\nother"],
     })
+    bucket_count(4)
     got = paragraph_dedup(ray.data.from_pandas(docs), "doc_id", "text",
-                          sep="\n\n", join_sep="\n\n",
-                          num_buckets=4).to_pandas()
+                          sep="\n\n", join_sep="\n\n").to_pandas()
     assert got.loc[0, "text"] == "same para\n\nother"
 
 
@@ -56,7 +57,7 @@ def test_chunk_words_explode_positions(ray_session):
     assert got["idx"].tolist() == [0, 1, 2]
 
 
-def test_paragraph_dedup_doc_ids_above_2_31(ray_session):
+def test_paragraph_dedup_doc_ids_above_2_31(ray_session, bucket_count):
     """Packed election keys beyond int64<<32 territory: doc_id ≥ 2^31
     makes the uint64 pack ≥ 2^63, which must survive Ray's Min reduce
     exactly (sign-bit-flip bijection into int64 — a raw uint64 would
@@ -70,8 +71,9 @@ def test_paragraph_dedup_doc_ids_above_2_31(ray_session):
         "doc_id": [hi, lo],
         "text": ["shared para\n\nonly in hi", "shared para\n\nonly in lo"],
     })
+    bucket_count(4)
     got = (paragraph_dedup(ray.data.from_pandas(docs), "doc_id", "text",
-                           sep="\n\n", join_sep="\n\n", num_buckets=4)
+                           sep="\n\n", join_sep="\n\n")
            .to_pandas().sort_values("doc_id").reset_index(drop=True))
     assert got["doc_id"].tolist() == [lo, hi]
     # keep-FIRST = smaller (doc_id, idx): lo wins the shared paragraph

@@ -153,7 +153,7 @@ def test_chunk_slices_cover_every_token_once(ray_session):
                 == g["off_in_chunk"].to_numpy()[1:]).all()
 
 
-def test_first_fit_pack_invariants(ray_session):
+def test_first_fit_pack_invariants(ray_session, bucket_count):
     import ray.data
     from full_text_extractor_v6_ray.stages.packing import first_fit_pack
 
@@ -163,8 +163,8 @@ def test_first_fit_pack_invariants(ray_session):
         "doc_id": range(len(sizes)),
         "text": ["t " * s for s in sizes],
     })
-    got = first_fit_pack(ray.data.from_pandas(docs), ctx=128,
-                         num_buckets=4).to_pandas()
+    bucket_count(4)
+    got = first_fit_pack(ray.data.from_pandas(docs), ctx=128).to_pandas()
     assert len(got) == len(sizes)                    # every doc once
     assert got["doc_id"].is_unique
     assert (got.loc[got["oversize"], "n_tok"] > 128).all()
@@ -174,14 +174,36 @@ def test_first_fit_pack_invariants(ray_session):
     over_bins = got.loc[got["oversize"], "bin_id"]
     assert not set(over_bins) & set(loads.index)     # dedicated bins
     # deterministic
-    again = first_fit_pack(ray.data.from_pandas(docs), ctx=128,
-                           num_buckets=4).to_pandas()
+    again = first_fit_pack(ray.data.from_pandas(docs), ctx=128).to_pandas()
     pd.testing.assert_frame_equal(
         got.sort_values("doc_id").reset_index(drop=True),
         again.sort_values("doc_id").reset_index(drop=True))
 
 
-def test_hash_join_matches_duckdb_reference(ray_session):
+def test_first_fit_pack_independent_of_cluster_size(ray_session,
+                                                    bucket_count):
+    """The bins are scoped per FIXED hash partition of the doc id, so the
+    packing (bin ids included) is the same at any exchange bucket count,
+    i.e. on any cluster size."""
+    import ray.data
+    from full_text_extractor_v6_ray.stages.packing import first_fit_pack
+
+    rng = np.random.RandomState(11)
+    sizes = rng.randint(1, 120, size=200).tolist()
+    docs = pd.DataFrame({
+        "doc_id": range(len(sizes)),
+        "text": ["t " * s for s in sizes],
+    })
+    outs = []
+    for n in (7, 128):
+        bucket_count(n)
+        outs.append(first_fit_pack(ray.data.from_pandas(docs), ctx=128)
+                    .to_pandas().sort_values("doc_id")
+                    .reset_index(drop=True))
+    pd.testing.assert_frame_equal(outs[0], outs[1])
+
+
+def test_hash_join_matches_duckdb_reference(ray_session, bucket_count):
     """Unique-build-key decorate join == DuckDB's inner join on the same
     inputs (string keys, int payloads, exact dtypes)."""
     import duckdb
@@ -197,8 +219,9 @@ def test_hash_join_matches_duckdb_reference(ray_session):
         "rk": [f"key{i}" for i in range(0, 50, 2)],   # unique, partial
         "val": np.arange(25) * 7,
     })
+    bucket_count(8)
     a = (hash_join(ray.data.from_pandas(left),
-                   ray.data.from_pandas(right), "k", "rk", num_buckets=8)
+                   ray.data.from_pandas(right), "k", "rk")
          .to_pandas().sort_values(["k", "payload"])
          .reset_index(drop=True))
     con = duckdb.connect()
@@ -209,7 +232,7 @@ def test_hash_join_matches_duckdb_reference(ray_session):
     pd.testing.assert_frame_equal(a, b[a.columns])
 
 
-def test_lookup_hash_join_preserves_int64_extremes(ray_session):
+def test_lookup_hash_join_preserves_int64_extremes(ray_session, bucket_count):
     """Values near ±2^63 survive exactly (the pandas-merge float64
     round-trip caveat cannot occur on the Arrow path)."""
     import ray.data
@@ -219,9 +242,9 @@ def test_lookup_hash_join_preserves_int64_extremes(ray_session):
     left = pd.DataFrame({"k": ["a", "b", "c"], "payload": big})
     right = pd.DataFrame({"rk": ["a", "b", "c"],
                           "val": [b + 1 for b in big]})
+    bucket_count(4)
     got = (hash_join(ray.data.from_pandas(left),
-                     ray.data.from_pandas(right), "k", "rk",
-                     num_buckets=4)
+                     ray.data.from_pandas(right), "k", "rk")
            .to_pandas().sort_values("k").reset_index(drop=True))
     assert got["payload"].tolist() == big
     assert got["val"].tolist() == [b + 1 for b in big]
@@ -275,7 +298,7 @@ def test_dsir_log_ratio_prefers_target_like_docs(ray_session):
     assert abs(got.loc[3, "log_ratio"] - expect3) < 1e-6
 
 
-def test_quality_aware_neardup_keeper(ray_session):
+def test_quality_aware_neardup_keeper(ray_session, bucket_count):
     """Per dup component the highest-score member survives (tie -> min
     id); non-members pass through; equal scores reduce to the min-id
     canonical behavior."""
@@ -293,9 +316,10 @@ def test_quality_aware_neardup_keeper(ray_session):
         "doc_id": [1, 2, 3, 4, 5, 7, 9],
         "score": [0.1, 0.9, 0.5, 0.0, 0.0, 0.3, 0.3],  # B ties
     })
+    bucket_count(4)
     got = (remove_neardup_members_by_quality(
         ray.data.from_pandas(docs), ray.data.from_pandas(comp),
-        ray.data.from_pandas(scores), num_buckets=4)
+        ray.data.from_pandas(scores))
         .to_pandas().sort_values("doc_id"))
     # A keeps 2 (best score); B keeps 7 (tie -> min id); 4,5 untouched
     assert got["doc_id"].tolist() == [2, 4, 5, 7]
@@ -304,7 +328,7 @@ def test_quality_aware_neardup_keeper(ray_session):
     eq = scores.assign(score=1.0)
     a = (remove_neardup_members_by_quality(
         ray.data.from_pandas(docs), ray.data.from_pandas(comp),
-        ray.data.from_pandas(eq), num_buckets=4)
+        ray.data.from_pandas(eq))
         .to_pandas().sort_values("doc_id").reset_index(drop=True))
     b = (remove_neardup_members(
         ray.data.from_pandas(docs), ray.data.from_pandas(comp))
@@ -312,7 +336,7 @@ def test_quality_aware_neardup_keeper(ray_session):
     pd.testing.assert_frame_equal(a, b)
 
 
-def test_semdedup_within_cluster_pruning(ray_session):
+def test_semdedup_within_cluster_pruning(ray_session, bucket_count):
     """Planted semantic twins collapse to the min id; distinct
     directions and singleton clusters survive untouched."""
     import ray.data
@@ -329,12 +353,13 @@ def test_semdedup_within_cluster_pruning(ray_session):
                  (7, base3)]:                             # singleton
         rows.append({"vec_id": i, "embedding": list(map(float, v))})
     ds = ray.data.from_pandas(pd.DataFrame(rows))
-    got = (semdedup(ds, k=3, threshold=0.95, n_iter=5, num_buckets=4)
+    bucket_count(4)
+    got = (semdedup(ds, k=3, threshold=0.95, n_iter=5)
            .to_pandas().sort_values("vec_id"))
     assert got["vec_id"].tolist() == [1, 3, 7]
 
 
-def test_packed_chunk_text_materialization(ray_session):
+def test_packed_chunk_text_materialization(ray_session, bucket_count):
     """Windows are exactly ctx tokens except the last; the
     concatenated stream equals the docs laid end-to-end in id order."""
     import ray.data
@@ -342,8 +367,9 @@ def test_packed_chunk_text_materialization(ray_session):
 
     docs = [{"doc_id": i, "text": " ".join(
         f"d{i}t{j}" for j in range(7 + (i % 5)))} for i in range(20)]
+    bucket_count(4)
     got = (packed_chunk_text(ray.data.from_items(docs), "doc_id",
-                             "text", ctx=16, num_buckets=4)
+                             "text", ctx=16)
            .to_pandas().sort_values("chunk_id").reset_index(drop=True))
     stream = " ".join(d["text"] for d in docs).split(" ")
     assert got["chunk_id"].tolist() == list(range(len(got)))

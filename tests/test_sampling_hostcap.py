@@ -46,7 +46,7 @@ def test_weighted_topk_heavier_weights_win_on_average(ray_session):
     assert (got["k"] < 200).sum() >= 35
 
 
-def test_per_host_cap(ray_session):
+def test_per_host_cap(ray_session, bucket_count):
     import ray.data
     from full_text_extractor_v6_ray.stages.topk import per_host_cap
 
@@ -57,8 +57,9 @@ def test_per_host_cap(ray_session):
                          "quality_score": float(i)})
     rows.append({"url": "not-a-url", "quality_score": 9.0})  # dropped
     df = pd.DataFrame(rows)
+    bucket_count(4)
     got = (per_host_cap(ray.data.from_pandas(df), "url",
-                        "quality_score", cap=3, num_buckets=4)
+                        "quality_score", cap=3)
            .to_pandas().sort_values(["host", "rn"]).reset_index(drop=True))
     assert got.groupby("host").size().to_dict() == {"a.com": 3, "b.org": 2}
     # best-quality pages kept, rn follows quality desc

@@ -44,7 +44,7 @@ def test_grouped_corr_constant_column_is_null(ray_session):
     assert pd.isna(got.loc[0, "corr"])
 
 
-def test_cohort_retention_matches_pandas(ray_session):
+def test_cohort_retention_matches_pandas(ray_session, bucket_count):
     import ray.data
     from full_text_extractor_v6_ray.stages.stats import cohort_retention
 
@@ -53,8 +53,8 @@ def test_cohort_retention_matches_pandas(ray_session):
     ts = (pd.Timestamp("2024-01-01")
           + pd.to_timedelta(rng.randint(0, 60 * 86400, n), unit="s"))
     df = pd.DataFrame({"user_id": rng.randint(0, 40, n), "ts": ts})
-    got = (cohort_retention(ray.data.from_pandas(df), "user_id", "ts",
-                            num_buckets=8)
+    bucket_count(8)
+    got = (cohort_retention(ray.data.from_pandas(df), "user_id", "ts")
            .to_pandas()
            .sort_values(["cohort_week", "weeks_since"])
            .reset_index(drop=True))
@@ -137,13 +137,14 @@ def test_tfidf_oracle(ray_session):
     _vs_oracle("docs_tfidf_top3", ["doc_id", "rn"], ray_session)
 
 
-def test_grouped_mode_tiebreak(ray_session):
+def test_grouped_mode_tiebreak(ray_session, bucket_count):
     import ray.data
     from full_text_extractor_v6_ray.stages.window import grouped_mode
 
     df = pd.DataFrame({"k": [1, 1, 1, 1, 2, 2],
                        "v": ["b", "b", "a", "a", "z", "y"]})
-    got = (grouped_mode(ray.data.from_pandas(df), "k", "v", num_buckets=4)
+    bucket_count(4)
+    got = (grouped_mode(ray.data.from_pandas(df), "k", "v")
            .to_pandas().sort_values("k").reset_index(drop=True))
     assert got.loc[0, "v"] == "a"  # tie 2-2 -> lexicographically smallest
     assert got.loc[0, "n"] == 2
@@ -176,7 +177,7 @@ def test_mode_cube_dense_oracles(ray_session):
     _vs_oracle("events_hourly_dense", ["event_type", "hour"], ray_session)
 
 
-def test_bucketed_except(ray_session):
+def test_bucketed_except(ray_session, bucket_count):
     import ray.data
     from full_text_extractor_v6_ray.stages.dedup import (
         hash_bucketed_distinct)
@@ -185,10 +186,10 @@ def test_bucketed_except(ray_session):
     left = pd.DataFrame({"k": [1, 2, 2, 3, 4, 5]})
     right = pd.DataFrame({"j": [2, 4, 4, 9]})
     # EXCEPT = distinct, then anti join
-    distinct = hash_bucketed_distinct(ray.data.from_pandas(left), ["k"],
-                                      num_buckets=4)
+    bucket_count(4)
+    distinct = hash_bucketed_distinct(ray.data.from_pandas(left), ["k"])
     got = sorted(hash_join(distinct, ray.data.from_pandas(right),
-                           "k", "j", how="anti", num_buckets=4)
+                           "k", "j", how="anti")
                  .to_pandas()["k"].tolist())
     assert got == [1, 3, 5]  # distinct left minus right
 

@@ -121,7 +121,8 @@ def test_grouped_quantile_disc_matches_duckdb(ray_session):
         pd.testing.assert_frame_equal(got[["k", "qv", "n"]], exp)
 
 
-def test_time_range_sum_matches_duckdb_with_peer_ties(ray_session):
+def test_time_range_sum_matches_duckdb_with_peer_ties(ray_session,
+                                                      bucket_count):
     import ray.data
     from full_text_extractor_v6_ray.stages.window import (
         grouped_time_range_sum)
@@ -139,9 +140,10 @@ def test_time_range_sum_matches_duckdb_with_peer_ties(ray_session):
         "v": rng.rand(n).round(3),
     })
     assert df.duplicated(["k", "ts"]).any()  # ties actually planted
+    bucket_count(4)
     got = (grouped_time_range_sum(
         ray.data.from_pandas(df), "k", "ts", "v", window="15min",
-        out_col="rs", num_buckets=4)
+        out_col="rs")
         .to_pandas().sort_values("eid").reset_index(drop=True))
     exp = _dsql(df, """
         SELECT eid, SUM(v) OVER (
@@ -181,7 +183,7 @@ def test_grouping_sets_rejects_unknown_key(ray_session):
         grouping_sets_agg(ray.data.from_pandas(df), ["a"], [["zz"]], "v")
 
 
-def test_time_range_sum_drops_null_ts_and_key(ray_session):
+def test_time_range_sum_drops_null_ts_and_key(ray_session, bucket_count):
     import ray.data
     from full_text_extractor_v6_ray.stages.window import (
         grouped_time_range_sum)
@@ -192,9 +194,9 @@ def test_time_range_sum_drops_null_ts_and_key(ray_session):
                               "2024-01-01 01:00", None]),
         "v": [1.0, 2.0, 4.0, 8.0],
     })
+    bucket_count(2)
     got = (grouped_time_range_sum(ray.data.from_pandas(df), "k", "ts",
-                                  "v", window="1h", out_col="rs",
-                                  num_buckets=2)
+                                  "v", window="1h", out_col="rs")
            .to_pandas().sort_values("ts").reset_index(drop=True))
     # null-key and null-ts rows dropped; the two valid rows window over
     # each other only

@@ -72,7 +72,7 @@ def test_vocab_stats_re2_dialect_vs_duckdb(ray_session):
         got[["token", "tf", "df"]], want[["token", "tf", "df"]])
 
 
-def test_bigram_logprob_dirty_whitespace_both_paths(ray_session):
+def test_bigram_logprob_dirty_whitespace_both_paths(ray_session, bucket_count):
     """The exact scenario the old code broke on: _doc_pairs (RE2) used
     to meet a Python-split unigram table, dropping every bigram whose
     token contains \\x0b/\\xa0 from the score join. Now one dialect
@@ -84,10 +84,11 @@ def test_bigram_logprob_dirty_whitespace_both_paths(ray_session):
     from full_text_extractor_v6_ray.stages.lm import bigram_logprob
 
     docs = pd.DataFrame({"doc_id": range(len(DIRTY)), "text": DIRTY})
-    a = (bigram_logprob(ray.data.from_pandas(docs), num_buckets=8,
+    bucket_count(8)
+    a = (bigram_logprob(ray.data.from_pandas(docs),
                         broadcast_scores_max=10**6)
          .to_pandas().sort_values("doc_id").reset_index(drop=True))
-    b = (bigram_logprob(ray.data.from_pandas(docs), num_buckets=8,
+    b = (bigram_logprob(ray.data.from_pandas(docs),
                         broadcast_scores_max=0)
          .to_pandas().sort_values("doc_id").reset_index(drop=True))
     pd.testing.assert_frame_equal(a, b)
@@ -110,7 +111,7 @@ def test_bigram_logprob_dirty_whitespace_both_paths(ray_session):
         assert abs(got.loc[i, "avg_logprob"] - lp) < 1e-6
 
 
-def test_packed_chunks_dirty_whitespace_consistent(ray_session):
+def test_packed_chunks_dirty_whitespace_consistent(ray_session, bucket_count):
     """The manifest counts tokens with Arrow RE2 \\S+; the cutter must
     slice the IDENTICAL token list (the old Python-\\S+ cut dropped
     tokens after a \\x0b and shifted every later window boundary).
@@ -121,8 +122,9 @@ def test_packed_chunks_dirty_whitespace_consistent(ray_session):
 
     texts = ["a\x0bb c d e", "x\xa0y z w", "p q r", "lone"]
     docs = pd.DataFrame({"doc_id": range(len(texts)), "text": texts})
+    bucket_count(4)
     chunks = (packed_chunk_text(ray.data.from_pandas(docs), ctx=3,
-                                num_ranges=4, num_buckets=4)
+                                num_ranges=4)
               .to_pandas().sort_values("chunk_id"))
     stream = [t for s in texts for t in re2_tokens(s)]
     rebuilt = [t for c in chunks["text"] for t in c.split(" ")]

@@ -63,7 +63,7 @@ def test_canonicalize_semantics():
     assert m[""] == ""
 
 
-def test_canonical_url_dedup_groups_variants(ray_session):
+def test_canonical_url_dedup_groups_variants(ray_session, bucket_count):
     import ray.data
 
     rows = pd.DataFrame({
@@ -76,7 +76,8 @@ def test_canonical_url_dedup_groups_variants(ray_session):
             "https://b.com/p?x=1",
         ],
     })
-    got = (canonical_url_dedup(ray.data.from_pandas(rows), num_buckets=4)
+    bucket_count(4)
+    got = (canonical_url_dedup(ray.data.from_pandas(rows))
            .to_pandas().set_index("canonical_url").sort_index())
     assert got.loc["https://a.com/p?x=1", "n_dups"] == 3
     assert got.loc["https://a.com/p?x=1", "doc_id"] == 1

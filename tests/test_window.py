@@ -5,7 +5,7 @@ import pandas as pd
 import pyarrow as pa
 
 
-def test_grouped_row_number_matches_pandas(ray_session):
+def test_grouped_row_number_matches_pandas(ray_session, bucket_count):
     import ray.data
     from full_text_extractor_v6_ray.stages.window import grouped_row_number
 
@@ -13,8 +13,9 @@ def test_grouped_row_number_matches_pandas(ray_session):
     df = pd.DataFrame({"k": rng.randint(0, 20, 300),
                        "o": rng.permutation(300),
                        "v": np.arange(300)})
+    bucket_count(8)
     got = grouped_row_number(ray.data.from_pandas(df), "k", ["o"],
-                             out_col="rn", num_buckets=8).to_pandas()
+                             out_col="rn").to_pandas()
     exp = df.sort_values(["k", "o"], kind="mergesort").copy()
     exp["rn"] = exp.groupby("k", sort=False).cumcount() + 1
     key = ["k", "o"]
@@ -23,18 +24,19 @@ def test_grouped_row_number_matches_pandas(ray_session):
     assert list(got["rn"]) == list(exp["rn"])
 
 
-def test_grouped_row_number_limit(ray_session):
+def test_grouped_row_number_limit(ray_session, bucket_count):
     import ray.data
     from full_text_extractor_v6_ray.stages.window import grouped_row_number
 
     df = pd.DataFrame({"k": [1] * 10 + [2] * 2, "o": list(range(10)) + [0, 1]})
+    bucket_count(4)
     got = grouped_row_number(ray.data.from_pandas(df), "k", ["o"],
-                             limit=3, num_buckets=4).to_pandas()
+                             limit=3).to_pandas()
     assert len(got) == 5
     assert got["rn"].max() == 3
 
 
-def test_grouped_cumsum_matches_pandas(ray_session):
+def test_grouped_cumsum_matches_pandas(ray_session, bucket_count):
     import ray.data
     from full_text_extractor_v6_ray.stages.window import grouped_cumsum
 
@@ -42,8 +44,9 @@ def test_grouped_cumsum_matches_pandas(ray_session):
     df = pd.DataFrame({"k": rng.randint(0, 15, 400),
                        "o": np.arange(400),
                        "v": rng.rand(400)})
+    bucket_count(8)
     got = grouped_cumsum(ray.data.from_pandas(df), "k", ["o"], "v",
-                         out_col="rs", num_buckets=8).to_pandas()
+                         out_col="rs").to_pandas()
     exp = df.sort_values(["k", "o"], kind="mergesort").copy()
     exp["rs"] = exp.groupby("k", sort=False)["v"].cumsum()
     got = got.sort_values(["k", "o"]).reset_index(drop=True)
@@ -93,15 +96,16 @@ def test_pivot_counts_matches_crosstab(ray_session):
     assert "n_D" not in got.columns
 
 
-def test_grouped_percent_rank_matches_pandas(ray_session):
+def test_grouped_percent_rank_matches_pandas(ray_session, bucket_count):
     import ray.data
     from full_text_extractor_v6_ray.stages.window import grouped_percent_rank
 
     rng = np.random.RandomState(31)
     df = pd.DataFrame({"k": rng.choice(["a", "b", "c"], 200),
                        "o": rng.permutation(200)})
+    bucket_count(4)
     got = grouped_percent_rank(ray.data.from_pandas(df), "k", ["o"],
-                               out_col="pr", num_buckets=4).to_pandas()
+                               out_col="pr").to_pandas()
     exp = df.copy()
     exp["pr"] = exp.groupby("k")["o"].rank(method="first").sub(1) / \
         exp.groupby("k")["o"].transform("size").sub(1)
@@ -110,27 +114,28 @@ def test_grouped_percent_rank_matches_pandas(ray_session):
     np.testing.assert_allclose(got["pr"], exp["pr"], rtol=0, atol=0)
 
 
-def test_grouped_percent_rank_singleton_zero(ray_session):
+def test_grouped_percent_rank_singleton_zero(ray_session, bucket_count):
     import ray.data
     from full_text_extractor_v6_ray.stages.window import grouped_percent_rank
 
     df = pd.DataFrame({"k": ["solo", "d", "d"], "o": [1, 2, 3]})
-    got = grouped_percent_rank(ray.data.from_pandas(df), "k", ["o"],
-                               num_buckets=2).to_pandas()
+    bucket_count(2)
+    got = grouped_percent_rank(ray.data.from_pandas(df), "k",
+                               ["o"]).to_pandas()
     assert got.loc[got["k"] == "solo", "pr"].iloc[0] == 0.0
     assert set(got.loc[got["k"] == "d", "pr"]) == {0.0, 1.0}
 
 
-def test_grouped_string_agg_matches_pandas(ray_session):
+def test_grouped_string_agg_matches_pandas(ray_session, bucket_count):
     import ray.data
     from full_text_extractor_v6_ray.stages.window import grouped_string_agg
 
     rng = np.random.RandomState(41)
     df = pd.DataFrame({"k": rng.choice(["a", "b", "c"], 120),
                        "v": rng.permutation(120)})
+    bucket_count(4)
     got = (grouped_string_agg(ray.data.from_pandas(df), "k", "v",
-                              order_cols=["v"], out_col="vals",
-                              num_buckets=4).to_pandas()
+                              order_cols=["v"], out_col="vals").to_pandas()
            .sort_values("k").reset_index(drop=True))
     exp = (df.sort_values(["k", "v"]).groupby("k")["v"]
            .agg(lambda s: ",".join(str(x) for x in s))
@@ -138,22 +143,23 @@ def test_grouped_string_agg_matches_pandas(ray_session):
     pd.testing.assert_frame_equal(got[["k", "vals"]], exp)
 
 
-def test_grouped_exact_distinct_matches_pandas(ray_session):
+def test_grouped_exact_distinct_matches_pandas(ray_session, bucket_count):
     import ray.data
     from full_text_extractor_v6_ray.stages.window import grouped_exact_distinct
 
     rng = np.random.RandomState(43)
     df = pd.DataFrame({"k": rng.choice(["x", "y", "z"], 500),
                        "u": rng.randint(0, 40, 500)})
+    bucket_count(4)
     got = (grouped_exact_distinct(ray.data.from_pandas(df), "k", "u",
-                                  out_col="n", num_buckets=4).to_pandas()
+                                  out_col="n").to_pandas()
            .sort_values("k").reset_index(drop=True))
     exp = df.groupby("k")["u"].nunique().reset_index(name="n")
     assert list(got["k"]) == list(exp["k"])
     assert list(got["n"].astype(int)) == list(exp["n"])
 
 
-def test_grouped_lag_gap(ray_session):
+def test_grouped_lag_gap(ray_session, bucket_count):
     import ray.data
     from full_text_extractor_v6_ray.stages.window import grouped_lag_gap
 
@@ -163,15 +169,15 @@ def test_grouped_lag_gap(ray_session):
         "ts": pd.to_datetime(["2024-01-01 00:00:00", "2024-01-01 00:00:10",
                               "2024-01-01 00:01:00", "2024-01-01 05:00:00"]),
     })
-    got = (grouped_lag_gap(ray.data.from_pandas(df), "k", "ts", ["id"],
-                           num_buckets=4)
+    bucket_count(4)
+    got = (grouped_lag_gap(ray.data.from_pandas(df), "k", "ts", ["id"])
            .to_pandas().sort_values("id").reset_index(drop=True))
     assert pd.isna(got.loc[0, "gap_s"]) and pd.isna(got.loc[3, "gap_s"])
     assert got.loc[1, "gap_s"] == 10.0
     assert got.loc[2, "gap_s"] == 50.0
 
 
-def test_grouped_ntile_uneven_semantics(ray_session):
+def test_grouped_ntile_uneven_semantics(ray_session, bucket_count):
     import ray.data
     from full_text_extractor_v6_ray.stages.window import grouped_ntile
 
@@ -179,15 +185,15 @@ def test_grouped_ntile_uneven_semantics(ray_session):
     # plus a group smaller than n (2 rows -> tiles 1,2)
     df = pd.DataFrame({"k": ["a"] * 10 + ["b"] * 2,
                        "o": list(range(10)) + [0, 1]})
-    got = (grouped_ntile(ray.data.from_pandas(df), "k", ["o"], 4,
-                         num_buckets=4)
+    bucket_count(4)
+    got = (grouped_ntile(ray.data.from_pandas(df), "k", ["o"], 4)
            .to_pandas().sort_values(["k", "o"]).reset_index(drop=True))
     a = got[got["k"] == "a"]["tile"].tolist()
     assert a == [1, 1, 1, 2, 2, 2, 3, 3, 4, 4]
     assert got[got["k"] == "b"]["tile"].tolist() == [1, 2]
 
 
-def test_grouped_dense_rank_matches_pandas(ray_session):
+def test_grouped_dense_rank_matches_pandas(ray_session, bucket_count):
     import ray.data
     from full_text_extractor_v6_ray.stages.window import grouped_dense_rank
 
@@ -195,8 +201,9 @@ def test_grouped_dense_rank_matches_pandas(ray_session):
     df = pd.DataFrame({"k": rng.randint(0, 6, 400),
                        "d": rng.randint(0, 15, 400),   # heavy ties
                        "id": np.arange(400)})
+    bucket_count(4)
     got = (grouped_dense_rank(ray.data.from_pandas(df), "k", "d",
-                              out_col="dr", num_buckets=4)
+                              out_col="dr")
            .to_pandas().sort_values("id").reset_index(drop=True))
     exp = df.copy()
     exp["dr"] = exp.groupby("k")["d"].rank(method="dense").astype("int64")
@@ -207,7 +214,7 @@ def test_grouped_dense_rank_matches_pandas(ray_session):
             range(1, g["d"].nunique() + 1))
 
 
-def test_grouped_rolling_mean_matches_duckdb(ray_session):
+def test_grouped_rolling_mean_matches_duckdb(ray_session, bucket_count):
     import duckdb
     import ray.data
     from full_text_extractor_v6_ray.stages.window import (
@@ -217,9 +224,9 @@ def test_grouped_rolling_mean_matches_duckdb(ray_session):
     df = pd.DataFrame({"k": rng.randint(0, 8, 500),
                        "o": rng.permutation(500),
                        "v": (rng.rand(500) * 100).round(3)})
+    bucket_count(4)
     got = (grouped_rolling_mean(ray.data.from_pandas(df), "k", ["o"],
-                                "v", window=4, out_col="rm",
-                                num_buckets=4)
+                                "v", window=4, out_col="rm")
            .to_pandas().sort_values(["k", "o"]).reset_index(drop=True))
     exp = duckdb.sql("""
         SELECT k, o, ROUND(AVG(v) OVER (PARTITION BY k ORDER BY o
@@ -229,7 +236,7 @@ def test_grouped_rolling_mean_matches_duckdb(ray_session):
     np.testing.assert_allclose(got["rm"], exp["rm"], atol=1e-9)
 
 
-def test_bucketed_intersect_matches_set(ray_session):
+def test_bucketed_intersect_matches_set(ray_session, bucket_count):
     import ray.data
     from full_text_extractor_v6_ray.stages.dedup import (
         hash_bucketed_distinct)
@@ -239,11 +246,11 @@ def test_bucketed_intersect_matches_set(ray_session):
                                     np.arange(0, 80)]})  # dups in input
     right = pd.DataFrame({"b": np.arange(50, 200)})
     # INTERSECT = distinct, then semi join
-    distinct = hash_bucketed_distinct(ray.data.from_pandas(left), ["a"],
-                                      num_buckets=4)
+    bucket_count(4)
+    distinct = hash_bucketed_distinct(ray.data.from_pandas(left), ["a"])
     got = sorted(hash_join(
         distinct, ray.data.from_pandas(right),
-        "a", "b", how="semi", num_buckets=4).to_pandas()["a"])
+        "a", "b", how="semi").to_pandas()["a"])
     assert got == list(range(50, 80))   # distinct, both sides only
 
 
