@@ -19,7 +19,7 @@ Layout:
     sources/    readers + the deterministic synthetic pages generator.
     functions/  vectorized scalar/column functions (pyarrow.compute based).
     pipelines/  end-to-end Dataset -> Dataset compositions + checkpointing.
-    state/      broadcast state helpers (ray.put once, read per actor).
+    state/      the sharded cross-round url index (raw Ray actors).
 """
 
 __version__ = "0.1.0"

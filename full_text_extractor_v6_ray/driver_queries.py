@@ -23,22 +23,11 @@ import pyarrow.compute as pc
 
 import ray.data
 
+from .driver_queries_tpch import _read, _round_cols
 from .functions.text_stats import token_count_arrays
 from .pipelines import extraction_pipeline, pages_dataset_from_documents, extract_pages
 
 
-def _read(sf_dir: str, table: str, columns=None) -> "ray.data.Dataset":
-    return ray.data.read_parquet(os.path.join(sf_dir, f"{table}.parquet"),
-                                 columns=columns)
-
-
-def _round_cols(batch: pa.Table, cols: list, ndigits: int) -> pa.Table:
-    """Round float columns to a fixed precision (oracle hash stability)."""
-    for c in cols:
-        i = batch.schema.get_field_index(c)
-        batch = batch.set_column(
-            i, c, pc.round(batch.column(c), ndigits=ndigits))
-    return batch
 
 
 # ---------------------------------------------------------------------------
@@ -219,39 +208,37 @@ def q_orders_by_status(sf_dir: str):
                            batch_format="pyarrow")
 
 
+def _customer_nations(sf_dir: str, columns: list[str]) -> pa.Table:
+    """Customer ``columns`` + ``n_name`` (null when the nation is
+    missing), joined on the driver."""
+    import pyarrow.parquet as pq
+
+    cust = pq.read_table(os.path.join(sf_dir, "customer.parquet"),
+                         columns=columns + ["c_nationkey"])
+    nat = pq.read_table(os.path.join(sf_dir, "nation.parquet"),
+                        columns=["n_nationkey", "n_name"])
+    return cust.join(nat, "c_nationkey", "n_nationkey",
+                     join_type="left outer").select(columns + ["n_name"])
+
+
 def q_customer_nation_revenue(sf_dir: str):
     """Broadcast join: orders ⋈ customer ⋈ nation -> revenue per nation.
 
-    customer+nation are the small side: loaded once, shipped via ray.put
-    object-store broadcast, mapped inside map_batches — no shuffle join.
+    customer+nation are the small side: joined on the driver, then a
+    left ``broadcast_join`` decorates each orders batch — no shuffle
+    join (an order without a customer or nation counts under "").
     """
-    import pyarrow.parquet as pq
-    import ray
-
-    cust = pq.read_table(os.path.join(sf_dir, "customer.parquet"),
-                         columns=["c_custkey", "c_nationkey"])
-    nat = pq.read_table(os.path.join(sf_dir, "nation.parquet"),
-                        columns=["n_nationkey", "n_name"])
-    key2nation = dict(zip(cust["c_custkey"].to_pylist(),
-                          cust["c_nationkey"].to_pylist()))
-    nid2name = dict(zip(nat["n_nationkey"].to_pylist(),
-                        nat["n_name"].to_pylist()))
-    lookup = {k: nid2name.get(v, "") for k, v in key2nation.items()}
-    ref = ray.put(lookup)
-
     from ray.data.aggregate import Count, Sum
 
-    class JoinNation:
-        def __init__(self, ref):
-            self.lookup = ray.get(ref)
-
-        def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-            batch["n_name"] = batch["o_custkey"].map(self.lookup).fillna("")
-            return batch[["n_name", "o_totalprice"]]
+    from .stages.joins import broadcast_join
 
     orders = _read(sf_dir, "orders", columns=["o_custkey", "o_totalprice"])
-    joined = orders.map_batches(JoinNation, fn_constructor_kwargs={"ref": ref},
-                                batch_format="pandas", concurrency=2)
+    joined = broadcast_join(orders, _customer_nations(sf_dir, ["c_custkey"]),
+                            "o_custkey", "c_custkey", how="left")
+    joined = joined.map_batches(
+        lambda b: pa.table({"n_name": pc.fill_null(b.column("n_name"), ""),
+                            "o_totalprice": b.column("o_totalprice")}),
+        batch_format="pyarrow", zero_copy_batch=True)
     return joined.groupby("n_name").aggregate(
         Count(alias_name="n_orders"),
         Sum("o_totalprice", alias_name="revenue"))
@@ -398,8 +385,8 @@ def q_docs_neardup_dedup(sf_dir: str):
     doc per component, pass non-dup docs through.
 
     Scale shape: size-dispatched removal (`remove_neardup_members`) —
-    the drop set is COUNTED, broadcast via ray.put only when provably
-    small, and removed with one distributed anti-join shuffle
+    the drop set is COUNTED, taken by an anti ``broadcast_join`` only
+    when provably small, and removed with one distributed anti-join shuffle
     when it is corpus-scale (CC near-dup fractions run 20-40%)."""
     from .stages.fuzzy_dedup import (
         dup_components_ds,
@@ -786,12 +773,10 @@ def q_returned_revenue_topk(sf_dir: str):
     sort-on-the-already-small result.
     """
     import pyarrow.dataset as pads
-    import pyarrow.parquet as pq
-    import ray
 
     from ray.data.aggregate import Sum
 
-    from .stages.joins import hash_join
+    from .stages.joins import broadcast_join, hash_join
 
     li = ray.data.read_parquet(
         os.path.join(sf_dir, "lineitem.parquet"),
@@ -815,34 +800,20 @@ def q_returned_revenue_topk(sf_dir: str):
                .groupby("o_custkey")
                .aggregate(Sum("rev", alias_name="revenue")))
 
-    cust = pq.read_table(os.path.join(sf_dir, "customer.parquet"),
-                         columns=["c_custkey", "c_name", "c_nationkey"])
-    nat = pq.read_table(os.path.join(sf_dir, "nation.parquet"),
-                        columns=["n_nationkey", "n_name"])
-    nid2name = dict(zip(nat["n_nationkey"].to_pylist(),
-                        nat["n_name"].to_pylist()))
-    lookup = {k: (nm, nid2name.get(nk, ""))
-              for k, nm, nk in zip(cust["c_custkey"].to_pylist(),
-                                   cust["c_name"].to_pylist(),
-                                   cust["c_nationkey"].to_pylist())}
-    ref = ray.put(lookup)
+    named = broadcast_join(by_cust,
+                           _customer_nations(sf_dir, ["c_custkey", "c_name"]),
+                           "o_custkey", "c_custkey", how="left")
 
-    class Decorate:
-        def __init__(self, ref):
-            self.lk = ray.get(ref)
+    def decorate(batch: pa.Table) -> pa.Table:
+        # a customer row missing from the table (or its nation) reads ""
+        return pa.table({
+            "c_custkey": batch.column("o_custkey"),
+            "c_name": pc.fill_null(batch.column("c_name"), ""),
+            "n_name": pc.fill_null(batch.column("n_name"), ""),
+            "revenue": pc.round(batch.column("revenue"), ndigits=2)})
 
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            ck = batch.column("o_custkey").to_pylist()
-            names = [self.lk.get(k, ("", ""))[0] for k in ck]
-            nats = [self.lk.get(k, ("", ""))[1] for k in ck]
-            rev = pc.round(batch.column("revenue"), ndigits=2)
-            return pa.table({"c_custkey": pa.array(ck, pa.int64()),
-                             "c_name": pa.array(names, pa.string()),
-                             "n_name": pa.array(nats, pa.string()),
-                             "revenue": rev})
-
-    out = by_cust.map_batches(Decorate, fn_constructor_kwargs={"ref": ref},
-                              batch_format="pyarrow", concurrency=2)
+    out = named.map_batches(decorate, batch_format="pyarrow",
+                            zero_copy_batch=True)
     return out.sort(["revenue", "c_custkey"],
                     descending=[True, False]).limit(20)
 
@@ -947,32 +918,25 @@ def q_orders_top_per_customer(sf_dir: str):
                          descending=True, tie_col="o_orderkey")
 
 
-def q_orders_anti_join(sf_dir: str):
-    """Broadcast ANTI-join: orders whose customer is NOT in the BUILDING
-    market segment — the exclusion set ships once via ray.put, the
-    filter is one vectorized np.isin per batch (no shuffle)."""
+def _building_customers(sf_dir: str) -> pa.Table:
+    """The BUILDING market segment's ``c_custkey`` column."""
     import pyarrow.parquet as pq
-    import ray
 
     cust = pq.read_table(os.path.join(sf_dir, "customer.parquet"),
                          columns=["c_custkey", "c_mktsegment"])
-    keys = np.asarray(cust["c_custkey"].to_pylist(), dtype=np.int64)
-    seg = np.asarray(cust["c_mktsegment"].to_pylist())
-    excl = np.sort(keys[seg == "BUILDING"])
-    ref = ray.put(excl)
+    return cust.filter(pc.equal(cust["c_mktsegment"], "BUILDING")) \
+        .select(["c_custkey"])
 
-    class AntiJoin:
-        def __init__(self):
-            self.excl = ray.get(ref)
 
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            ck = batch.column("o_custkey").to_numpy(
-                zero_copy_only=False).astype(np.int64)
-            return batch.filter(pa.array(~np.isin(ck, self.excl)))
+def q_orders_anti_join(sf_dir: str):
+    """Broadcast ANTI-join: orders whose customer is NOT in the BUILDING
+    market segment — an anti ``broadcast_join`` against the segment's
+    customer keys (no shuffle)."""
+    from .stages.joins import broadcast_join
 
     ds = _read(sf_dir, "orders", columns=["o_orderkey", "o_custkey"])
-    return ds.map_batches(AntiJoin, batch_format="pyarrow",
-                          batch_size=4096, concurrency=(1, 2))
+    return broadcast_join(ds, _building_customers(sf_dir), "o_custkey",
+                          "c_custkey", how="anti")
 
 
 def q_orders_latest3_rn(sf_dir: str):
@@ -1040,30 +1004,13 @@ def q_orders_price_pctrank(sf_dir: str):
 
 def q_orders_semi_join(sf_dir: str):
     """Broadcast SEMI-join: orders whose customer IS in the BUILDING
-    segment (inclusion set ships once via ray.put; one vectorized
-    np.isin per batch, no shuffle — the dual of q_orders_anti_join)."""
-    import pyarrow.parquet as pq
-    import ray
-
-    cust = pq.read_table(os.path.join(sf_dir, "customer.parquet"),
-                         columns=["c_custkey", "c_mktsegment"])
-    keys = np.asarray(cust["c_custkey"].to_pylist(), dtype=np.int64)
-    seg = np.asarray(cust["c_mktsegment"].to_pylist())
-    incl = np.sort(keys[seg == "BUILDING"])
-    ref = ray.put(incl)
-
-    class SemiJoin:
-        def __init__(self):
-            self.incl = ray.get(ref)
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            ck = batch.column("o_custkey").to_numpy(
-                zero_copy_only=False).astype(np.int64)
-            return batch.filter(pa.array(np.isin(ck, self.incl)))
+    segment (a semi ``broadcast_join``, no shuffle — the dual of
+    q_orders_anti_join)."""
+    from .stages.joins import broadcast_join
 
     ds = _read(sf_dir, "orders", columns=["o_orderkey", "o_custkey"])
-    return ds.map_batches(SemiJoin, batch_format="pyarrow",
-                          batch_size=4096, concurrency=(1, 2))
+    return broadcast_join(ds, _building_customers(sf_dir), "o_custkey",
+                          "c_custkey", how="semi")
 
 
 def q_docs_hash_sample(sf_dir: str):
@@ -1178,32 +1125,28 @@ def q_docs_sample(sf_dir: str):
 
 
 def q_supplier_region_stats(sf_dir: str):
-    """Two-hop broadcast join: supplier -> nation -> region rollup."""
+    """Two-hop broadcast join: supplier -> nation -> region rollup (the
+    nation -> region hop joins on the driver; a supplier without one
+    counts under "")."""
     import pyarrow.parquet as pq
-    import ray
 
     from ray.data.aggregate import Count, Sum
 
-    nat = pq.read_table(os.path.join(sf_dir, "nation.parquet"))
-    reg = pq.read_table(os.path.join(sf_dir, "region.parquet"))
-    n2r = dict(zip(nat["n_nationkey"].to_pylist(),
-                   nat["n_regionkey"].to_pylist()))
-    r2name = dict(zip(reg["r_regionkey"].to_pylist(),
-                      reg["r_name"].to_pylist()))
-    lookup = {nk: r2name.get(rk, "") for nk, rk in n2r.items()}
-    ref = ray.put(lookup)
+    from .stages.joins import broadcast_join
 
-    class AddRegion:
-        def __init__(self):
-            self.lookup = ray.get(ref)
-
-        def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-            batch["r_name"] = batch["s_nationkey"].map(self.lookup).fillna("")
-            return batch[["r_name", "s_acctbal"]]
-
+    nat = pq.read_table(os.path.join(sf_dir, "nation.parquet"),
+                        columns=["n_nationkey", "n_regionkey"])
+    reg = pq.read_table(os.path.join(sf_dir, "region.parquet"),
+                        columns=["r_regionkey", "r_name"])
+    regions = nat.join(reg, "n_regionkey", "r_regionkey",
+                       join_type="left outer").select(["n_nationkey",
+                                                       "r_name"])
     sup = _read(sf_dir, "supplier", columns=["s_nationkey", "s_acctbal"])
-    joined = sup.map_batches(AddRegion, batch_format="pandas",
-                             concurrency=(1, 2))
+    joined = broadcast_join(sup, regions, "s_nationkey", "n_nationkey",
+                            how="left").map_batches(
+        lambda b: pa.table({"r_name": pc.fill_null(b.column("r_name"), ""),
+                            "s_acctbal": b.column("s_acctbal")}),
+        batch_format="pyarrow", zero_copy_batch=True)
     return joined.groupby("r_name").aggregate(
         Count(alias_name="n_suppliers"),
         Sum("s_acctbal", alias_name="total_acctbal"))
@@ -4406,8 +4349,8 @@ def q3_shipping_priority(sf_dir: str):
     """TPC-H Q3 shape: 3-table join (customer ⋈ orders ⋈ lineitem)
     with selective date/segment predicates, revenue aggregation, top
     10. Scale plan: date filters pushed into both parquet reads;
-    BUILDING customer keys broadcast once (ray.put + np.isin semi
-    filter — the small side never shuffles); lineitem revenue
+    orders take a semi ``broadcast_join`` with the BUILDING customer
+    keys (the small side never shuffles); lineitem revenue
     partial-aggregated per orderkey map-side BEFORE the one bucketed
     join; final groupby is per-orderkey-sized; sort+limit on the
     aggregated (small) table."""
@@ -4417,29 +4360,18 @@ def q3_shipping_priority(sf_dir: str):
     import pyarrow.parquet as pq
     from ray.data.aggregate import Sum
 
-    from .stages.joins import hash_join
+    from .stages.joins import broadcast_join, hash_join
 
     cutoff = datetime.datetime(1998, 6, 30)
-    cust = pq.read_table(os.path.join(sf_dir, "customer.parquet"),
-                         columns=["c_custkey", "c_mktsegment"])
-    keys = np.asarray(cust["c_custkey"].to_pylist(), dtype=np.int64)
-    seg = np.asarray(cust["c_mktsegment"].to_pylist())
-    building = np.sort(keys[seg == "BUILDING"])
-    ref = ray.put(building)
-
-    orders = ray.data.read_parquet(
-        os.path.join(sf_dir, "orders.parquet"),
-        columns=["o_orderkey", "o_custkey", "o_orderdate",
-                 "o_orderpriority"],
-        filter=pads.field("o_orderdate") < cutoff)
-
-    def semi_building(batch: pa.Table) -> pa.Table:
-        ck = batch.column("o_custkey").to_numpy(
-            zero_copy_only=False).astype(np.int64)
-        keep = np.isin(ck, ray.get(ref))
-        return batch.filter(pa.array(keep)).drop_columns(["o_custkey"])
-
-    orders = orders.map_batches(semi_building, batch_format="pyarrow")
+    orders = _read(sf_dir, "orders",
+                   columns=["o_orderkey", "o_custkey", "o_orderdate",
+                            "o_orderpriority"],
+                   filter=pads.field("o_orderdate") < cutoff)
+    orders = broadcast_join(orders, _building_customers(sf_dir), "o_custkey",
+                            "c_custkey", how="semi").map_batches(
+        lambda b: b.drop_columns(["o_custkey"]), batch_format="pyarrow",
+        zero_copy_batch=True)
+    footer = pq.read_schema(os.path.join(sf_dir, "orders.parquet"))
 
     li = ray.data.read_parquet(
         os.path.join(sf_dir, "lineitem.parquet"),
@@ -4459,7 +4391,12 @@ def q3_shipping_priority(sf_dir: str):
 
     li_partial = li.map_batches(partial_rev, batch_format="pyarrow",
                                 batch_size=4096)
-    joined = hash_join(li_partial, orders, "l_orderkey", "o_orderkey")
+    joined = hash_join(
+        li_partial, orders, "l_orderkey", "o_orderkey",
+        left_schema=pa.schema([("l_orderkey", pa.int64()),
+                               ("rev", pa.float64())]),
+        right_schema=pa.schema([footer.field(c) for c in (
+            "o_orderkey", "o_orderdate", "o_orderpriority")]))
     agg = (joined.groupby(["l_orderkey", "o_orderdate", "o_orderpriority"])
            .aggregate(Sum("rev", alias_name="revenue")))
 

@@ -24,12 +24,9 @@ import pyarrow.compute as pc
 
 import ray.data
 
+from .driver_queries_tpch import _read
+
 _NH = 97  # synthetic host cardinality
-
-
-def _read(sf_dir: str, table: str, columns=None) -> "ray.data.Dataset":
-    return ray.data.read_parquet(os.path.join(sf_dir, f"{table}.parquet"),
-                                 columns=columns)
 
 
 def _url_expr_sql(page: str) -> str:
@@ -340,12 +337,12 @@ def q_frontier_schedule(sf_dir: str):
     (``fetch_at_s = (wave-1) * delay``). Composes three crawl ops end
     to end: RobotsParseBatch (delay extraction, agent '*'),
     frontier_waves (per-host rank, one bucketed shuffle), and a
-    dimension-sized (host → delay) broadcast decorate — the frontier
-    itself never leaves the cluster."""
-    import ray
+    dimension-sized (host → delay) left ``broadcast_join`` — the
+    frontier itself never leaves the cluster."""
     import ray.data
 
     from .stages.crawl import RobotsParseBatch, frontier_waves
+    from .stages.joins import broadcast_join
 
     # per-host delays from the same synthetic robots fleet as
     # q_robots_parse, parsed for the star agent
@@ -370,15 +367,14 @@ def q_frontier_schedule(sf_dir: str):
     rules = (hosts.map_batches(build, batch_format="pyarrow")
              .map_batches(RobotsParseBatch(agent="*"),
                           batch_format="pyarrow", zero_copy_batch=True))
-    # dimension-sized: one delay per ruled host, broadcast as a sorted
-    # (hosts, delays) pair so the decorate below is a searchsorted probe
-    # (vectorized C path) instead of a per-row Python dict lookup
-    delay_tbl = rules.select_columns(["host", "crawl_delay"]).to_pandas()
-    dm = {int(h): max(int(d), 1)
-          for h, d in zip(delay_tbl["host"], delay_tbl["crawl_delay"])}
-    d_hosts = np.array(sorted(dm), dtype=np.int64)
-    d_vals = np.array([dm[h] for h in sorted(dm)], dtype=np.int64)
-    ref = ray.put((d_hosts, d_vals))
+    # dimension-sized: one delay per ruled host (at least 1 s); a host's
+    # rule rows all carry its one delay
+    delays = pa.Table.from_pandas(
+        rules.select_columns(["host", "crawl_delay"]).to_pandas()
+    ).group_by("host").aggregate([("crawl_delay", "max")])
+    delays = pa.table({"host": delays["host"],
+                       "delay_s": pc.max_element_wise(
+                           delays["crawl_delay_max"], 1)})
 
     ds = _read(sf_dir, "documents", columns=["doc_id"])
 
@@ -394,20 +390,19 @@ def q_frontier_schedule(sf_dir: str):
         ds.map_batches(synth, batch_format="pyarrow", zero_copy_batch=True),
         "host", "priority", "doc_id")
 
-    def decorate(df):
-        hs, dl = ray.get(ref)
-        h = df["host"].to_numpy(dtype=np.int64, copy=False)
-        idx = np.clip(np.searchsorted(hs, h), 0, max(len(hs) - 1, 0))
-        if len(hs):
-            delays = np.where(hs[idx] == h, dl[idx], 1).astype(np.int64)
-        else:
-            delays = np.ones(len(h), dtype=np.int64)
-        df = df.copy()
-        df["delay_s"] = delays
-        df["fetch_at_s"] = (df["wave"] - 1) * delays
-        return df[["doc_id", "host", "wave", "delay_s", "fetch_at_s"]]
+    def schedule(batch: pa.Table) -> pa.Table:
+        # a host without rules waits 1 s
+        delay = pc.fill_null(batch.column("delay_s"), 1)
+        return pa.table({
+            "doc_id": batch.column("doc_id"),
+            "host": batch.column("host"),
+            "wave": batch.column("wave"),
+            "delay_s": delay,
+            "fetch_at_s": pc.multiply(
+                pc.subtract(batch.column("wave"), 1), delay)})
 
-    return waves.map_batches(decorate, batch_format="pandas")
+    return broadcast_join(waves, delays, "host", how="left").map_batches(
+        schedule, batch_format="pyarrow", zero_copy_batch=True)
 
 
 def q_crawl_round_e2e(sf_dir: str):

@@ -19,9 +19,10 @@ Scale conventions (same as driver_queries.py):
 - Big⋈big equality joins go through ``joins.hash_join`` (ONE bucketed
   exchange, payload moves once).
 - Dimension-sized sides (nation, region, supplier, a brand-filtered
-  slice of part) broadcast via ``ray.put`` once and are probed with
-  vectorized numpy ``searchsorted``/``isin`` inside ``map_batches`` —
-  never re-shipped per batch, never a shuffle.
+  slice of part) are read on the driver and joined map-side with
+  ``joins.broadcast_join`` (inner/left lookups, semi/anti gates) —
+  put once, never re-shipped per batch, never a shuffle; per-batch
+  arithmetic on the joined columns fuses into the same tasks.
 - Correlated EXISTS / scalar subqueries collapse map-side to a
   per-key partial (MAX / (sum, n)) before their single shuffle —
   the Q4 pattern (driver_queries.py:3313).
@@ -47,16 +48,18 @@ import pyarrow.compute as pc
 import pyarrow.dataset as pads
 import pyarrow.parquet as pq
 
-import ray
 import ray.data
 
 
-def _read(sf_dir: str, table: str, columns=None, filter=None):
+def _read(sf_dir: str, table: str, columns=None,
+          filter=None) -> "ray.data.Dataset":
+    """One table of ``sf_dir`` (shared by the three query modules)."""
     return ray.data.read_parquet(os.path.join(sf_dir, f"{table}.parquet"),
                                  columns=columns, filter=filter)
 
 
 def _round_cols(batch: pa.Table, cols, ndigits: int) -> pa.Table:
+    """Round float columns to a fixed precision (oracle hash stability)."""
     for c in cols:
         i = batch.schema.get_field_index(c)
         batch = batch.set_column(i, c,
@@ -69,48 +72,35 @@ def _np(col: pa.ChunkedArray, dtype=None) -> np.ndarray:
     return a.astype(dtype) if dtype is not None else a
 
 
-class _SortedLookup:
-    """Broadcast key->value arrays probed with searchsorted (dense or
-    sparse int keys; no Python dict in the hot path)."""
-
-    def __init__(self, keys: np.ndarray, *vals: np.ndarray):
-        order = np.argsort(keys, kind="stable")
-        self.keys = keys[order]
-        self.vals = [v[order] for v in vals]
-
-    def get(self, probe: np.ndarray):
-        """Returns (found_mask, [val_arrays aligned to probe])."""
-        if len(self.keys) == 0:
-            # a dimension filter can legitimately match nothing: every
-            # probe misses (vals keep their dtypes; object dtype needs
-            # a None fill, zeros() would reject it)
-            found = np.zeros(len(probe), dtype=bool)
-            return found, [np.full(len(probe), None, dtype=v.dtype)
-                           if v.dtype == object
-                           else np.zeros(len(probe), dtype=v.dtype)
-                           for v in self.vals]
-        idx = np.searchsorted(self.keys, probe)
-        idx_c = np.clip(idx, 0, len(self.keys) - 1)
-        found = self.keys[idx_c] == probe
-        return found, [v[idx_c] for v in self.vals]
+def _revenue(batch: pa.Table) -> pa.ChunkedArray:
+    """``l_extendedprice * (1 - l_discount)``."""
+    return pc.multiply(batch.column("l_extendedprice"),
+                       pc.subtract(1.0, batch.column("l_discount")))
 
 
-def _supplier_nation_lookup(sf_dir: str) -> "ray.ObjectRef":
-    t = pq.read_table(os.path.join(sf_dir, "supplier.parquet"),
-                      columns=["s_suppkey", "s_nationkey"])
-    return ray.put(_SortedLookup(_np(t["s_suppkey"], np.int64),
-                                 _np(t["s_nationkey"], np.int64)))
+def _table(sf_dir: str, table: str, columns: list[str]) -> pa.Table:
+    """A dimension table, read on the driver."""
+    return pq.read_table(os.path.join(sf_dir, f"{table}.parquet"),
+                         columns=columns)
 
 
-def _nation_names(sf_dir: str):
-    """(nationkey -> name) as a dense array indexed by nationkey."""
-    t = pq.read_table(os.path.join(sf_dir, "nation.parquet"),
-                      columns=["n_nationkey", "n_name"])
-    keys = _np(t["n_nationkey"], np.int64)
-    names = np.asarray(t["n_name"].to_pylist(), dtype=object)
-    dense = np.empty(int(keys.max()) + 1, dtype=object)
-    dense[keys] = names
-    return dense
+def _asia_nations(sf_dir: str) -> pa.Table:
+    """``n_nationkey`` of the nations in region ASIA."""
+    nat = _table(sf_dir, "nation", ["n_nationkey", "n_regionkey"])
+    reg = _table(sf_dir, "region", ["r_regionkey", "r_name"])
+    asia = reg.filter(pc.equal(reg["r_name"], "ASIA"))["r_regionkey"]
+    return nat.filter(pc.is_in(nat["n_regionkey"], value_set=asia)) \
+        .select(["n_nationkey"])
+
+
+def _name_nations(ds: "ray.data.Dataset", sf_dir: str, key: str,
+                  name: str) -> "ray.data.Dataset":
+    """``ds`` with the nation name of its ``key`` column as ``name``."""
+    from .stages.joins import broadcast_join
+
+    nat = _table(sf_dir, "nation", ["n_nationkey", "n_name"])
+    return broadcast_join(ds, nat.rename_columns(["n_nationkey", name]),
+                          key, "n_nationkey")
 
 
 # ---------------------------------------------------------------------------
@@ -129,38 +119,17 @@ def q5_local_supplier_volume(sf_dir: str):
     nation-cardinality rows."""
     from ray.data.aggregate import Sum
 
-    from .stages.joins import hash_join
+    from .stages.joins import broadcast_join, hash_join
 
     lo = datetime.datetime(1996, 1, 1)
     hi = datetime.datetime(1997, 1, 1)
 
-    nat = pq.read_table(os.path.join(sf_dir, "nation.parquet"))
-    reg = pq.read_table(os.path.join(sf_dir, "region.parquet"))
-    asia_rk = _np(reg.filter(pc.equal(reg["r_name"], "ASIA"))["r_regionkey"],
-                  np.int64)
-    asia_nations = _np(
-        nat.filter(pc.is_in(pc.cast(nat["n_regionkey"], pa.int64()),
-                            value_set=pa.array(asia_rk)))["n_nationkey"],
-        np.int64)
-    asia_ref = ray.put(np.sort(asia_nations))
-    names_ref = ray.put(_nation_names(sf_dir))
-    supp_ref = _supplier_nation_lookup(sf_dir)
-
     orders = _read(sf_dir, "orders", columns=["o_orderkey", "o_custkey"],
                    filter=((pads.field("o_orderdate") >= lo)
                            & (pads.field("o_orderdate") < hi)))
-
-    class AsiaCustomers:
-        def __init__(self, ref):
-            self.incl = ray.get(ref)
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            nk = _np(batch.column("c_nationkey"), np.int64)
-            return batch.filter(pa.array(np.isin(nk, self.incl)))
-
-    cust = _read(sf_dir, "customer", columns=["c_custkey", "c_nationkey"]) \
-        .map_batches(AsiaCustomers, fn_constructor_kwargs={"ref": asia_ref},
-                     batch_format="pyarrow", concurrency=(1, 2))
+    cust = broadcast_join(
+        _read(sf_dir, "customer", columns=["c_custkey", "c_nationkey"]),
+        _asia_nations(sf_dir), "c_nationkey", "n_nationkey", how="semi")
 
     # big ⋈ big on custkey: one bucketed exchange
     oc = hash_join(orders, cust, "o_custkey", "c_custkey")
@@ -175,27 +144,16 @@ def q5_local_supplier_volume(sf_dir: str):
         li, oc, "l_orderkey", "o_orderkey",
         right_schema=pa.schema([("o_orderkey", pa.int64()),
                                 ("c_nationkey", pa.int32())]))
-
-    class LocalRevenue:
-        def __init__(self, supp_ref, names_ref):
-            self.supp = ray.get(supp_ref)
-            self.names = ray.get(names_ref)
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            sk = _np(batch.column("l_suppkey"), np.int64)
-            cn = _np(batch.column("c_nationkey"), np.int64)
-            found, (s_nat,) = self.supp.get(sk)
-            keep = found & (s_nat == cn)
-            price = _np(batch.column("l_extendedprice"))[keep]
-            disc = _np(batch.column("l_discount"))[keep]
-            return pa.table({
-                "n_name": pa.array(self.names[cn[keep]], pa.string()),
-                "rev": pa.array(price * (1.0 - disc), pa.float64())})
-
-    rev = joined.map_batches(
-        LocalRevenue,
-        fn_constructor_kwargs={"supp_ref": supp_ref, "names_ref": names_ref},
-        batch_format="pyarrow", concurrency=(1, 4))
+    local = broadcast_join(
+        joined, _table(sf_dir, "supplier", ["s_suppkey", "s_nationkey"]),
+        "l_suppkey", "s_suppkey").map_batches(
+        lambda b: b.filter(pc.equal(b.column("s_nationkey"),
+                                    b.column("c_nationkey"))),
+        batch_format="pyarrow", zero_copy_batch=True)
+    rev = _name_nations(local, sf_dir, "c_nationkey", "n_name").map_batches(
+        lambda b: pa.table({"n_name": b.column("n_name"),
+                            "rev": _revenue(b)}),
+        batch_format="pyarrow", zero_copy_batch=True)
     agg = rev.groupby("n_name").aggregate(Sum("rev", alias_name="revenue"))
     return agg.map_batches(lambda b: _round_cols(b, ["revenue"], 2),
                            batch_format="pyarrow")
@@ -217,90 +175,59 @@ def q7_volume_shipping(sf_dir: str):
     (2 x 2 x years) rows."""
     from ray.data.aggregate import Count, Sum
 
-    from .stages.joins import hash_join
+    from .stages.joins import broadcast_join, hash_join
 
     lo = datetime.datetime(1995, 1, 1)
     hi = datetime.datetime(1997, 1, 1)
 
-    nat = pq.read_table(os.path.join(sf_dir, "nation.parquet"))
-    names = _np(nat["n_name"]).astype(object)
-    keys = _np(nat["n_nationkey"], np.int64)
-    pair_keys = np.sort(keys[np.isin(names, [_Q7_A, _Q7_B])])
-    pair_ref = ray.put(pair_keys)
-    names_ref = ray.put(_nation_names(sf_dir))
-    supp_ref = _supplier_nation_lookup(sf_dir)
+    nat = _table(sf_dir, "nation", ["n_nationkey", "n_name"])
+    pair = nat.filter(pc.is_in(nat["n_name"],
+                               value_set=pa.array([_Q7_A, _Q7_B]))) \
+        .select(["n_nationkey"])
 
-    class PairCustomers:
-        def __init__(self, ref):
-            self.incl = ray.get(ref)
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            nk = _np(batch.column("c_nationkey"), np.int64)
-            return batch.filter(pa.array(np.isin(nk, self.incl)))
-
-    cust = _read(sf_dir, "customer", columns=["c_custkey", "c_nationkey"]) \
-        .map_batches(PairCustomers, fn_constructor_kwargs={"ref": pair_ref},
-                     batch_format="pyarrow", concurrency=(1, 2))
+    cust = broadcast_join(
+        _read(sf_dir, "customer", columns=["c_custkey", "c_nationkey"]),
+        pair, "c_nationkey", "n_nationkey", how="semi")
     orders = _read(sf_dir, "orders", columns=["o_orderkey", "o_custkey"])
     oc = hash_join(orders, cust, "o_custkey", "c_custkey")
     oc = oc.map_batches(lambda b: b.select(["o_orderkey", "c_nationkey"]),
                         batch_format="pyarrow", zero_copy_batch=True)
 
-    class PairLineitems:
-        """Keep lineitems of pair suppliers; emit volume + ship year."""
-
-        def __init__(self, supp_ref, pair_ref):
-            self.supp = ray.get(supp_ref)
-            self.incl = ray.get(pair_ref)
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            sk = _np(batch.column("l_suppkey"), np.int64)
-            found, (s_nat,) = self.supp.get(sk)
-            keep = found & np.isin(s_nat, self.incl)
-            t = batch.filter(pa.array(keep))
-            vol = pc.multiply(t.column("l_extendedprice"),
-                              pc.subtract(pa.scalar(1.0),
-                                          t.column("l_discount")))
-            return pa.table({
-                "l_orderkey": t.column("l_orderkey"),
-                "s_nationkey": pa.array(s_nat[keep], pa.int64()),
-                "l_year": pc.cast(pc.year(t.column("l_shipdate")),
-                                  pa.int64()),
-                "volume": vol})
+    def volume(batch: pa.Table) -> pa.Table:
+        """Lineitems of pair suppliers: volume + ship year."""
+        return pa.table({
+            "l_orderkey": batch.column("l_orderkey"),
+            "s_nationkey": pc.cast(batch.column("s_nationkey"), pa.int64()),
+            "l_year": pc.cast(pc.year(batch.column("l_shipdate")),
+                              pa.int64()),
+            "volume": _revenue(batch)})
 
     li = _read(sf_dir, "lineitem",
                columns=["l_orderkey", "l_suppkey", "l_shipdate",
                         "l_extendedprice", "l_discount"],
                filter=((pads.field("l_shipdate") >= lo)
                        & (pads.field("l_shipdate") < hi)))
-    li = li.map_batches(
-        PairLineitems,
-        fn_constructor_kwargs={"supp_ref": supp_ref, "pair_ref": pair_ref},
-        batch_format="pyarrow", concurrency=(1, 4))
+    li = broadcast_join(
+        li, _table(sf_dir, "supplier", ["s_suppkey", "s_nationkey"]),
+        "l_suppkey", "s_suppkey")
+    li = broadcast_join(li, pair, "s_nationkey", "n_nationkey",
+                        how="semi").map_batches(
+        volume, batch_format="pyarrow", zero_copy_batch=True)
 
     joined = hash_join(
         li, oc, "l_orderkey", "o_orderkey",
         right_schema=pa.schema([("o_orderkey", pa.int64()),
                                 ("c_nationkey", pa.int32())]))
-
-    class CrossPairOnly:
-        def __init__(self, names_ref):
-            self.names = ray.get(names_ref)
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            sn = _np(batch.column("s_nationkey"), np.int64)
-            cn = _np(batch.column("c_nationkey"), np.int64)
-            keep = sn != cn  # both already in {A,B}
-            return pa.table({
-                "supp_nation": pa.array(self.names[sn[keep]], pa.string()),
-                "cust_nation": pa.array(self.names[cn[keep]], pa.string()),
-                "l_year": pa.array(_np(batch.column("l_year"),
-                                       np.int64)[keep]),
-                "volume": pa.array(_np(batch.column("volume"))[keep])})
-
-    flows = joined.map_batches(CrossPairOnly,
-                               fn_constructor_kwargs={"names_ref": names_ref},
-                               batch_format="pyarrow", concurrency=(1, 4))
+    # both nations are already in {A, B}
+    flows = joined.map_batches(
+        lambda b: b.filter(pc.not_equal(b.column("s_nationkey"),
+                                        b.column("c_nationkey"))),
+        batch_format="pyarrow", zero_copy_batch=True)
+    flows = _name_nations(flows, sf_dir, "s_nationkey", "supp_nation")
+    flows = _name_nations(flows, sf_dir, "c_nationkey", "cust_nation") \
+        .map_batches(lambda b: b.select(["supp_nation", "cust_nation",
+                                         "l_year", "volume"]),
+                     batch_format="pyarrow", zero_copy_batch=True)
     agg = flows.groupby(["supp_nation", "cust_nation", "l_year"]).aggregate(
         Count(alias_name="n"), Sum("volume", alias_name="revenue"))
     return agg.map_batches(lambda b: _round_cols(b, ["revenue"], 2),
@@ -465,6 +392,8 @@ def q16_parts_supplier_count(sf_dir: str):
     pair: 4-key dedup, 3-key count."""
     from ray.data.aggregate import Count
 
+    from .stages.joins import broadcast_join
+
     part = pq.read_table(os.path.join(sf_dir, "part.parquet"),
                          columns=["p_partkey", "p_brand", "p_type",
                                   "p_size"])
@@ -472,42 +401,23 @@ def q16_parts_supplier_count(sf_dir: str):
                       value_set=pa.array([1, 4, 7, 10, 13], pa.int64()))
     brmask = pc.invert(pc.equal(part["p_brand"], "Brand#21"))
     part = part.filter(pc.and_(szmask, brmask))
-    plook = _SortedLookup(_np(part["p_partkey"], np.int64),
-                          np.asarray(part["p_brand"].to_pylist(),
-                                     dtype=object),
-                          np.asarray(part["p_type"].to_pylist(),
-                                     dtype=object),
-                          _np(part["p_size"], np.int64))
-    part_ref = ray.put(plook)
-    supp = pq.read_table(os.path.join(sf_dir, "supplier.parquet"),
-                         columns=["s_suppkey", "s_acctbal"])
-    bad = np.sort(_np(supp.filter(pc.less(supp["s_acctbal"], 0.0))
-                      ["s_suppkey"], np.int64))
-    bad_ref = ray.put(bad)
+    supp = _table(sf_dir, "supplier", ["s_suppkey", "s_acctbal"])
+    bad = supp.filter(pc.less(supp["s_acctbal"], 0.0)).select(["s_suppkey"])
 
-    class AttrRows:
-        def __init__(self, part_ref, bad_ref):
-            self.part = ray.get(part_ref)
-            self.bad = ray.get(bad_ref)
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            pk = _np(batch.column("l_partkey"), np.int64)
-            sk = _np(batch.column("l_suppkey"), np.int64)
-            found, (brand, ptype, size) = self.part.get(pk)
-            keep = found & ~np.isin(sk, self.bad)
-            t = pa.table({"p_brand": pa.array(brand[keep], pa.string()),
-                          "p_type": pa.array(ptype[keep], pa.string()),
-                          "p_size": pa.array(size[keep], pa.int64()),
-                          "l_suppkey": pa.array(sk[keep], pa.int64())})
-            # in-batch distinct: the combiner before the dedup shuffle
-            return t.group_by(["p_brand", "p_type", "p_size",
-                               "l_suppkey"]).aggregate([])
+    def distinct_attrs(batch: pa.Table) -> pa.Table:
+        t = pa.table({"p_brand": batch.column("p_brand"),
+                      "p_type": batch.column("p_type"),
+                      "p_size": pc.cast(batch.column("p_size"), pa.int64()),
+                      "l_suppkey": batch.column("l_suppkey")})
+        # in-batch distinct: the combiner before the dedup shuffle
+        return t.group_by(["p_brand", "p_type", "p_size",
+                           "l_suppkey"]).aggregate([])
 
     li = _read(sf_dir, "lineitem", columns=["l_partkey", "l_suppkey"])
-    quads = li.map_batches(AttrRows,
-                           fn_constructor_kwargs={"part_ref": part_ref,
-                                                  "bad_ref": bad_ref},
-                           batch_format="pyarrow", concurrency=(1, 4))
+    li = broadcast_join(li, part, "l_partkey", "p_partkey")
+    quads = broadcast_join(li, bad, "l_suppkey", "s_suppkey",
+                           how="anti").map_batches(
+        distinct_attrs, batch_format="pyarrow", zero_copy_batch=True)
     distinct = quads.groupby(["p_brand", "p_type", "p_size", "l_suppkey"]) \
         .aggregate(Count(alias_name="_n"))
     distinct = distinct.map_batches(
@@ -531,26 +441,16 @@ def q17_small_qty_revenue(sf_dir: str):
     scalar."""
     from ray.data.aggregate import Sum
 
-    from .stages.joins import hash_join
+    from .stages.joins import broadcast_join, hash_join
 
     part = pq.read_table(os.path.join(sf_dir, "part.parquet"),
                          columns=["p_partkey", "p_brand"])
-    keys = np.sort(_np(part.filter(pc.equal(part["p_brand"], "Brand#23"))
-                       ["p_partkey"], np.int64))
-    keys_ref = ray.put(keys)
-
-    class BrandOnly:
-        def __init__(self, ref):
-            self.incl = ray.get(ref)
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            pk = _np(batch.column("l_partkey"), np.int64)
-            return batch.filter(pa.array(np.isin(pk, self.incl)))
-
-    li = _read(sf_dir, "lineitem",
-               columns=["l_partkey", "l_quantity", "l_extendedprice"]) \
-        .map_batches(BrandOnly, fn_constructor_kwargs={"ref": keys_ref},
-                     batch_format="pyarrow", concurrency=(1, 2))
+    brand = part.filter(pc.equal(part["p_brand"], "Brand#23")) \
+        .select(["p_partkey"])
+    li = broadcast_join(
+        _read(sf_dir, "lineitem",
+              columns=["l_partkey", "l_quantity", "l_extendedprice"]),
+        brand, "l_partkey", "p_partkey", how="semi")
 
     def qty_partials(batch: pa.Table) -> pa.Table:
         df = pd.DataFrame({
@@ -672,39 +572,33 @@ def q19_discounted_revenue(sf_dir: str):
     scalar aggregate out."""
     from ray.data.aggregate import Sum
 
+    from .stages.joins import broadcast_join
+
     part = pq.read_table(os.path.join(sf_dir, "part.parquet"),
                          columns=["p_partkey", "p_brand", "p_size"])
     brands = [a[0] for a in _Q19_ARMS]
     sel = part.filter(pc.is_in(part["p_brand"],
                                value_set=pa.array(brands)))
-    plook = _SortedLookup(_np(sel["p_partkey"], np.int64),
-                          np.asarray(sel["p_brand"].to_pylist(),
-                                     dtype=object),
-                          _np(sel["p_size"], np.int64))
-    ref = ray.put(plook)
+    sel = sel.select(["p_partkey", "p_brand", "p_size"])
 
-    class ArmRevenue:
-        def __init__(self, ref):
-            self.part = ray.get(ref)
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            pk = _np(batch.column("l_partkey"), np.int64)
-            qty = _np(batch.column("l_quantity"))
-            found, (brand, size) = self.part.get(pk)
-            keep = np.zeros(len(pk), dtype=bool)
-            for b, s_lo, s_hi, q_lo, q_hi in _Q19_ARMS:
-                keep |= (found & (brand == b)
-                         & (size >= s_lo) & (size <= s_hi)
-                         & (qty >= q_lo) & (qty <= q_hi))
-            rev = (_np(batch.column("l_extendedprice"))[keep]
-                   * (1.0 - _np(batch.column("l_discount"))[keep]))
-            return pa.table({"p": pa.array([float(rev.sum())], pa.float64())})
+    def arm_revenue(batch: pa.Table) -> pa.Table:
+        brand = batch.column("p_brand").to_numpy(zero_copy_only=False)
+        size = _np(batch.column("p_size"), np.int64)
+        qty = _np(batch.column("l_quantity"))
+        keep = np.zeros(batch.num_rows, dtype=bool)
+        for b, s_lo, s_hi, q_lo, q_hi in _Q19_ARMS:
+            keep |= ((brand == b) & (size >= s_lo) & (size <= s_hi)
+                     & (qty >= q_lo) & (qty <= q_hi))
+        rev = (_np(batch.column("l_extendedprice"))[keep]
+               * (1.0 - _np(batch.column("l_discount"))[keep]))
+        return pa.table({"p": pa.array([float(rev.sum())], pa.float64())})
 
     li = _read(sf_dir, "lineitem",
                columns=["l_partkey", "l_quantity", "l_extendedprice",
                         "l_discount"])
-    total = (li.map_batches(ArmRevenue, fn_constructor_kwargs={"ref": ref},
-                            batch_format="pyarrow", concurrency=(1, 4))
+    total = (broadcast_join(li, sel, "l_partkey", "p_partkey")
+             .map_batches(arm_revenue, batch_format="pyarrow",
+                          zero_copy_batch=True)
              .aggregate(Sum("p", alias_name="s")))
     return pa.table({"revenue": pa.array([round(total["s"] or 0.0, 2)],
                                          pa.float64())})
@@ -781,43 +675,20 @@ def q8_market_share(sf_dir: str):
     the final exchange carries (years x 2) cells."""
     from ray.data.aggregate import Sum
 
-    from .stages.joins import hash_join
+    from .stages.joins import broadcast_join, hash_join
 
     lo = datetime.datetime(1995, 1, 1)
     hi = datetime.datetime(1997, 1, 1)
 
-    part = pq.read_table(os.path.join(sf_dir, "part.parquet"),
-                         columns=["p_partkey", "p_type"])
-    std_keys = np.sort(_np(
-        part.filter(pc.equal(part["p_type"], "STANDARD"))["p_partkey"],
-        np.int64))
-    std_ref = ray.put(std_keys)
-    supp_ref = _supplier_nation_lookup(sf_dir)
+    part = _table(sf_dir, "part", ["p_partkey", "p_type"])
+    std = part.filter(pc.equal(part["p_type"], "STANDARD")) \
+        .select(["p_partkey"])
+    nat = _table(sf_dir, "nation", ["n_nationkey", "n_name"])
+    target = nat.filter(pc.equal(nat["n_name"], _Q8_NATION))["n_nationkey"][0]
 
-    nat = pq.read_table(os.path.join(sf_dir, "nation.parquet"))
-    reg = pq.read_table(os.path.join(sf_dir, "region.parquet"))
-    asia_rk = _np(reg.filter(pc.equal(reg["r_name"], "ASIA"))["r_regionkey"],
-                  np.int64)
-    asia_nations = np.sort(_np(
-        nat.filter(pc.is_in(pc.cast(nat["n_regionkey"], pa.int64()),
-                            value_set=pa.array(asia_rk)))["n_nationkey"],
-        np.int64))
-    asia_ref = ray.put(asia_nations)
-    names = _np(nat["n_name"]).astype(object)
-    target_key = int(_np(nat["n_nationkey"], np.int64)
-                     [names == _Q8_NATION][0])
-
-    class AsiaCustomers:
-        def __init__(self, ref):
-            self.incl = ray.get(ref)
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            nk = _np(batch.column("c_nationkey"), np.int64)
-            return batch.filter(pa.array(np.isin(nk, self.incl)))
-
-    cust = _read(sf_dir, "customer", columns=["c_custkey", "c_nationkey"]) \
-        .map_batches(AsiaCustomers, fn_constructor_kwargs={"ref": asia_ref},
-                     batch_format="pyarrow", concurrency=(1, 2))
+    cust = broadcast_join(
+        _read(sf_dir, "customer", columns=["c_custkey", "c_nationkey"]),
+        _asia_nations(sf_dir), "c_nationkey", "n_nationkey", how="semi")
     orders = _read(sf_dir, "orders",
                    columns=["o_orderkey", "o_custkey", "o_orderdate"],
                    filter=((pads.field("o_orderdate") >= lo)
@@ -830,35 +701,23 @@ def q8_market_share(sf_dir: str):
                               pa.int64())}),
         batch_format="pyarrow", zero_copy_batch=True)
 
-    class StdVolume:
-        """STANDARD-part lineitems only; emit (orderkey, volume,
-        is_target_supplier) — the part and supplier probes both hit
-        broadcast lookups."""
-
-        def __init__(self, std_ref, supp_ref):
-            self.std = ray.get(std_ref)
-            self.supp = ray.get(supp_ref)
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            pk = _np(batch.column("l_partkey"), np.int64)
-            keep = np.isin(pk, self.std)
-            t = batch.filter(pa.array(keep))
-            sk = _np(t.column("l_suppkey"), np.int64)
-            found, (s_nat,) = self.supp.get(sk)
-            vol = (_np(t.column("l_extendedprice"))
-                   * (1.0 - _np(t.column("l_discount"))))
-            return pa.table({
-                "l_orderkey": t.column("l_orderkey"),
-                "volume": pa.array(vol, pa.float64()),
-                "is_target": pa.array(found & (s_nat == target_key))})
+    def std_volume(batch: pa.Table) -> pa.Table:
+        """(orderkey, volume, is_target_supplier) of a STANDARD-part
+        lineitem."""
+        return pa.table({
+            "l_orderkey": batch.column("l_orderkey"),
+            "volume": _revenue(batch),
+            "is_target": pc.fill_null(
+                pc.equal(batch.column("s_nationkey"), target), False)})
 
     li = _read(sf_dir, "lineitem",
                columns=["l_orderkey", "l_partkey", "l_suppkey",
                         "l_extendedprice", "l_discount"])
-    li = li.map_batches(
-        StdVolume,
-        fn_constructor_kwargs={"std_ref": std_ref, "supp_ref": supp_ref},
-        batch_format="pyarrow", concurrency=(1, 4))
+    li = broadcast_join(li, std, "l_partkey", "p_partkey", how="semi")
+    li = broadcast_join(
+        li, _table(sf_dir, "supplier", ["s_suppkey", "s_nationkey"]),
+        "l_suppkey", "s_suppkey", how="left").map_batches(
+        std_volume, batch_format="pyarrow", zero_copy_batch=True)
     joined = hash_join(
         li, oc, "l_orderkey", "o_orderkey",
         right_schema=pa.schema([("o_orderkey", pa.int64()),
@@ -905,50 +764,37 @@ def q9_product_profit(sf_dir: str):
     the final (nation x year) groupby fed by map-side partials."""
     from ray.data.aggregate import Sum
 
-    from .stages.joins import hash_join
+    from .stages.joins import broadcast_join, hash_join
 
     part = pq.read_table(os.path.join(sf_dir, "part.parquet"),
                          columns=["p_partkey", "p_name", "p_retailprice"])
     sel = part.filter(pc.match_substring(part["p_name"], "widget"))
-    plook = _SortedLookup(_np(sel["p_partkey"], np.int64),
-                          _np(sel["p_retailprice"]))
-    part_ref = ray.put(plook)
-    supp_ref = _supplier_nation_lookup(sf_dir)
-    names_ref = ray.put(_nation_names(sf_dir))
+    sel = sel.select(["p_partkey", "p_retailprice"])
 
-    class WidgetAmount:
-        def __init__(self, part_ref, supp_ref):
-            self.part = ray.get(part_ref)
-            self.supp = ray.get(supp_ref)
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            pk = _np(batch.column("l_partkey"), np.int64)
-            found, (retail,) = self.part.get(pk)
-            t = batch.filter(pa.array(found))
-            retail = retail[found]
-            sk = _np(t.column("l_suppkey"), np.int64)
-            _, (s_nat,) = self.supp.get(sk)
-            amount = (_np(t.column("l_extendedprice"))
-                      * (1.0 - _np(t.column("l_discount")))
-                      - 0.6 * retail * _np(t.column("l_quantity")))
-            # exact integer cents: floor(100x + 0.5) is bit-identical
-            # in numpy and DuckDB (same IEEE expression tree), and the
-            # int64 sum is order-independent — a float SUM rounded to
-            # 2 digits flipped a .xx5 boundary row between engines once
-            # (accumulation order), observed in a full-sweep run
-            cents = np.floor(100.0 * amount + 0.5).astype(np.int64)
-            return pa.table({
-                "l_orderkey": t.column("l_orderkey"),
-                "s_nationkey": pa.array(s_nat, pa.int64()),
-                "amount_cents": pa.array(cents, pa.int64())})
+    def widget_amount(batch: pa.Table) -> pa.Table:
+        amount = (_np(batch.column("l_extendedprice"))
+                  * (1.0 - _np(batch.column("l_discount")))
+                  - 0.6 * _np(batch.column("p_retailprice"))
+                  * _np(batch.column("l_quantity")))
+        # exact integer cents: floor(100x + 0.5) is bit-identical
+        # in numpy and DuckDB (same IEEE expression tree), and the
+        # int64 sum is order-independent — a float SUM rounded to
+        # 2 digits flipped a .xx5 boundary row between engines once
+        # (accumulation order), observed in a full-sweep run
+        cents = np.floor(100.0 * amount + 0.5).astype(np.int64)
+        return pa.table({
+            "l_orderkey": batch.column("l_orderkey"),
+            "s_nationkey": pc.cast(batch.column("s_nationkey"), pa.int64()),
+            "amount_cents": pa.array(cents, pa.int64())})
 
     li = _read(sf_dir, "lineitem",
                columns=["l_orderkey", "l_partkey", "l_suppkey",
                         "l_quantity", "l_extendedprice", "l_discount"])
-    li = li.map_batches(
-        WidgetAmount,
-        fn_constructor_kwargs={"part_ref": part_ref, "supp_ref": supp_ref},
-        batch_format="pyarrow", concurrency=(1, 4))
+    li = broadcast_join(li, sel, "l_partkey", "p_partkey")
+    li = broadcast_join(
+        li, _table(sf_dir, "supplier", ["s_suppkey", "s_nationkey"]),
+        "l_suppkey", "s_suppkey").map_batches(
+        widget_amount, batch_format="pyarrow", zero_copy_batch=True)
 
     orders = _read(sf_dir, "orders", columns=["o_orderkey", "o_orderdate"])
     orders = orders.map_batches(
@@ -962,28 +808,22 @@ def q9_product_profit(sf_dir: str):
         right_schema=pa.schema([("o_orderkey", pa.int64()),
                                 ("o_year", pa.int64())]))
 
-    class NationYearPartials:
-        def __init__(self, names_ref):
-            self.names = ray.get(names_ref)
+    def nation_year_partials(batch: pa.Table) -> pa.Table:
+        df = pd.DataFrame({
+            "nk": _np(batch.column("s_nationkey"), np.int64),
+            "o_year": _np(batch.column("o_year"), np.int64),
+            "amount_cents": _np(batch.column("amount_cents"), np.int64)})
+        g = df.groupby(["nk", "o_year"], sort=False)["amount_cents"] \
+            .sum().reset_index()
+        return pa.Table.from_pandas(g, preserve_index=False)
 
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            df = pd.DataFrame({
-                "nk": _np(batch.column("s_nationkey"), np.int64),
-                "o_year": _np(batch.column("o_year"), np.int64),
-                "amount_cents": _np(batch.column("amount_cents"),
-                                    np.int64)})
-            g = df.groupby(["nk", "o_year"], sort=False)["amount_cents"] \
-                .sum().reset_index()
-            return pa.table({
-                "nation": pa.array(self.names[g["nk"].to_numpy()],
-                                   pa.string()),
-                "o_year": pa.array(g["o_year"].to_numpy(), pa.int64()),
-                "amount_cents": pa.array(g["amount_cents"].to_numpy(),
-                                         pa.int64())})
-
-    agg = (joined.map_batches(NationYearPartials,
-                              fn_constructor_kwargs={"names_ref": names_ref},
-                              batch_format="pyarrow", concurrency=(1, 2))
+    partials = joined.map_batches(nation_year_partials,
+                                  batch_format="pyarrow",
+                                  zero_copy_batch=True)
+    agg = (_name_nations(partials, sf_dir, "nk", "nation")
+           .map_batches(lambda b: b.select(["nation", "o_year",
+                                            "amount_cents"]),
+                        batch_format="pyarrow", zero_copy_batch=True)
            .groupby(["nation", "o_year"])
            .aggregate(Sum("amount_cents", alias_name="cents")))
 
@@ -1019,38 +859,31 @@ def q11_important_parts(sf_dir: str):
     accumulation order can't flip a boundary row."""
     from ray.data.aggregate import Sum
 
-    nat = pq.read_table(os.path.join(sf_dir, "nation.parquet"))
-    names = _np(nat["n_name"]).astype(object)
-    nkey = int(_np(nat["n_nationkey"], np.int64)[names == _Q11_NATION][0])
-    supp = pq.read_table(os.path.join(sf_dir, "supplier.parquet"),
-                         columns=["s_suppkey", "s_nationkey"])
-    skeys = np.sort(_np(
-        supp.filter(pc.equal(pc.cast(supp["s_nationkey"], pa.int64()),
-                             nkey))["s_suppkey"], np.int64))
-    skeys_ref = ray.put(skeys)
+    from .stages.joins import broadcast_join
 
-    class NationSuppliers:
-        def __init__(self, ref):
-            self.incl = ray.get(ref)
+    nat = _table(sf_dir, "nation", ["n_nationkey", "n_name"])
+    nkey = nat.filter(pc.equal(nat["n_name"], _Q11_NATION))["n_nationkey"][0]
+    supp = _table(sf_dir, "supplier", ["s_suppkey", "s_nationkey"])
+    nation_supp = supp.filter(pc.equal(supp["s_nationkey"], nkey)) \
+        .select(["s_suppkey"])
 
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            sk = _np(batch.column("l_suppkey"), np.int64)
-            t = batch.filter(pa.array(np.isin(sk, self.incl)))
-            df = pd.DataFrame({
-                "k": _np(t.column("l_partkey"), np.int64),
-                "v": _np(t.column("l_extendedprice"))
-                * (1.0 - _np(t.column("l_discount")))})
-            g = df.groupby("k", sort=False)["v"].sum()
-            return pa.table({
-                "l_partkey": pa.array(g.index.to_numpy(), pa.int64()),
-                "v": pa.array(g.to_numpy(), pa.float64())})
+    def part_values(batch: pa.Table) -> pa.Table:
+        df = pd.DataFrame({
+            "k": _np(batch.column("l_partkey"), np.int64),
+            "v": _np(batch.column("l_extendedprice"))
+            * (1.0 - _np(batch.column("l_discount")))})
+        g = df.groupby("k", sort=False)["v"].sum()
+        return pa.table({
+            "l_partkey": pa.array(g.index.to_numpy(), pa.int64()),
+            "v": pa.array(g.to_numpy(), pa.float64())})
 
     li = _read(sf_dir, "lineitem",
                columns=["l_partkey", "l_suppkey", "l_extendedprice",
                         "l_discount"])
-    per_part = (li.map_batches(NationSuppliers,
-                               fn_constructor_kwargs={"ref": skeys_ref},
-                               batch_format="pyarrow", concurrency=(1, 4))
+    per_part = (broadcast_join(li, nation_supp, "l_suppkey", "s_suppkey",
+                               how="semi")
+                .map_batches(part_values, batch_format="pyarrow",
+                             zero_copy_batch=True)
                 .groupby("l_partkey")
                 .aggregate(Sum("v", alias_name="value"))
                 .map_batches(lambda b: _round_cols(b, ["value"], 2),
@@ -1134,40 +967,34 @@ def q20_heavy_part_suppliers(sf_dir: str):
     convention."""
     from ray.data.aggregate import Sum
 
+    from .stages.joins import broadcast_join
+
     part = pq.read_table(os.path.join(sf_dir, "part.parquet"),
                          columns=["p_partkey", "p_name"])
-    keys = np.sort(_np(
-        part.filter(pc.starts_with(part["p_name"], "large "))["p_partkey"],
-        np.int64))
-    keys_ref = ray.put(keys)
+    large = part.filter(pc.starts_with(part["p_name"], "large ")) \
+        .select(["p_partkey"])
     lo = datetime.datetime(1996, 1, 1)
     hi = datetime.datetime(1997, 1, 1)
 
-    class LargeParts:
-        def __init__(self, ref):
-            self.incl = ray.get(ref)
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            pk = _np(batch.column("l_partkey"), np.int64)
-            t = batch.filter(pa.array(np.isin(pk, self.incl)))
-            df = pd.DataFrame({
-                "s": _np(t.column("l_suppkey"), np.int64),
-                "p": _np(t.column("l_partkey"), np.int64),
-                "q": _np(t.column("l_quantity"))})
-            g = df.groupby(["s", "p"], sort=False)["q"].sum().reset_index()
-            return pa.table({"l_suppkey": pa.array(g["s"].to_numpy(),
-                                                   pa.int64()),
-                             "l_partkey": pa.array(g["p"].to_numpy(),
-                                                   pa.int64()),
-                             "q": pa.array(g["q"].to_numpy(), pa.float64())})
+    def supp_part_qty(batch: pa.Table) -> pa.Table:
+        df = pd.DataFrame({
+            "s": _np(batch.column("l_suppkey"), np.int64),
+            "p": _np(batch.column("l_partkey"), np.int64),
+            "q": _np(batch.column("l_quantity"))})
+        g = df.groupby(["s", "p"], sort=False)["q"].sum().reset_index()
+        return pa.table({"l_suppkey": pa.array(g["s"].to_numpy(),
+                                               pa.int64()),
+                         "l_partkey": pa.array(g["p"].to_numpy(),
+                                               pa.int64()),
+                         "q": pa.array(g["q"].to_numpy(), pa.float64())})
 
     li = _read(sf_dir, "lineitem",
                columns=["l_partkey", "l_suppkey", "l_quantity"],
                filter=((pads.field("l_shipdate") >= lo)
                        & (pads.field("l_shipdate") < hi)))
-    sums = (li.map_batches(LargeParts,
-                           fn_constructor_kwargs={"ref": keys_ref},
-                           batch_format="pyarrow", concurrency=(1, 4))
+    sums = (broadcast_join(li, large, "l_partkey", "p_partkey", how="semi")
+            .map_batches(supp_part_qty, batch_format="pyarrow",
+                         zero_copy_batch=True)
             .groupby(["l_suppkey", "l_partkey"])
             .aggregate(Sum("q", alias_name="qty")))
     heavy = sums.map_batches(
@@ -1176,17 +1003,13 @@ def q20_heavy_part_suppliers(sf_dir: str):
         batch_format="pyarrow", zero_copy_batch=True)
     supp_ids = heavy.unique("l_suppkey")  # supplier-cardinality
 
-    names = _nation_names(sf_dir)
-    supp = pq.read_table(os.path.join(sf_dir, "supplier.parquet"),
-                         columns=["s_suppkey", "s_name", "s_nationkey"])
-    sk = _np(supp["s_suppkey"], np.int64)
-    keep = np.isin(sk, np.asarray(sorted(supp_ids), dtype=np.int64))
-    out = supp.filter(pa.array(keep))
-    return pa.table({
-        "s_suppkey": pc.cast(out["s_suppkey"], pa.int64()),
-        "s_name": out["s_name"],
-        "n_name": pa.array(names[_np(out["s_nationkey"], np.int64)],
-                           pa.string())})
+    supp = _table(sf_dir, "supplier", ["s_suppkey", "s_name", "s_nationkey"])
+    out = supp.filter(pc.is_in(supp["s_suppkey"],
+                               value_set=pa.array(supp_ids, pa.int64())))
+    out = out.join(_table(sf_dir, "nation", ["n_nationkey", "n_name"]),
+                   "s_nationkey", "n_nationkey")
+    return pa.table({"s_suppkey": pc.cast(out["s_suppkey"], pa.int64()),
+                     "s_name": out["s_name"], "n_name": out["n_name"]})
 
 
 # ---------------------------------------------------------------------------

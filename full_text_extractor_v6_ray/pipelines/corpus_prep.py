@@ -7,9 +7,9 @@ pretraining-data job chains, as ONE Dataset -> Dataset function.
       -> quality scoring    (Gopher/C4-style heuristics)
       -> filter             (lang confident + quality floor, vectorized)
       -> near-dup removal   (MinHash-LSH pairs -> connected components ->
-                             size-dispatched drop: broadcast np.isin when
-                             the drop set is small, bucketed ANTI JOIN
-                             when it is not)
+                             size-dispatched drop: broadcast anti join
+                             when the drop set is small, bucketed ANTI
+                             JOIN when it is not)
 
 Scale notes: the exact-dedup shuffle moves each surviving text body
 exactly once (in-batch combine collapses batch-local dups first, so a

@@ -6,7 +6,7 @@ single pipeline a scheduler would run per recrawl cycle.
     warc_dir snapshot
       ├── /robots.txt records ──▶ RobotsParseBatch ──▶ rule table
       │                                          (dimension-sized,
-      │                                           ray.put ONCE)
+      │                                           broadcast_join)
       ├── sitemap .xml records ─▶ SitemapParseBatch ─▶ discovered urls
       └── content records ──▶ apply_robots_rules ──▶ allowed pages
                                    │                      │
@@ -50,6 +50,7 @@ from ..stages.crawl import (
     frontier_waves,
 )
 from ..stages.hashing import hash64
+from ..stages.joins import broadcast_join
 from .incremental import incremental_extraction_round
 
 _URL_PARTS = (r"^[A-Za-z][A-Za-z0-9+.-]*://"
@@ -229,40 +230,27 @@ def crawl_round(warc_dir: str, state_dir: str, agent: str = "*",
             batch_format="pyarrow", zero_copy_batch=True),
         "host_id", "priority", "url_id")
 
-    # per-host crawl delay: sorted-host searchsorted probe (vectorized,
-    # same pattern as apply_robots_rules' compiled kernel)
-    if rules.num_rows:
-        import pandas as pd
+    # per-host crawl delay: a left broadcast_join against the rule
+    # table's (host, delay) rows, one per host; a host without rules
+    # waits ``default_delay``
+    delays = rules.group_by("host").aggregate([("crawl_delay", "max")])
+    delays = pa.table({"host_id": delays["host"],
+                       "delay_s": pc.max_element_wise(
+                           delays["crawl_delay_max"], default_delay)})
 
-        delay_df = (rules.select(["host", "crawl_delay"]).to_pandas()
-                    .groupby("host")["crawl_delay"].max())
-        d_hosts = delay_df.index.to_numpy(dtype=np.int64)
-        d_vals = np.maximum(delay_df.to_numpy(dtype=np.int64),
-                            default_delay)
-    else:
-        d_hosts = np.array([], dtype=np.int64)
-        d_vals = np.array([], dtype=np.int64)
-    ref = ray.put((d_hosts, d_vals))
-
-    def schedule(batch: pa.Table, _d=default_delay) -> pa.Table:
-        hs, dl = ray.get(ref)
-        h = batch.column("host_id").to_numpy(zero_copy_only=False)
-        if len(hs):
-            idx = np.clip(np.searchsorted(hs, h), 0, len(hs) - 1)
-            delays = np.where(hs[idx] == h, dl[idx], _d).astype(np.int64)
-        else:
-            delays = np.full(len(h), _d, dtype=np.int64)
-        wave = batch.column("wave").to_numpy(zero_copy_only=False)
+    def schedule(batch: pa.Table) -> pa.Table:
+        delay = pc.fill_null(batch.column("delay_s"), default_delay)
         return pa.table({
             "url": batch.column("url"),
             "host": batch.column("host"),
             "host_id": batch.column("host_id"),
             "priority": batch.column("priority"),
             "wave": batch.column("wave"),
-            "delay_s": pa.array(delays),
-            "fetch_at_s": pa.array((wave - 1) * delays),
+            "delay_s": delay,
+            "fetch_at_s": pc.multiply(
+                pc.subtract(batch.column("wave"), 1), delay),
         })
 
-    sched = waves.map_batches(schedule, batch_format="pyarrow",
-                              zero_copy_batch=True)
+    sched = broadcast_join(waves, delays, "host_id", how="left").map_batches(
+        schedule, batch_format="pyarrow", zero_copy_batch=True)
     return {"summary": summary, "schedule": sched, "rules": rules}

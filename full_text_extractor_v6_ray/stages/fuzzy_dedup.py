@@ -791,8 +791,8 @@ def remove_neardup_members(ds: "ray.data.Dataset",
     counted first (``comp`` is a thin materialized label map — the count
     is one cheap pass over metadata-sized blocks):
 
-      - n <= ``max_broadcast``: the sorted int64 id array broadcasts
-        once via ray.put and every batch filters with np.isin — zero
+      - n <= ``max_broadcast``: the int64 ids are collected and every
+        batch takes an anti ``joins.broadcast_join`` with them — zero
         extra shuffle (the small-corpus fast path).
       - n > ``max_broadcast``: distributed ``joins.hash_join(how="anti")``
         — ONE payload shuffle of ``ds``, keys-only right side.
@@ -815,34 +815,19 @@ def remove_keys(ds: "ray.data.Dataset", drop_ds: "ray.data.Dataset",
                 key: str, max_broadcast: int = 1_000_000
                 ) -> "ray.data.Dataset":
     """Size-dispatched key removal (the shared tail of every dedup
-    flavor): count the drop keys first; broadcast a sorted int64 array
-    via ray.put + np.isin only when provably small, else ONE
-    distributed anti-join payload shuffle. Nothing
-    data-scale ever materializes on the driver."""
-    import ray
-
-    from .joins import hash_join
+    flavor): count the drop keys first; an anti ``broadcast_join`` with
+    the int64 keys only when provably small, else ONE distributed
+    anti-join payload shuffle. Nothing data-scale ever materializes on
+    the driver."""
+    from .joins import broadcast_join, hash_join
 
     n_drop = drop_ds.count()
     if n_drop == 0:
         return ds
     if n_drop > max_broadcast:
         return hash_join(ds, drop_ds, key, how="anti")
-
-    drop = np.sort(drop_ds.to_pandas()[key].to_numpy(dtype=np.int64))
-    ref = ray.put(drop)
-
-    class DropMembers:
-        def __init__(self):
-            self.drop = ray.get(ref)
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            ids = batch.column(key).to_numpy(
-                zero_copy_only=False).astype(np.int64)
-            return batch.filter(pa.array(~np.isin(ids, self.drop)))
-
-    return ds.map_batches(DropMembers, batch_format="pyarrow",
-                          batch_size=1024, concurrency=(1, 2))
+    drop = drop_ds.to_pandas()[key].to_numpy(dtype=np.int64)
+    return broadcast_join(ds, pa.table({key: drop}), key, how="anti")
 
 
 def remove_neardup_members_by_quality(ds: "ray.data.Dataset",
@@ -1297,9 +1282,9 @@ def contamination_counts(train: "ray.data.Dataset",
     gram hashes are counted first (one slim 8-B/row shuffle of the
     eval side only):
 
-      - n_eval <= ``max_broadcast``: the sorted uint64 array broadcasts
-        once via ray.put; every train batch explodes its grams and
-        keeps hits with a vectorized np.searchsorted — the train corpus
+      - n_eval <= ``max_broadcast``: the gram hashes are collected and
+        every train batch explodes its grams and keeps hits with a semi
+        ``joins.broadcast_join`` — the train corpus
         is NEVER shuffled, only per-doc hit counts (16 B/doc/batch,
         map-side combined) move into one bucketed doc_id reduce.
       - n_eval > max_broadcast (decontaminating against another corpus,
@@ -1307,9 +1292,8 @@ def contamination_counts(train: "ray.data.Dataset",
         (16 B) and eval gram keys (8 B) exchange once, per-bucket
         vectorized isin, then the same per-doc reduce.
     """
-    import ray
-
     from .dedup import hash_bucketed_distinct
+    from .joins import broadcast_join
 
     tg = ngram_doc_rows(train, text_col=text_col, id_col=id_col, n=n)
     eg = ngram_doc_rows(eval_ds, text_col=eval_text_col or text_col,
@@ -1324,28 +1308,18 @@ def contamination_counts(train: "ray.data.Dataset",
         if n_eval == 0:
             import ray.data
             return ray.data.from_arrow(empty)
-        arr = np.sort(eg.to_pandas()["ghash"].to_numpy(dtype=np.uint64))
-        ref = ray.put(arr)
+        grams = pa.table({"ghash": eg.to_pandas()["ghash"]
+                          .to_numpy(dtype=np.uint64)})
 
-        class HitCounts:
-            def __init__(self):
-                self.grams = ray.get(ref)
+        def hit_counts(batch: pa.Table) -> pa.Table:
+            ids = batch.column(id_col).to_numpy(zero_copy_only=False)
+            u, c = np.unique(ids, return_counts=True)
+            return pa.table({
+                id_col: pa.array(u.astype(np.int64)),
+                "n_contaminated": pa.array(c.astype(np.int64))})
 
-            def __call__(self, batch: pa.Table) -> pa.Table:
-                g = batch.column("ghash").to_numpy(zero_copy_only=False)
-                idx = np.searchsorted(self.grams, g)
-                idx[idx == len(self.grams)] = 0
-                hit = self.grams[idx] == g
-                ids = batch.column(id_col).to_numpy(
-                    zero_copy_only=False)[hit]
-                u, c = np.unique(ids, return_counts=True)
-                return pa.table({
-                    id_col: pa.array(u.astype(np.int64)),
-                    "n_contaminated": pa.array(c.astype(np.int64))})
-
-        partial = tg.map_batches(HitCounts, batch_format="pyarrow",
-                                 batch_size=8192, concurrency=(1, 8),
-                                 zero_copy_batch=True)
+        partial = broadcast_join(tg, grams, "ghash", how="semi").map_batches(
+            hit_counts, batch_format="pyarrow", zero_copy_batch=True)
     else:
         def pad_eval(batch: pa.Table) -> pa.Table:
             return pa.table({

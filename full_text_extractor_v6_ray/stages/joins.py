@@ -16,6 +16,14 @@
     (``pa.Table.join_asof`` per bucket), ``skew_hash_join`` and
     ``bloom_hash_join`` build on the same exchange and kernel.
 
+  - ``broadcast_join``: the map-side twin of ``hash_join`` (inner,
+    left, semi, anti; one key column) for a right side the driver
+    holds (a dimension table, a key list). One ``SortedKeyIndex`` over
+    the right key is ``ray.put`` with the right payload once and every
+    left batch probes it in a plain task: no exchange. Every map-side
+    key lookup in the package goes through it (``filter_to_keys``'s
+    small branch and ``skew_hash_join``'s hot keys included).
+
 Partitioning assumption: equal keys land in equal buckets — guaranteed
 by ``exchange.bucket_ids`` on both sides, with both sides' keys cast to
 the left key types before hashing.
@@ -210,18 +218,20 @@ BROADCAST_MAX = 2_000_000
 
 
 class SortedKeyIndex:
-    """Exact membership / position lookup over unique string keys, built
-    ONCE and probed by many batches.
+    """Exact lookup over integer or string keys, built ONCE and probed
+    by many batches; duplicate keys are allowed (``matches`` returns
+    every equal pair, ``positions`` one of them).
 
     ``pc.index_in(value_set=keys)`` rebuilds its hash table over every
     key on each call (0.30 s per 2k-row batch at 1M keys); this index
     pays the build once — ``hash64`` of the keys in chunks plus one
     argsort — and a batch probe is ``hash64`` of the batch, two
-    ``np.searchsorted`` over the sorted hashes and one string-equality
-    check per candidate, so its cost does not grow with the key count.
+    ``np.searchsorted`` over the sorted hashes and one equality check
+    per candidate, so its cost does not grow with the key count.
     Keys sharing a ``hash64`` are all compared, so collisions never
-    change an answer. Null probe values match nothing. Plain numpy and
-    Arrow members: ``ray.put`` it once and ``ray.get`` it in tasks.
+    change an answer. Null probe values and null keys match nothing.
+    Plain numpy and Arrow members: ``ray.put`` it once and ``ray.get``
+    it in tasks.
     """
 
     _CHUNK = 16_384  # keys hashed per call: bounds hash64's per-byte arrays
@@ -242,15 +252,17 @@ class SortedKeyIndex:
     def __len__(self) -> int:
         return len(self.keys)
 
-    def positions(self, probe: "pa.Array | pa.ChunkedArray") -> np.ndarray:
-        """int64 position in ``keys`` of every probe value, -1 if absent."""
+    def matches(self, probe: "pa.Array | pa.ChunkedArray"
+                ) -> tuple[np.ndarray, np.ndarray]:
+        """``(probe_rows, key_rows)``: every pair of a probe value and an
+        equal key, grouped by probe hash (a probe row's key rows
+        ascend)."""
         from .hashing import hash64
 
         if isinstance(probe, pa.ChunkedArray):
             probe = probe.combine_chunks()
-        out = np.full(len(probe), -1, np.int64)
         if not len(probe) or not len(self.keys):
-            return out
+            return np.empty(0, np.int64), np.empty(0, np.int64)
         ph = hash64(probe)
         # searching in hash order keeps the binary searches' walk over
         # ``hashes`` monotone: ~10x faster than in row order
@@ -258,21 +270,84 @@ class SortedKeyIndex:
         ph = ph[by_hash]
         lo = np.searchsorted(self.hashes, ph, "left")
         n = np.searchsorted(self.hashes, ph, "right") - lo
-        # one candidate per (probe row, key with an equal hash): almost
-        # always one per present row, more only on a hash64 collision
+        # one candidate per (probe row, key with an equal hash): one per
+        # match, more only on a hash64 collision
         row = np.repeat(by_hash, n)
         first = np.cumsum(n) - n
         cand = self.order[np.repeat(lo - first, n) + np.arange(len(row))]
-        if probe.type != self.keys.type:
-            probe = probe.cast(self.keys.type)
         hit = pc.fill_null(pc.equal(probe.take(row), self.keys.take(cand)),
                            False).to_numpy(zero_copy_only=False)
-        out[row[hit]] = cand[hit]
+        return row[hit], cand[hit]
+
+    def positions(self, probe: "pa.Array | pa.ChunkedArray") -> np.ndarray:
+        """int64 position in ``keys`` of every probe value, -1 if absent."""
+        out = np.full(len(probe), -1, np.int64)
+        rows, at = self.matches(probe)
+        out[rows] = at
         return out
 
     def contains(self, probe: "pa.Array | pa.ChunkedArray") -> pa.Array:
         """Boolean mask: which probe values are keys."""
         return pa.array(self.positions(probe) >= 0)
+
+
+def broadcast_join(left: "ray.data.Dataset", right: pa.Table, on: str,
+                   right_on: str | None = None,
+                   how: str = "inner") -> "ray.data.Dataset":
+    """Map-side join of ``left.on`` = ``right.right_on`` against a table
+    the driver holds (``right_on`` defaults to ``on``): the twin of
+    ``hash_join`` for a dimension-sized right side, with its output
+    contract — left columns, then right columns minus the right key;
+    rows in left order, each left row's matches in right order; null
+    keys match nothing; dtypes exact. ``how`` is "inner", "left",
+    "semi" or "anti" (the anti join keeps null-key left rows); a full
+    outer join needs every batch's view of the right rows, so it is
+    ``hash_join``'s.
+
+    ONE ``SortedKeyIndex`` over the right key is built on the driver and
+    ``ray.put`` with the right payload once; each batch of ``left``
+    probes it in a plain task, so ``left`` never enters an exchange
+    and no per-batch work grows with the right side's size.
+    """
+    rk = on if right_on is None else right_on
+    if how not in ("inner", "left", "semi", "anti"):
+        raise ValueError(f"broadcast_join: unknown how={how!r}")
+    payload = (None if how in ("semi", "anti")
+               else right.drop_columns([rk]))
+    right_names = set() if payload is None else set(payload.column_names)
+
+    def check(names: list[str]) -> None:
+        clash = set(names) & right_names
+        if clash:
+            raise ValueError(f"broadcast_join: columns on both sides: "
+                             f"{sorted(clash)}")
+
+    # the left names are checked here when the plan knows them without
+    # running anything, else by the first batch
+    known = left.schema(fetch_if_missing=False)
+    if known is not None:
+        check(known.names)
+    ref = ray.put((SortedKeyIndex(right.column(rk)), payload))
+
+    def join(batch: pa.Table) -> pa.Table:
+        index, rows = ray.get(ref)
+        if rows is None:
+            has = index.contains(batch.column(on))
+            return batch.filter(has if how == "semi" else pc.invert(has))
+        check(batch.column_names)
+        li, ri = index.matches(batch.column(on))
+        if how == "left":
+            seen = np.zeros(batch.num_rows, bool)
+            seen[li] = True
+            miss = np.flatnonzero(~seen)
+            li = np.concatenate([li, miss])
+            ri = np.concatenate([ri, np.full(len(miss), -1, np.int64)])
+        by_row = np.argsort(li, kind="stable")
+        li, ri = li[by_row], ri[by_row]
+        return _concat(batch.take(li), rows.take(pa.array(ri, mask=ri < 0)))
+
+    return left.map_batches(join, batch_format="pyarrow",
+                            zero_copy_batch=True)
 
 
 def filter_to_keys(ds: "ray.data.Dataset",
@@ -287,12 +362,11 @@ def filter_to_keys(ds: "ray.data.Dataset",
     ``keys`` is a Dataset with one unique string column named ``key``
     (or, under the threshold only, the values already collected on the
     driver); ``n_keys`` is its row count or an upper bound of it. At or
-    below ``broadcast_max`` the values build one ``SortedKeyIndex`` on
-    the driver, ``ray.put`` once, and every batch of ``ds`` is filtered
-    map-side against it, so the wide rows never enter a shuffle. Above
-    it the key list is corpus-sized: ``ds`` and the keys meet in ONE
-    bucketed ``hash_join`` semi-join (``left_schema`` skips its
-    schema probe of ``ds``).
+    below ``broadcast_max`` the values are collected on the driver and
+    ``ds`` takes a semi ``broadcast_join`` with them, so the wide rows
+    never enter a shuffle. Above it the key list is corpus-sized: ``ds``
+    and the keys meet in ONE bucketed ``hash_join`` semi-join
+    (``left_schema`` skips its schema probe of ``ds``).
     """
     if n_keys <= broadcast_max:
         if isinstance(keys, pa.Array):
@@ -303,13 +377,7 @@ def filter_to_keys(ds: "ray.data.Dataset",
                     batch_format="pyarrow")], pa.string())
         else:
             vals = pa.array([], pa.string())
-        ref = ray.put(SortedKeyIndex(vals))
-
-        def keep(batch: pa.Table) -> pa.Table:
-            return batch.filter(ray.get(ref).contains(batch.column(key)))
-
-        return ds.map_batches(keep, batch_format="pyarrow",
-                              zero_copy_batch=True)
+        return broadcast_join(ds, pa.table({key: vals}), key, how="semi")
     return hash_join(ds, keys, key, how="semi", left_schema=left_schema)
 
 
@@ -398,10 +466,11 @@ def skew_hash_join(left: "ray.data.Dataset", right: "ray.data.Dataset",
          ``max_hot_keys``) — the estimate only routes rows; join
          OUTPUT is identical whichever path a key takes;
       2. the right-side rows of hot keys (assumed few per key — a dim
-         table; documented partitioning assumption) broadcast once via
-         ``ray.put`` and hot left rows join them inside ``map_batches``
-         with the per-bucket kernel — no shuffle, no straggler;
-      3. everything else takes the normal bucketed ``hash_join``;
+         table; documented partitioning assumption) are collected once
+         and hot left rows take an inner ``broadcast_join`` with them —
+         no shuffle, no straggler;
+      3. everything else (an anti ``broadcast_join`` on the hot keys,
+         both sides) takes the normal bucketed ``hash_join``;
       4. union of the two streams (identical column order/dtypes).
 
     Same output contract as ``hash_join(how='inner')``: left columns +
@@ -415,41 +484,25 @@ def skew_hash_join(left: "ray.data.Dataset", right: "ray.data.Dataset",
               .random_sample(sample_frac, seed=seed))
     top = (sample.groupby(left_key).aggregate(Count(alias_name="__c"))
            .sort("__c", descending=True).limit(max_hot_keys).take_all())
-    hot = np.array(sorted(r[left_key] for r in top
-                          if r["__c"] >= hot_min_samples), dtype=np.int64)
+    hot = pa.table({"__hot": pa.array(
+        sorted(r[left_key] for r in top
+               if r["__c"] >= hot_min_samples and r[left_key] is not None),
+        ls.field(left_key).type)})
 
-    if hot.size == 0:
+    if not hot.num_rows:
         return hash_join(left, right, left_key, right_key,
                          left_schema=ls, right_schema=rs)
 
-    def keep(batch: pa.Table, key: str, invert: bool) -> pa.Table:
-        k = batch.column(key).to_numpy(zero_copy_only=False).astype(np.int64)
-        m = np.isin(k, hot)
-        return batch.filter(pa.array(~m if invert else m))
-
     # small by the dim-table assumption: |hot keys| x rows-per-key
-    parts = list(right.map_batches(lambda b: keep(b, right_key, False),
-                                   batch_format="pyarrow")
+    parts = list(broadcast_join(right, hot, right_key, "__hot", how="semi")
                  .iter_batches(batch_format="pyarrow"))
     right_hot = pa.concat_tables(parts) if parts else rs.empty_table()
-    i = right_hot.schema.get_field_index(right_key)
-    ref = ray.put(right_hot.set_column(i, right_key, right_hot.column(i)
-                                       .cast(ls.field(left_key).type)))
+    hot_joined = broadcast_join(left, right_hot, left_key, right_key)
 
-    def hot_join(batch: pa.Table) -> pa.Table:
-        return _join_tables(batch, ray.get(ref), [left_key], [right_key],
-                            "inner")
-
-    hot_joined = left.map_batches(lambda b: keep(b, left_key, False),
-                                  batch_format="pyarrow").map_batches(
-        hot_join, batch_format="pyarrow")
-
-    left_cold = left.map_batches(lambda b: keep(b, left_key, True),
-                                 batch_format="pyarrow")
-    right_cold = right.map_batches(lambda b: keep(b, right_key, True),
-                                   batch_format="pyarrow")
-    cold_joined = hash_join(left_cold, right_cold, left_key, right_key,
-                            left_schema=ls, right_schema=rs)
+    cold_joined = hash_join(
+        broadcast_join(left, hot, left_key, "__hot", how="anti"),
+        broadcast_join(right, hot, right_key, "__hot", how="anti"),
+        left_key, right_key, left_schema=ls, right_schema=rs)
     return hot_joined.union(cold_joined)
 
 

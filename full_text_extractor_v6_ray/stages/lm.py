@@ -75,7 +75,7 @@ def bigram_logprob(docs: "ray.data.Dataset", id_col: str = "doc_id",
     arrays (16 B/row) and the token-scale exchange disappears, else
     the bucketed lookup join runs)."""
     from .dedup import bucketed_group_sum
-    from .joins import hash_join
+    from .joins import broadcast_join, hash_join
     from .text_ops import vocab_stats
 
     slim = docs.select_columns([id_col, text_col])
@@ -174,48 +174,19 @@ def bigram_logprob(docs: "ray.data.Dataset", id_col: str = "doc_id",
 
     # Size dispatch: the scored table is |distinct bigrams| rows —
     # vocab²-bounded in theory, usually far smaller. Under the
-    # threshold it broadcasts ONCE as two kbhash-sorted numpy arrays
-    # and the scoring is a map-side searchsorted (the token-scale
-    # all-to-all disappears); over it, the bucketed lookup join is
-    # the scale path.
+    # threshold it is collected once and the scoring is an inner
+    # ``broadcast_join`` (the token-scale all-to-all disappears); over
+    # it, the bucketed lookup join is the scale path. Both drop a pair
+    # whose bigram has no score.
     import ray as _ray
 
     scores_mat = scores.materialize()
     if scores_mat.count() <= broadcast_scores_max:
         blocks = [t for t in _ray.get(scores_mat.to_arrow_refs())
                   if t.num_rows > 0]  # empty blocks carry a null schema
-        if blocks:
-            st = pa.concat_tables(blocks).combine_chunks()
-            kh = st.column("kbhash").to_numpy(zero_copy_only=False)
-            lp_all = st.column("lp").to_numpy(zero_copy_only=False)
-        else:
-            kh = np.array([], dtype=np.uint64)
-            lp_all = np.array([], dtype=np.float64)
-        order = np.argsort(kh)
-        ref = _ray.put((kh[order], lp_all[order]))
-
-        def score_map(batch: pa.Table) -> pa.Table:
-            keys, lps = _ray.get(ref)
-            bh = batch.column("bhash").to_numpy(zero_copy_only=False)
-            if len(keys) == 0:
-                # no scored bigrams at all -> every pair misses; match
-                # the join path (inner join drops them)
-                return batch.slice(0, 0).append_column(
-                    "lp", pa.array([], pa.float64()))
-            idx = np.minimum(np.searchsorted(keys, bh), len(keys) - 1)
-            lp = lps[idx]
-            # every doc bigram is in-vocab by construction (same RE2
-            # tokenizer trains and scores); verify instead of trusting —
-            # a miss must DROP the row (= the inner-join path), never
-            # borrow the adjacent hash's logprob
-            found = keys[idx] == bh
-            if not bool(found.all()):
-                batch = batch.filter(pa.array(found))
-                lp = lp[found]
-            return batch.append_column("lp", pa.array(lp))
-
-        scored = pairs.map_batches(score_map, batch_format="pyarrow",
-                                   zero_copy_batch=True)
+        st = (pa.concat_tables(blocks).select(score_schema.names)
+              if blocks else score_schema.empty_table())
+        scored = broadcast_join(pairs, st, "bhash", "kbhash")
     else:
         scored = hash_join(pairs, scores_mat, "bhash", "kbhash",
                            left_schema=pairs_schema,

@@ -221,6 +221,7 @@ def mixture_quota_sample(ds: "ray.data.Dataset", part_col: str,
     n_tok) before calling and join survivors back by key if payloads
     are needed.
     """
+    from .joins import broadcast_join
     from .packing import grouped_prefix_sum
 
     def add_h(batch: pa.Table) -> pa.Table:
@@ -237,14 +238,16 @@ def mixture_quota_sample(ds: "ray.data.Dataset", part_col: str,
         tie_col=key_col, num_ranges=num_ranges)
 
     def keep(batch: pa.Table) -> pa.Table:
-        # vectorized dict lookup (Series.map), no per-row Python loop
-        q = (batch.column(part_col).to_pandas().map(quotas)
-             .fillna(0.0).to_numpy(dtype=np.float64))
-        r = batch.column(out_col).to_numpy(zero_copy_only=False)
-        return batch.filter(pa.array(r <= q)).drop_columns(["_h64"])
+        # a partition without a quota has quota 0
+        q = pc.fill_null(batch.column("__quota"), 0.0)
+        return batch.filter(pc.less_equal(batch.column(out_col), q)) \
+            .drop_columns(["_h64", "__quota"])
 
-    return run.map_batches(keep, batch_format="pyarrow",
-                           zero_copy_batch=True)
+    table = pa.table({part_col: pa.array(list(quotas)),
+                      "__quota": pa.array(list(quotas.values()),
+                                          pa.float64())})
+    return broadcast_join(run, table, part_col, how="left").map_batches(
+        keep, batch_format="pyarrow", zero_copy_batch=True)
 
 
 def deterministic_shuffle(ds: "ray.data.Dataset", key_col: str,

@@ -110,11 +110,12 @@ def tfidf_top_terms(docs: "ray.data.Dataset", doc_col: str = "doc_id",
     task runs while the cluster idles (observed: 1 task >25 min at
     R=400, 31 workers idle). The hot keys here are KNOWN exactly — they
     are the top-df terms, and df is already computed — so the top
-    ``hot_terms`` (term, df) pairs broadcast once via ray.put (bounded,
-    never vocabulary-scale) and their tf rows score WITHOUT the
-    shuffle; only the zipf tail takes the bucketed join. Identical
-    output either path (same Arrow kernels); which side of the cut a
-    df-tied term lands on cannot change any value.
+    ``hot_terms`` (term, df) pairs are collected (bounded, never
+    vocabulary-scale) and their tf rows score through a
+    ``broadcast_join`` WITHOUT the shuffle; only the zipf tail takes
+    the bucketed join. Identical output either path (same Arrow
+    kernels); which side of the cut a df-tied term lands on cannot
+    change any value.
 
     A batch-local per-doc top-k combiner then prunes the scored rows
     UNDER THE SAME COMPARATOR the final window uses — a row outside its
@@ -140,11 +141,10 @@ def tfidf_top_terms(docs: "ray.data.Dataset", doc_col: str = "doc_id",
     Tokenization is whitespace-run split, identical to the DuckDB
     oracle's regexp_split_to_array(text, '\\s+') with '' filtered.
     """
-    import ray as _ray
     from ray.data.aggregate import Sum
 
     from .dedup import materialize_rebased
-    from .joins import hash_join
+    from .joins import broadcast_join, hash_join
     from .window import grouped_row_number
 
     if num_blocks is None:
@@ -200,32 +200,17 @@ def tfidf_top_terms(docs: "ray.data.Dataset", doc_col: str = "doc_id",
     # hot-term routing: top-df terms bypass the term shuffle entirely
     hot_pd = df.sort("df", descending=True).limit(hot_terms).to_pandas()
     if len(hot_pd) and "term_r" in hot_pd.columns:
-        hot_t = pa.array(hot_pd["term_r"].astype(str), pa.string())
-        hot_d = pa.array(hot_pd["df"].astype("int64"), pa.int64())
+        hot = pa.table({
+            "term_r": pa.array(hot_pd["term_r"].astype(str), pa.string()),
+            "df": pa.array(hot_pd["df"].astype("int64"), pa.int64())})
     else:
-        hot_t = pa.array([], pa.string())
-        hot_d = pa.array([], pa.int64())
-    hot_ref = _ray.put((hot_t, hot_d))
+        hot = pa.table({"term_r": pa.array([], pa.string()),
+                        "df": pa.array([], pa.int64())})
 
-    def score_hot(batch: pa.Table) -> pa.Table:
-        ht, hd = _ray.get(hot_ref)
-        idx = pc.index_in(batch["term"], value_set=ht)
-        keep = pc.is_valid(idx)
-        t = batch.filter(keep)
-        dfv = pc.take(hd, pc.index_in(t["term"], value_set=ht))
-        return score(t.append_column("df", dfv))
-
-    def cold_only(batch: pa.Table) -> pa.Table:
-        ht, _ = _ray.get(hot_ref)
-        return batch.filter(
-            pc.is_null(pc.index_in(batch["term"], value_set=ht)))
-
-    scored_hot = tf_rows.map_batches(score_hot, batch_format="pyarrow",
-                                     zero_copy_batch=True)
-    tf_cold = tf_rows.map_batches(cold_only, batch_format="pyarrow",
-                                  zero_copy_batch=True)
-    df_cold = df.map_batches(cold_only_keys(hot_ref, "term_r"),
-                             batch_format="pyarrow", zero_copy_batch=True)
+    scored_hot = broadcast_join(tf_rows, hot, "term", "term_r").map_batches(
+        score, batch_format="pyarrow", zero_copy_batch=True)
+    tf_cold = broadcast_join(tf_rows, hot, "term", "term_r", how="anti")
+    df_cold = broadcast_join(df, hot, "term_r", how="anti")
     # df is unique per term (it IS the term groupby output) — the
     # all-Arrow unique-key lookup join applies, no pandas round-trip
     scored_cold = (hash_join(tf_cold, df_cold, "term", "term_r")
@@ -260,18 +245,6 @@ def tfidf_top_terms(docs: "ray.data.Dataset", doc_col: str = "doc_id",
     return grouped_row_number(pruned, doc_col, ["tfidf", "term"],
                               ascending=[False, True], limit=k,
                               out_col="rn")
-
-
-def cold_only_keys(hot_ref, col: str):
-    """Batch filter factory: keep rows whose ``col`` is NOT in the
-    broadcast hot-term array (first element of the ray.put tuple)."""
-    def fn(batch: pa.Table) -> pa.Table:
-        import ray as _ray
-
-        ht, _ = _ray.get(hot_ref)
-        return batch.filter(
-            pc.is_null(pc.index_in(batch[col], value_set=ht)))
-    return fn
 
 
 def cohort_retention(ds: "ray.data.Dataset", user_col: str, ts_col: str,

@@ -1,5 +1,1 @@
-"""Broadcast state helpers."""
-
-from .broadcast import Broadcast, broadcast_small_table
-
-__all__ = ["Broadcast", "broadcast_small_table"]
+"""Cross-round state: the sharded url index (``url_index``)."""

@@ -236,19 +236,22 @@ def test_skew_hash_join_matches_pandas(ray_session, bucket_count):
     cold = rng.randint(1, 200, 1_000)
     keys = np.concatenate([hot, cold])
     rng.shuffle(keys)
-    left = pd.DataFrame({"k": keys, "lv": np.arange(keys.size)})
-    right = pd.DataFrame({"rk": np.arange(200), "rv": np.arange(200) * 7})
-
     bucket_count(8)
-    got = skew_hash_join(ray.data.from_pandas(left),
-                         ray.data.from_pandas(right),
-                         "k", "rk",
-                         sample_frac=0.2, hot_min_samples=8).to_pandas()
-    exp = left.merge(right, left_on="k", right_on="rk").drop(columns=["rk"])
-    key = ["k", "lv", "rv"]
-    got = got[key].sort_values(key).reset_index(drop=True)
-    exp = exp[key].sort_values(key).reset_index(drop=True)
-    pd.testing.assert_frame_equal(got.astype("int64"), exp.astype("int64"))
+    # int64 keys, then string keys that do not parse as numbers
+    for typed in (pa.array, lambda a: pa.array([f"u{v}" for v in a])):
+        left = pa.table({"k": typed(keys), "lv": np.arange(keys.size)})
+        right = pa.table({"rk": typed(np.arange(200)),
+                          "rv": np.arange(200) * 7})
+        got = skew_hash_join(ray.data.from_arrow(left),
+                             ray.data.from_arrow(right),
+                             "k", "rk",
+                             sample_frac=0.2, hot_min_samples=8).to_pandas()
+        exp = left.to_pandas().merge(right.to_pandas(), left_on="k",
+                                     right_on="rk").drop(columns=["rk"])
+        key = ["k", "lv", "rv"]
+        got = got[key].sort_values(key).reset_index(drop=True)
+        exp = exp[key].sort_values(key).reset_index(drop=True)
+        pd.testing.assert_frame_equal(got, exp, check_dtype=False)
 
 
 def test_skew_hash_join_no_hot_keys_falls_back(ray_session, bucket_count):
@@ -367,10 +370,13 @@ def test_hash_join_matches_duckdb_exactly(ray_session, how, key_type,
     on both sides survive exactly (a float64 round trip turns 2^53+1
     into 2^53), null keys match nothing, a left row with a null key is
     kept by the anti join (NOT EXISTS) and by left/outer joins, and a
-    right key with two rows yields two inner rows but one semi row."""
+    right key with two rows yields two inner rows but one semi row.
+    ``broadcast_join`` (every type but outer) gives the same rows, in
+    left order with each left row's matches in right order."""
     import duckdb
     import ray.data
-    from full_text_extractor_v6_ray.stages.joins import hash_join
+    from full_text_extractor_v6_ray.stages.joins import (broadcast_join,
+                                                         hash_join)
 
     def keys(vals):
         return pa.array([None if v is None else v for v in vals],
@@ -396,6 +402,25 @@ def test_hash_join_matches_duckdb_exactly(ray_session, how, key_type,
 
     assert rows(got.take_all()) == rows(exp.to_pylist())
     assert got.schema().names == exp.column_names
+
+    if how == "outer":
+        return
+    mapped = broadcast_join(ray.data.from_arrow(left), right, "k", "rk",
+                            how=how)
+    in_order = []
+    for lrow in left.to_pylist():
+        rvs = [r["rv"] for r in right.to_pylist()
+               if lrow["k"] is not None and r["rk"] == lrow["k"]]
+        if how in ("semi", "anti"):
+            keep = bool(rvs) == (how == "semi")
+            in_order += [(lrow["k"], lrow["lv"])] * keep
+        else:
+            in_order += [(lrow["k"], lrow["lv"], v) for v in (
+                rvs or ([None] if how == "left" else []))]
+    records = mapped.take_all()
+    assert [tuple(r.values()) for r in records] == in_order
+    assert rows(records) == rows(exp.to_pylist())
+    assert mapped.schema().names == exp.column_names
 
 
 def test_hash_join_with_schemas_adds_no_execution(ray_session,
@@ -453,3 +478,20 @@ def test_sorted_key_index_matches_arrow_membership(monkeypatch, buckets):
     assert len(index.positions(pa.array([], pa.string()))) == 0
     empty = SortedKeyIndex(pa.array([], pa.string()))
     assert not empty.contains(probe).to_numpy(zero_copy_only=False).any()
+
+    # matches == the (probe row, key row) pairs of an Arrow inner join,
+    # a probe row's key rows ascending: int64 keys (beyond 2^53, negative,
+    # null) and duplicate keys
+    big = 2 ** 53
+    ints = pa.array([big + 1, -5, None, 7, big + 1, 7, 0, big], pa.int64())
+    int_probe = pa.array([7, big + 1, None, big, -5, 3, big + 2, 7])
+    dups = pa.concat_arrays([keys[:50], keys[20:30], keys[25:35]])
+    for k, p in ((ints, int_probe), (dups, probe)):
+        rows, at = SortedKeyIndex(k).matches(p)
+        j = pa.table({"v": p, "p": np.arange(len(p))}).join(
+            pa.table({"v": k, "k": np.arange(len(k))}), "v",
+            join_type="inner")
+        assert sorted(zip(rows.tolist(), at.tolist())) == sorted(
+            zip(j["p"].to_pylist(), j["k"].to_pylist()))
+        for r in set(rows.tolist()):
+            assert np.all(np.diff(at[rows == r]) > 0)

@@ -66,17 +66,37 @@ def test_tpch_query_matches_duckdb(ray_session, name):
     pd.testing.assert_frame_equal(a, b, check_dtype=False)
 
 
-def test_sorted_lookup_empty_keys():
+def test_sorted_lookup_empty_keys(ray_session):
     # a dimension filter matching zero rows must mean "every probe
-    # misses", not an IndexError inside worker tasks
-    import numpy as np
+    # misses" (inner: no row, left: typed nulls), not an error inside
+    # worker tasks
+    import pyarrow as pa
 
-    from full_text_extractor_v6_ray.driver_queries_tpch import (
-        _SortedLookup,
-    )
+    import ray.data
+    from full_text_extractor_v6_ray.stages.joins import broadcast_join
 
-    lk = _SortedLookup(np.array([], np.int64), np.array([], np.int64),
-                       np.asarray([], dtype=object))
-    found, (ints, objs) = lk.get(np.array([1, 2, 3]))
-    assert not found.any()
-    assert ints.dtype == np.int64 and objs.dtype == object
+    left = ray.data.from_arrow(pa.table({"k": pa.array([1, 2, 3])}))
+    dim = pa.table({"dk": pa.array([], pa.int64()),
+                    "n": pa.array([], pa.int64()),
+                    "s": pa.array([], pa.string())})
+    assert broadcast_join(left, dim, "k", "dk").count() == 0
+    got = broadcast_join(left, dim, "k", "dk", how="left")
+    assert got.take_all() == [{"k": k, "n": None, "s": None}
+                              for k in (1, 2, 3)]
+    assert got.schema().types == [pa.int64(), pa.int64(), pa.string()]
+
+
+def test_q3_shipping_priority_is_one_execution(ray_session,
+                                               count_executions):
+    """Both join sides' schemas are known from the plan: consuming the
+    query is ONE Ray execution (no one-row schema probe re-runs a
+    side), and it still matches its oracle."""
+    from full_text_extractor_v6_ray import driver_queries as dq
+
+    count_executions.clear()
+    got = dq.QUERIES["q3_shipping_priority"](SF_DIR).to_pandas()
+    assert len(count_executions) == 1, count_executions
+    exp = _oracle(dq.ORACLES["q3_shipping_priority"])
+    a, b = _canon(got), _canon(exp)
+    assert list(a.columns) == list(b.columns)
+    pd.testing.assert_frame_equal(a, b, check_dtype=False)
