@@ -195,7 +195,6 @@ def run_bench() -> dict:
             rd.read_parquet(docs_dir),
             quality_min=-1.0, lang_conf_min=-1.0,
             num_blocks=max(32, 4 * NUM_CPUS),
-            scorer_concurrency=(1, max(4, NUM_CPUS // 2)),
             pair_mode=os.environ.get(
                 "GRAFT_BENCH_CORPUS_PAIR_MODE", "all")).count()
         queries["corpus_prep_docs"] = round(time.perf_counter() - t, 3)

@@ -15,7 +15,7 @@ Layout:
     extractor/  pure Python extraction library (no Ray): DOM walk, block
                 scoring/boilerplate strip, markdown-ish rendering with byte
                 spans, URL fixing, normalization, PDF branch.
-    stages/     Ray Data map_batches stages (actor classes + batch fns).
+    stages/     Ray Data map_batches stages (callable classes + batch fns).
     sources/    readers + the deterministic synthetic pages generator.
     functions/  vectorized scalar/column functions (pyarrow.compute based).
     pipelines/  end-to-end Dataset -> Dataset compositions + checkpointing.

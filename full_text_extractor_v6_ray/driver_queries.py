@@ -260,8 +260,7 @@ def q_docs_langid(sf_dir: str):
     from .stages.text_ops import LangIdBatch
 
     ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
-    out = ds.map_batches(LangIdBatch, batch_format="pyarrow", batch_size=512,
-                         concurrency=(1, 4))
+    out = ds.map_batches(LangIdBatch(), batch_format="pyarrow", batch_size=512)
     return out.select_columns(["doc_id", "lang_pred", "lang_conf"])
 
 
@@ -270,8 +269,8 @@ def q_docs_quality(sf_dir: str):
     from .stages.text_ops import QualityScoreBatch
 
     ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
-    out = ds.map_batches(QualityScoreBatch, batch_format="pyarrow",
-                         batch_size=512, concurrency=(1, 4))
+    out = ds.map_batches(QualityScoreBatch(), batch_format="pyarrow",
+                         batch_size=512)
     return out.select_columns(["doc_id", "n_tokens", "mean_token_len",
                                "stop_ratio", "punct_ratio", "digit_ratio",
                                "max_repeat_ratio", "quality"])
@@ -284,8 +283,8 @@ def q_docs_repetition(sf_dir: str):
     from .stages.text_ops import RepetitionBatch
 
     ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
-    out = ds.map_batches(RepetitionBatch, batch_format="pyarrow",
-                         batch_size=512, concurrency=(1, 4))
+    out = ds.map_batches(RepetitionBatch(), batch_format="pyarrow",
+                         batch_size=512)
     return out.select_columns(["doc_id", "n_tok", "dup_tok_frac",
                                "top_tok_frac"])
 
@@ -295,8 +294,8 @@ def q_docs_fingerprint(sf_dir: str):
     from .stages.text_ops import FingerprintBatch
 
     ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
-    out = ds.map_batches(FingerprintBatch, batch_format="pyarrow",
-                         batch_size=512, concurrency=(1, 4))
+    out = ds.map_batches(FingerprintBatch(), batch_format="pyarrow",
+                         batch_size=512)
     return out.select_columns(["doc_id", "content_md5"])
 
 
@@ -343,8 +342,8 @@ def q_docs_pii_scrub(sf_dir: str):
     from .stages.text_ops import PiiScrubBatch
 
     ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
-    out = ds.map_batches(PiiScrubBatch, batch_format="pyarrow",
-                         batch_size=512, concurrency=(1, 4))
+    out = ds.map_batches(PiiScrubBatch(), batch_format="pyarrow",
+                         batch_size=512)
     return out.select_columns(["doc_id", "text_scrubbed",
                                "n_email", "n_phone", "n_ip"])
 
@@ -583,13 +582,12 @@ def q_order_keys_union(sf_dir: str):
 def q_embeddings_neardup(sf_dir: str, threshold: float = 0.45):
     """Embedding-cosine near-duplicate pairs (exact, oracle-checked).
 
-    Sandbox-exact path: the normalized matrix is broadcast once
-    (``ray.put``), each batch computes one matmul and emits pairs
+    Sandbox-exact path: the normalized matrix rides inside the stage's
+    function (shipped once), each batch computes one matmul and emits pairs
     (vec_a < vec_b, cosine >= threshold). At 10^12 scale this becomes the
     LSH-bucketed variant (stages/embed.knn_cosine_lsh machinery).
     """
     import pyarrow.parquet as pq
-    import ray
 
     from .stages.embed import _normalize, _to_matrix
 
@@ -597,33 +595,26 @@ def q_embeddings_neardup(sf_dir: str, threshold: float = 0.45):
                         columns=["vec_id", "embedding"])
     full = _normalize(np.array(tbl["embedding"].to_pylist(), dtype=np.float64))
     full_ids = np.array(tbl["vec_id"].to_pylist(), dtype=np.int64)
-    ref = ray.put({"mat": full, "ids": full_ids})
 
-    class NearDup:
-        def __init__(self):
-            d = ray.get(ref)
-            self.mat, self.ids = d["mat"], d["ids"]
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            vecs = _normalize(_to_matrix(batch.column("embedding")))
-            vec_ids = batch.column("vec_id").to_numpy(zero_copy_only=False)
-            scores = vecs @ self.mat.T
-            rows_a, rows_b, sims = [], [], []
-            for i, vid in enumerate(vec_ids):
-                hits = np.nonzero(scores[i] >= threshold)[0]
-                for j in hits:
-                    other = int(self.ids[j])
-                    if int(vid) < other:   # i<j once, no self-pairs
-                        rows_a.append(int(vid))
-                        rows_b.append(other)
-                        sims.append(round(float(scores[i, j]), 6))
-            return pa.table({"vec_a": pa.array(rows_a, pa.int64()),
-                             "vec_b": pa.array(rows_b, pa.int64()),
-                             "cosine": pa.array(sims, pa.float64())})
+    def near_dup(batch: pa.Table) -> pa.Table:
+        vecs = _normalize(_to_matrix(batch.column("embedding")))
+        vec_ids = batch.column("vec_id").to_numpy(zero_copy_only=False)
+        scores = vecs @ full.T
+        rows_a, rows_b, sims = [], [], []
+        for i, vid in enumerate(vec_ids):
+            hits = np.nonzero(scores[i] >= threshold)[0]
+            for j in hits:
+                other = int(full_ids[j])
+                if int(vid) < other:   # i<j once, no self-pairs
+                    rows_a.append(int(vid))
+                    rows_b.append(other)
+                    sims.append(round(float(scores[i, j]), 6))
+        return pa.table({"vec_a": pa.array(rows_a, pa.int64()),
+                         "vec_b": pa.array(rows_b, pa.int64()),
+                         "cosine": pa.array(sims, pa.float64())})
 
     ds = _read(sf_dir, "embeddings", columns=["vec_id", "embedding"])
-    return ds.map_batches(NearDup, batch_format="pyarrow", batch_size=1024,
-                          concurrency=(1, 4))
+    return ds.map_batches(near_dup, batch_format="pyarrow", batch_size=1024)
 
 
 def q_embeddings_neardup_lsh(sf_dir: str):
@@ -664,11 +655,11 @@ def q_page_metadata(sf_dir: str):
     """G6: per-page structural metadata completeness rollup by lang."""
     from ray.data.aggregate import Count, Mean
 
-    from .stages.metadata import PageMetadataBatch
+    from .stages.metadata import page_metadata_batch
 
     pages = pages_dataset_from_documents(sf_dir)
-    meta = pages.map_batches(PageMetadataBatch, batch_format="pyarrow",
-                             batch_size=256, concurrency=(1, 4))
+    meta = pages.map_batches(page_metadata_batch, batch_format="pyarrow",
+                             batch_size=256)
     return meta.groupby("lang_attr").aggregate(
         Count(alias_name="n_pages"),
         Mean("completeness", alias_name="avg_completeness"))
@@ -676,11 +667,11 @@ def q_page_metadata(sf_dir: str):
 
 def q_data_islands(sf_dir: str):
     """M12 analog: JSON data islands summarized per page."""
-    from .stages.metadata import DataIslandBatch
+    from .stages.metadata import data_island_batch
 
     pages = pages_dataset_from_documents(sf_dir)
-    return pages.map_batches(DataIslandBatch, batch_format="pyarrow",
-                             batch_size=256, concurrency=(1, 4))
+    return pages.map_batches(data_island_batch, batch_format="pyarrow",
+                             batch_size=256)
 
 
 def _doc_id_from_url(batch: pa.Table) -> pa.Array:
@@ -693,11 +684,11 @@ def q_chart_series(sf_dir: str):
     """M12 with numeric fidelity: chart JSON islands -> one row per series
     with type/name/points/sum (reference content_extractor.py:368-421).
     Oracled: the generator's chart values are arithmetic in doc_id."""
-    from .stages.metadata import ChartSeriesBatch
+    from .stages.metadata import chart_series_batch
 
     pages = pages_dataset_from_documents(sf_dir)
-    charts = pages.map_batches(ChartSeriesBatch, batch_format="pyarrow",
-                               batch_size=256, concurrency=(1, 4))
+    charts = pages.map_batches(chart_series_batch, batch_format="pyarrow",
+                               batch_size=256)
 
     def project(batch: pa.Table) -> pa.Table:
         return pa.table({
@@ -715,11 +706,11 @@ def q_page_dates(sf_dir: str):
     """Metadata depth (reference metadata_extractor.py:89-109,185-190
     analog): author + published/modified dates from <meta>/OpenGraph/
     JSON-LD. Oracled: generator metadata is arithmetic in doc_id."""
-    from .stages.metadata import PageMetadataBatch
+    from .stages.metadata import page_metadata_batch
 
     pages = pages_dataset_from_documents(sf_dir)
-    meta = pages.map_batches(PageMetadataBatch, batch_format="pyarrow",
-                             batch_size=256, concurrency=(1, 4))
+    meta = pages.map_batches(page_metadata_batch, batch_format="pyarrow",
+                             batch_size=256)
 
     def project(batch: pa.Table) -> pa.Table:
         return pa.table({
@@ -741,8 +732,8 @@ def q_diagram_scores(sf_dir: str):
     from .stages.diagram import DiagramScoreBatch
 
     pages = pages_dataset_from_documents(sf_dir)
-    scored = pages.map_batches(DiagramScoreBatch, batch_format="pyarrow",
-                               batch_size=256, concurrency=(1, 4))
+    scored = pages.map_batches(DiagramScoreBatch(), batch_format="pyarrow",
+                               batch_size=256)
     return scored.groupby("diagram_prob").aggregate(
         Count(alias_name="n_pages"),
         Mean("diagram_score", alias_name="avg_score"))
@@ -1300,39 +1291,38 @@ def q_containers_extract(sf_dir: str):
 
     ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
 
-    class WrapAndExtract:
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            ids = batch.column("doc_id").to_pylist()
-            texts = batch.column("text").to_pylist()
-            methods = []
-            for doc_id, text in zip(ids, texts):
-                body = ("<html><body><h1>Doc</h1><p>"
-                        + _html_mod.escape(text or "placeholder")
-                        + "</p></body></html>").encode()
-                k = doc_id % 3
-                if k == 0:
-                    payload = _gzip.compress(body, 6)
-                elif k == 1:
-                    block = (b"HTTP/1.1 200 OK\r\n\r\n" + body)
-                    payload = (
-                        b"WARC/1.0\r\nWARC-Type: response\r\n"
-                        b"Content-Type: application/http; msgtype=response"
-                        b"\r\nContent-Length: "
-                        + str(len(block)).encode() + b"\r\n\r\n" + block)
-                else:
-                    buf = io.BytesIO()
-                    with zipfile.ZipFile(buf, "w") as zf:
-                        zf.writestr("word/document.xml",
-                                    "<w:document><w:body><w:p><w:r><w:t>"
-                                    + _html_mod.escape(text or "placeholder")
-                                    + "</w:t></w:r></w:p>"
-                                    "</w:body></w:document>")
-                    payload = buf.getvalue()
-                methods.append(extract_document(payload).method)
-            return pa.table({"method": pa.array(methods, pa.string())})
+    def wrap_and_extract(batch: pa.Table) -> pa.Table:
+        ids = batch.column("doc_id").to_pylist()
+        texts = batch.column("text").to_pylist()
+        methods = []
+        for doc_id, text in zip(ids, texts):
+            body = ("<html><body><h1>Doc</h1><p>"
+                    + _html_mod.escape(text or "placeholder")
+                    + "</p></body></html>").encode()
+            k = doc_id % 3
+            if k == 0:
+                payload = _gzip.compress(body, 6)
+            elif k == 1:
+                block = (b"HTTP/1.1 200 OK\r\n\r\n" + body)
+                payload = (
+                    b"WARC/1.0\r\nWARC-Type: response\r\n"
+                    b"Content-Type: application/http; msgtype=response"
+                    b"\r\nContent-Length: "
+                    + str(len(block)).encode() + b"\r\n\r\n" + block)
+            else:
+                buf = io.BytesIO()
+                with zipfile.ZipFile(buf, "w") as zf:
+                    zf.writestr("word/document.xml",
+                                "<w:document><w:body><w:p><w:r><w:t>"
+                                + _html_mod.escape(text or "placeholder")
+                                + "</w:t></w:r></w:p>"
+                                "</w:body></w:document>")
+                payload = buf.getvalue()
+            methods.append(extract_document(payload).method)
+        return pa.table({"method": pa.array(methods, pa.string())})
 
-    wrapped = ds.map_batches(WrapAndExtract, batch_format="pyarrow",
-                             batch_size=256, concurrency=(1, 4))
+    wrapped = ds.map_batches(wrap_and_extract, batch_format="pyarrow",
+                             batch_size=256)
     return wrapped.groupby("method").aggregate(Count(alias_name="n_docs"))
 
 
@@ -1349,42 +1339,41 @@ def q_ole2_extract(sf_dir: str):
 
     ds = _read(sf_dir, "documents", columns=["doc_id"])
 
-    class WriteAndExtract:
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            ids, methods, n_chars, n_links = [], [], [], []
-            for doc_id in batch.column("doc_id").to_pylist():
-                k = doc_id % 3
-                if k == 0:
-                    payload = build_doc(
-                        [f"Legacy doc {doc_id}.",
-                         f"Second paragraph {doc_id * 3}."],
-                        pieces_compressed=[True, False],
-                        links=[(f"Anchor {doc_id}",
-                                f"https://legacy.example/{doc_id}")])
-                elif k == 1:
-                    payload = build_xls([
-                        (f"S{doc_id % 4}",
-                         [["metric", "value"],
-                          [f"m{doc_id}", doc_id * 7]])])
-                else:
-                    payload = build_ppt(
-                        [f"Slide {doc_id}",
-                         f"Body {doc_id}\rPoint {doc_id * 2}"],
-                        as_bytes=[False, True])
-                res = extract_document(payload)
-                ids.append(doc_id)
-                methods.append(res.method)
-                n_chars.append(len(res.extracted_text))
-                n_links.append(len(res.links))
-            return pa.table({
-                "doc_id": pa.array(ids, pa.int64()),
-                "method": pa.array(methods, pa.string()),
-                "n_chars": pa.array(n_chars, pa.int64()),
-                "n_links": pa.array(n_links, pa.int64()),
-            })
+    def write_and_extract(batch: pa.Table) -> pa.Table:
+        ids, methods, n_chars, n_links = [], [], [], []
+        for doc_id in batch.column("doc_id").to_pylist():
+            k = doc_id % 3
+            if k == 0:
+                payload = build_doc(
+                    [f"Legacy doc {doc_id}.",
+                     f"Second paragraph {doc_id * 3}."],
+                    pieces_compressed=[True, False],
+                    links=[(f"Anchor {doc_id}",
+                            f"https://legacy.example/{doc_id}")])
+            elif k == 1:
+                payload = build_xls([
+                    (f"S{doc_id % 4}",
+                     [["metric", "value"],
+                      [f"m{doc_id}", doc_id * 7]])])
+            else:
+                payload = build_ppt(
+                    [f"Slide {doc_id}",
+                     f"Body {doc_id}\rPoint {doc_id * 2}"],
+                    as_bytes=[False, True])
+            res = extract_document(payload)
+            ids.append(doc_id)
+            methods.append(res.method)
+            n_chars.append(len(res.extracted_text))
+            n_links.append(len(res.links))
+        return pa.table({
+            "doc_id": pa.array(ids, pa.int64()),
+            "method": pa.array(methods, pa.string()),
+            "n_chars": pa.array(n_chars, pa.int64()),
+            "n_links": pa.array(n_links, pa.int64()),
+        })
 
-    return ds.map_batches(WriteAndExtract, batch_format="pyarrow",
-                          batch_size=256, concurrency=(1, 4))
+    return ds.map_batches(write_and_extract, batch_format="pyarrow",
+                          batch_size=256)
 
 
 def q_textdata_extract(sf_dir: str):
@@ -1425,36 +1414,35 @@ def q_textdata_extract(sf_dir: str):
                 f"ref {doc_id}</a> now.</p></body></html>")
         return buf.getvalue()
 
-    class WriteAndExtract:
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            ids, methods, n_chars, n_links = [], [], [], []
-            for doc_id in batch.column("doc_id").to_pylist():
-                k = doc_id % 4
-                if k == 0:
-                    payload = (f"metric,value\nm{doc_id},{doc_id * 7}\n"
-                               ).encode()
-                elif k == 1:
-                    payload = (f'{{"doc": {doc_id}, '
-                               f'"score": {doc_id * 3}}}').encode()
-                elif k == 2:
-                    payload = (f'<?xml version="1.0"?><r><a>{doc_id}</a>'
-                               f"<b>v{doc_id * 2}</b></r>").encode()
-                else:
-                    payload = _epub(doc_id)
-                res = extract_document(payload)
-                ids.append(doc_id)
-                methods.append(res.method)
-                n_chars.append(len(res.extracted_text))
-                n_links.append(len(res.links))
-            return pa.table({
-                "doc_id": pa.array(ids, pa.int64()),
-                "method": pa.array(methods, pa.string()),
-                "n_chars": pa.array(n_chars, pa.int64()),
-                "n_links": pa.array(n_links, pa.int64()),
-            })
+    def write_and_extract(batch: pa.Table) -> pa.Table:
+        ids, methods, n_chars, n_links = [], [], [], []
+        for doc_id in batch.column("doc_id").to_pylist():
+            k = doc_id % 4
+            if k == 0:
+                payload = (f"metric,value\nm{doc_id},{doc_id * 7}\n"
+                           ).encode()
+            elif k == 1:
+                payload = (f'{{"doc": {doc_id}, '
+                           f'"score": {doc_id * 3}}}').encode()
+            elif k == 2:
+                payload = (f'<?xml version="1.0"?><r><a>{doc_id}</a>'
+                           f"<b>v{doc_id * 2}</b></r>").encode()
+            else:
+                payload = _epub(doc_id)
+            res = extract_document(payload)
+            ids.append(doc_id)
+            methods.append(res.method)
+            n_chars.append(len(res.extracted_text))
+            n_links.append(len(res.links))
+        return pa.table({
+            "doc_id": pa.array(ids, pa.int64()),
+            "method": pa.array(methods, pa.string()),
+            "n_chars": pa.array(n_chars, pa.int64()),
+            "n_links": pa.array(n_links, pa.int64()),
+        })
 
-    return ds.map_batches(WriteAndExtract, batch_format="pyarrow",
-                          batch_size=256, concurrency=(1, 4))
+    return ds.map_batches(write_and_extract, batch_format="pyarrow",
+                          batch_size=256)
 
 
 def q_zip_iterate_extract(sf_dir: str):
@@ -1470,27 +1458,26 @@ def q_zip_iterate_extract(sf_dir: str):
 
     ds = _read(sf_dir, "documents", columns=["doc_id"])
 
-    class WrapAndExtract:
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            ids, n_chars = [], []
-            for doc_id in batch.column("doc_id").to_pylist():
-                buf = _io.BytesIO()
-                with _zipfile.ZipFile(buf, "w") as zf:
-                    zf.writestr("a_data.csv",
-                                f"k,v\nrow{doc_id},{doc_id * 7}\n")
-                    zf.writestr("b_notes.txt",
-                                f"note for {doc_id * 3}")
-                res = extract_document(buf.getvalue())
-                assert res.method == "zip"
-                ids.append(doc_id)
-                n_chars.append(len(res.extracted_text))
-            return pa.table({
-                "doc_id": pa.array(ids, pa.int64()),
-                "n_chars": pa.array(n_chars, pa.int64()),
-            })
+    def wrap_and_extract(batch: pa.Table) -> pa.Table:
+        ids, n_chars = [], []
+        for doc_id in batch.column("doc_id").to_pylist():
+            buf = _io.BytesIO()
+            with _zipfile.ZipFile(buf, "w") as zf:
+                zf.writestr("a_data.csv",
+                            f"k,v\nrow{doc_id},{doc_id * 7}\n")
+                zf.writestr("b_notes.txt",
+                            f"note for {doc_id * 3}")
+            res = extract_document(buf.getvalue())
+            assert res.method == "zip"
+            ids.append(doc_id)
+            n_chars.append(len(res.extracted_text))
+        return pa.table({
+            "doc_id": pa.array(ids, pa.int64()),
+            "n_chars": pa.array(n_chars, pa.int64()),
+        })
 
-    return ds.map_batches(WrapAndExtract, batch_format="pyarrow",
-                          batch_size=256, concurrency=(1, 4))
+    return ds.map_batches(wrap_and_extract, batch_format="pyarrow",
+                          batch_size=256)
 
 
 def q_doc_properties(sf_dir: str):
@@ -1511,50 +1498,49 @@ def q_doc_properties(sf_dir: str):
     ds = _read(sf_dir, "documents", columns=["doc_id"])
     epoch = _dt.datetime(2024, 1, 1)
 
-    class WriteAndRead:
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            ids, titles, authors, revs, createds = [], [], [], [], []
-            for doc_id in batch.column("doc_id").to_pylist():
-                title = f"Title {doc_id}"
-                author = f"Author {doc_id % 7}"
-                rev = doc_id % 10
-                created = epoch + _dt.timedelta(seconds=doc_id)
-                if doc_id % 2 == 0:
-                    buf = _io.BytesIO()
-                    with _zipfile.ZipFile(buf, "w") as zf:
-                        zf.writestr("word/document.xml", "<w:document/>")
-                        zf.writestr(
-                            "docProps/core.xml",
-                            "<cp:coreProperties>"
-                            f"<dc:title>{title}</dc:title>"
-                            f"<dc:creator>{author}</dc:creator>"
-                            f"<cp:revision>{rev}</cp:revision>"
-                            '<dcterms:created xsi:type="dcterms:W3CDTF">'
-                            f"{created.strftime('%Y-%m-%dT%H:%M:%SZ')}"
-                            "</dcterms:created></cp:coreProperties>")
-                    props = ooxml_core_properties(buf.getvalue())
-                else:
-                    payload = build_doc(
-                        ["body"], summary={"title": title,
-                                           "author": author,
-                                           "revision": rev,
-                                           "created": created})
-                    props = ole2_summary_properties(payload)
-                ids.append(doc_id)
-                titles.append(props["title"])
-                authors.append(props["author"])
-                revs.append(props["revision"])
-                createds.append(props["created"])
-            return pa.table({
-                "doc_id": pa.array(ids, pa.int64()),
-                "title": pa.array(titles, pa.string()),
-                "author": pa.array(authors, pa.string()),
-                "revision": pa.array(revs, pa.string()),
-                "created": pa.array(createds, pa.string()),
-            })
+    def write_and_read(batch: pa.Table) -> pa.Table:
+        ids, titles, authors, revs, createds = [], [], [], [], []
+        for doc_id in batch.column("doc_id").to_pylist():
+            title = f"Title {doc_id}"
+            author = f"Author {doc_id % 7}"
+            rev = doc_id % 10
+            created = epoch + _dt.timedelta(seconds=doc_id)
+            if doc_id % 2 == 0:
+                buf = _io.BytesIO()
+                with _zipfile.ZipFile(buf, "w") as zf:
+                    zf.writestr("word/document.xml", "<w:document/>")
+                    zf.writestr(
+                        "docProps/core.xml",
+                        "<cp:coreProperties>"
+                        f"<dc:title>{title}</dc:title>"
+                        f"<dc:creator>{author}</dc:creator>"
+                        f"<cp:revision>{rev}</cp:revision>"
+                        '<dcterms:created xsi:type="dcterms:W3CDTF">'
+                        f"{created.strftime('%Y-%m-%dT%H:%M:%SZ')}"
+                        "</dcterms:created></cp:coreProperties>")
+                props = ooxml_core_properties(buf.getvalue())
+            else:
+                payload = build_doc(
+                    ["body"], summary={"title": title,
+                                       "author": author,
+                                       "revision": rev,
+                                       "created": created})
+                props = ole2_summary_properties(payload)
+            ids.append(doc_id)
+            titles.append(props["title"])
+            authors.append(props["author"])
+            revs.append(props["revision"])
+            createds.append(props["created"])
+        return pa.table({
+            "doc_id": pa.array(ids, pa.int64()),
+            "title": pa.array(titles, pa.string()),
+            "author": pa.array(authors, pa.string()),
+            "revision": pa.array(revs, pa.string()),
+            "created": pa.array(createds, pa.string()),
+        })
 
-    return ds.map_batches(WriteAndRead, batch_format="pyarrow",
-                          batch_size=256, concurrency=(1, 4))
+    return ds.map_batches(write_and_read, batch_format="pyarrow",
+                          batch_size=256)
 
 
 def q_docs_gopher_quality(sf_dir: str):
@@ -1598,43 +1584,39 @@ def q_videos_mjpeg_frames(sf_dir: str):
     (``extractor/codecs.avi_mjpeg_encode``) of k = doc_id%3+2
     solid-gray 24x16 frames, routed through the REAL stages —
     ``FrameSampleBatch`` (RIFF walk, stride 2) then
-    ``DecodeImageBatch`` (baseline-JPEG decode). Solid grays roundtrip
+    ``decode_image_batch`` (baseline-JPEG decode). Solid grays roundtrip
     bit-exactly at q90 (DC-only blocks), so frame means are pure
     doc_id arithmetic."""
-    from .stages.multimodal import DecodeImageBatch, FrameSampleBatch
+    from .stages.multimodal import FrameSampleBatch, decode_image_batch
 
     ds = _read(sf_dir, "documents", columns=["doc_id"])
 
-    class BuildAvi:
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            from .extractor.codecs import avi_mjpeg_encode
+    def build_avi(batch: pa.Table) -> pa.Table:
+        from .extractor.codecs import avi_mjpeg_encode
 
-            ids, media, mtype = [], [], []
-            for doc_id in batch.column("doc_id").to_pylist():
-                if doc_id % 5 != 0:
-                    continue
-                k = doc_id % 3 + 2
-                frames = [np.full((16, 24),
-                                  (doc_id * 7 + i * 31) % 256, np.uint8)
-                          for i in range(k)]
-                ids.append(doc_id)
-                media.append(avi_mjpeg_encode(frames, fps=doc_id % 4 + 1,
-                                              quality=90))
-                mtype.append("video/avi")
-            return pa.table({
-                "id": pa.array(ids, pa.int64()),
-                "media": pa.array(media, pa.binary()),
-                "media_type": pa.array(mtype, pa.string()),
-            })
+        ids, media, mtype = [], [], []
+        for doc_id in batch.column("doc_id").to_pylist():
+            if doc_id % 5 != 0:
+                continue
+            k = doc_id % 3 + 2
+            frames = [np.full((16, 24),
+                              (doc_id * 7 + i * 31) % 256, np.uint8)
+                      for i in range(k)]
+            ids.append(doc_id)
+            media.append(avi_mjpeg_encode(frames, fps=doc_id % 4 + 1,
+                                          quality=90))
+            mtype.append("video/avi")
+        return pa.table({
+            "id": pa.array(ids, pa.int64()),
+            "media": pa.array(media, pa.binary()),
+            "media_type": pa.array(mtype, pa.string()),
+        })
 
-    vids = ds.map_batches(BuildAvi, batch_format="pyarrow",
-                          batch_size=256, concurrency=(1, 4))
-    frames = vids.map_batches(FrameSampleBatch,
-                              fn_constructor_kwargs={"stride": 2},
-                              batch_format="pyarrow", batch_size=64,
-                              concurrency=(1, 4))
-    decoded = frames.map_batches(DecodeImageBatch, batch_format="pyarrow",
-                                 batch_size=64, concurrency=(1, 4))
+    vids = ds.map_batches(build_avi, batch_format="pyarrow", batch_size=256)
+    frames = vids.map_batches(FrameSampleBatch(stride=2),
+                              batch_format="pyarrow", batch_size=64)
+    decoded = frames.map_batches(decode_image_batch, batch_format="pyarrow",
+                                 batch_size=64)
 
     def project(batch: pa.Table) -> pa.Table:
         meta = batch.column("media_meta")
@@ -1670,53 +1652,52 @@ def q_pptx_chart_series(sf_dir: str):
     def _pt(i: int, v) -> str:
         return f'<c:pt idx="{i}"><c:v>{v}</c:v></c:pt>'
 
-    class WrapAndParse:
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            ids, ct, ti, sn, cat, val = [], [], [], [], [], []
-            for doc_id in batch.column("doc_id").to_pylist():
-                if doc_id % 5 != 0:
-                    continue
-                base = doc_id + 1
-                cats = ["a", "b", "c"]
-                vals = [base, 2 * base, 3 * base]
-                # scrambled idx order: 1,2,0
-                order = [1, 2, 0]
-                cat_pts = "".join(_pt(i, cats[i]) for i in order)
-                val_pts = "".join(_pt(i, vals[i]) for i in order)
-                xml = (
-                    "<c:chartSpace><c:chart>"
-                    f"<c:title><a:t>Chart {doc_id}</a:t></c:title>"
-                    "<c:plotArea><c:barChart><c:ser>"
-                    '<c:tx><c:strRef><c:pt idx="0"><c:v>S1</c:v></c:pt>'
-                    "</c:strRef></c:tx>"
-                    f"<c:cat><c:strRef>{cat_pts}</c:strRef></c:cat>"
-                    f"<c:val><c:numRef><c:numCache>{val_pts}"
-                    "</c:numCache></c:numRef></c:val>"
-                    "</c:ser></c:barChart></c:plotArea>"
-                    "</c:chart></c:chartSpace>")
-                buf = _io.BytesIO()
-                with _zipfile.ZipFile(buf, "w") as zf:
-                    zf.writestr("ppt/presentation.xml", "<p:presentation/>")
-                    zf.writestr("ppt/charts/chart1.xml", xml)
-                for s in pptx_chart_series(buf.getvalue()):
-                    for c, v in zip(s["categories"], s["values"]):
-                        ids.append(doc_id)
-                        ct.append(s["chart_type"])
-                        ti.append(s["title"])
-                        sn.append(s["series_name"])
-                        cat.append(c)
-                        val.append(v)
-            return pa.table({
-                "doc_id": pa.array(ids, pa.int64()),
-                "chart_type": pa.array(ct, pa.string()),
-                "title": pa.array(ti, pa.string()),
-                "series_name": pa.array(sn, pa.string()),
-                "cat": pa.array(cat, pa.string()),
-                "val": pa.array(val, pa.float64()),
-            })
+    def wrap_and_parse(batch: pa.Table) -> pa.Table:
+        ids, ct, ti, sn, cat, val = [], [], [], [], [], []
+        for doc_id in batch.column("doc_id").to_pylist():
+            if doc_id % 5 != 0:
+                continue
+            base = doc_id + 1
+            cats = ["a", "b", "c"]
+            vals = [base, 2 * base, 3 * base]
+            # scrambled idx order: 1,2,0
+            order = [1, 2, 0]
+            cat_pts = "".join(_pt(i, cats[i]) for i in order)
+            val_pts = "".join(_pt(i, vals[i]) for i in order)
+            xml = (
+                "<c:chartSpace><c:chart>"
+                f"<c:title><a:t>Chart {doc_id}</a:t></c:title>"
+                "<c:plotArea><c:barChart><c:ser>"
+                '<c:tx><c:strRef><c:pt idx="0"><c:v>S1</c:v></c:pt>'
+                "</c:strRef></c:tx>"
+                f"<c:cat><c:strRef>{cat_pts}</c:strRef></c:cat>"
+                f"<c:val><c:numRef><c:numCache>{val_pts}"
+                "</c:numCache></c:numRef></c:val>"
+                "</c:ser></c:barChart></c:plotArea>"
+                "</c:chart></c:chartSpace>")
+            buf = _io.BytesIO()
+            with _zipfile.ZipFile(buf, "w") as zf:
+                zf.writestr("ppt/presentation.xml", "<p:presentation/>")
+                zf.writestr("ppt/charts/chart1.xml", xml)
+            for s in pptx_chart_series(buf.getvalue()):
+                for c, v in zip(s["categories"], s["values"]):
+                    ids.append(doc_id)
+                    ct.append(s["chart_type"])
+                    ti.append(s["title"])
+                    sn.append(s["series_name"])
+                    cat.append(c)
+                    val.append(v)
+        return pa.table({
+            "doc_id": pa.array(ids, pa.int64()),
+            "chart_type": pa.array(ct, pa.string()),
+            "title": pa.array(ti, pa.string()),
+            "series_name": pa.array(sn, pa.string()),
+            "cat": pa.array(cat, pa.string()),
+            "val": pa.array(val, pa.float64()),
+        })
 
-    return ds.map_batches(WrapAndParse, batch_format="pyarrow",
-                          batch_size=256, concurrency=(1, 4))
+    return ds.map_batches(wrap_and_parse, batch_format="pyarrow",
+                          batch_size=256)
 
 
 def q_docs_enhanced(sf_dir: str):
@@ -1744,14 +1725,17 @@ def q_docs_enhanced(sf_dir: str):
 
 
 def q_media_decode_stats(sf_dir: str):
-    """Multimodal plumbing: synth media -> decode actor pool -> dim stats."""
+    """Multimodal plumbing: synth media -> decode task stage -> dim stats."""
     from ray.data.aggregate import Count, Mean
 
-    from .stages.multimodal import DecodeImageBatch, media_dataset_from_documents
+    from .stages.multimodal import (
+        decode_image_batch,
+        media_dataset_from_documents,
+    )
 
     media = media_dataset_from_documents(sf_dir)
-    decoded = media.map_batches(DecodeImageBatch, batch_format="pyarrow",
-                                batch_size=64, concurrency=(1, 4))
+    decoded = media.map_batches(decode_image_batch, batch_format="pyarrow",
+                                batch_size=64)
 
     def flatten(batch: pa.Table) -> pa.Table:
         metas = batch.column("media_meta").to_pylist()
@@ -1775,16 +1759,16 @@ def q_video_frame_stats(sf_dir: str):
     from ray.data.aggregate import Count, Max
 
     from .stages.multimodal import (
-        DecodeImageBatch,
         FrameSampleBatch,
+        decode_image_batch,
         video_dataset_from_documents,
     )
 
     vids = video_dataset_from_documents(sf_dir)
-    frames = vids.map_batches(FrameSampleBatch, batch_format="pyarrow",
-                              batch_size=32, concurrency=(1, 2))
-    decoded = frames.map_batches(DecodeImageBatch, batch_format="pyarrow",
-                                 batch_size=64, concurrency=(1, 2))
+    frames = vids.map_batches(FrameSampleBatch(), batch_format="pyarrow",
+                              batch_size=32)
+    decoded = frames.map_batches(decode_image_batch, batch_format="pyarrow",
+                                 batch_size=64)
 
     def project(batch: pa.Table) -> pa.Table:
         metas = batch.column("media_meta").to_pylist()
@@ -1806,13 +1790,13 @@ def q_audio_durations(sf_dir: str):
     features; durations oracled (arithmetic in doc_id), RMS/ZCR covered
     by determinism tests."""
     from .stages.multimodal import (
-        AudioFeatureBatch,
         audio_dataset_from_documents,
+        audio_feature_batch,
     )
 
     aud = audio_dataset_from_documents(sf_dir)
-    feats = aud.map_batches(AudioFeatureBatch, batch_format="pyarrow",
-                            batch_size=64, concurrency=(1, 2))
+    feats = aud.map_batches(audio_feature_batch, batch_format="pyarrow",
+                            batch_size=64)
 
     def project(batch: pa.Table) -> pa.Table:
         return pa.table({"doc_id": batch["id"],
@@ -1827,13 +1811,13 @@ def q_images_real_decode(sf_dir: str):
     width / height / channels / mean intensity arithmetic in doc_id, so
     the whole decode path is value-oracled against DuckDB."""
     from .stages.multimodal import (
-        DecodeImageBatch,
+        decode_image_batch,
         real_media_dataset_from_documents,
     )
 
     media = real_media_dataset_from_documents(sf_dir)
-    decoded = media.map_batches(DecodeImageBatch, batch_format="pyarrow",
-                                batch_size=64, concurrency=(1, 4))
+    decoded = media.map_batches(decode_image_batch, batch_format="pyarrow",
+                                batch_size=64)
 
     def project(batch: pa.Table) -> pa.Table:
         metas = batch.column("media_meta").to_pylist()
@@ -1857,18 +1841,16 @@ def q_images_real_resize(sf_dir: str):
     end to end: a solid-color source stays solid through
     resample -> png_encode -> png_decode."""
     from .stages.multimodal import (
-        DecodeImageBatch,
         ResizeImageBatch,
+        decode_image_batch,
         real_media_dataset_from_documents,
     )
 
     media = real_media_dataset_from_documents(sf_dir)
-    thumbs = media.map_batches(
-        ResizeImageBatch,
-        fn_constructor_kwargs={"target_w": 10, "target_h": 10},
-        batch_format="pyarrow", batch_size=64, concurrency=(1, 4))
-    decoded = thumbs.map_batches(DecodeImageBatch, batch_format="pyarrow",
-                                 batch_size=64, concurrency=(1, 4))
+    thumbs = media.map_batches(ResizeImageBatch(target_w=10, target_h=10),
+                               batch_format="pyarrow", batch_size=64)
+    decoded = thumbs.map_batches(decode_image_batch, batch_format="pyarrow",
+                                 batch_size=64)
 
     def project(batch: pa.Table) -> pa.Table:
         metas = batch.column("media_meta").to_pylist()
@@ -1891,13 +1873,13 @@ def q_images_jpeg_decode(sf_dir: str):
     (mean_intensity_err = |decoded - synthesized| rounded DOWN to
     integer tolerance bands, 0 for every row when the codec is sane)."""
     from .stages.multimodal import (
-        DecodeImageBatch,
+        decode_image_batch,
         jpeg_dataset_from_documents,
     )
 
     media = jpeg_dataset_from_documents(sf_dir)
-    decoded = media.map_batches(DecodeImageBatch, batch_format="pyarrow",
-                                batch_size=64, concurrency=(1, 4))
+    decoded = media.map_batches(decode_image_batch, batch_format="pyarrow",
+                                batch_size=64)
 
     def project(batch: pa.Table) -> pa.Table:
         metas = batch.column("media_meta").to_pylist()
@@ -1926,11 +1908,14 @@ def q_images_jpeg_quality(sf_dir: str):
     the quant-table bytes alone — the web-image curation signal
     (recompression detection / thumbnail filtering) oracled end to end
     through encode → marker walk → IJG-formula inversion."""
-    from .stages.multimodal import JpegQualityBatch, jpeg_dataset_from_documents
+    from .stages.multimodal import (
+        jpeg_dataset_from_documents,
+        jpeg_quality_batch,
+    )
 
     media = jpeg_dataset_from_documents(sf_dir, varied_quality=True)
-    return media.map_batches(JpegQualityBatch, batch_format="pyarrow",
-                             batch_size=64, concurrency=(1, 4))
+    return media.map_batches(jpeg_quality_batch, batch_format="pyarrow",
+                             batch_size=64)
 
 
 def q_audio_wav_features(sf_dir: str):
@@ -1938,13 +1923,13 @@ def q_audio_wav_features(sf_dir: str):
     makes duration, RMS (= amplitude exactly) and zero-crossing rate
     arithmetic in doc_id — full value oracle over the WAV codec."""
     from .stages.multimodal import (
-        AudioFeatureBatch,
+        audio_feature_batch,
         wav_dataset_from_documents,
     )
 
     aud = wav_dataset_from_documents(sf_dir)
-    feats = aud.map_batches(AudioFeatureBatch, batch_format="pyarrow",
-                            batch_size=64, concurrency=(1, 2))
+    feats = aud.map_batches(audio_feature_batch, batch_format="pyarrow",
+                            batch_size=64)
 
     def project(batch: pa.Table) -> pa.Table:
         return pa.table({"doc_id": batch["id"],
@@ -5202,14 +5187,12 @@ ORACLES.update({
 def q_docs_compression_ratio(sf_dir: str):
     """Per-doc zlib compression ratio (repetitiveness / entropy
     quality signal; stages/text_ops.py CompressionRatioBatch) plus
-    the doc length. Stateless actor-pool stage; rows-only at the
+    the doc length. Stateless task stage; rows-only at the
     oracle gate (no SQL zlib), pinned by unit tests."""
     from .stages.text_ops import CompressionRatioBatch
 
     ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
-    out = ds.map_batches(CompressionRatioBatch,
-                         fn_constructor_kwargs={"text_col": "text"},
-                         batch_format="pyarrow", concurrency=(1, 4))
+    out = ds.map_batches(CompressionRatioBatch(), batch_format="pyarrow")
     return out.map_batches(
         lambda b: b.select(["doc_id", "compression_ratio"]),
         batch_format="pyarrow", zero_copy_batch=True)

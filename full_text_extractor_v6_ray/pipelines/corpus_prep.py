@@ -3,7 +3,7 @@ pretraining-data job chains, as ONE Dataset -> Dataset function.
 
     raw docs
       -> exact dedup        (md5 key, in-batch combine, one bucket shuffle)
-      -> language ID        (actor-pool heuristic scorer)
+      -> language ID        (heuristic scorer, task stage)
       -> quality scoring    (Gopher/C4-style heuristics)
       -> filter             (lang confident + quality floor, vectorized)
       -> near-dup removal   (MinHash-LSH pairs -> connected components ->
@@ -16,7 +16,7 @@ exactly once (in-batch combine collapses batch-local dups first, so a
 hot duplicated text crosses the wire O(batches) times, not O(copies));
 survivors are materialized once with a lineage cut because they feed
 BOTH the near-dup pair mining and the final filter (the round-2 lesson:
-without the cut every consumer re-runs the scorer pools); near-dup
+without the cut every consumer re-runs the scorers); near-dup
 removal goes through ``remove_neardup_members`` — the drop set is
 COUNTED first, broadcast only under ``max_broadcast_drop`` keys, and
 otherwise removed with one distributed anti-join shuffle (CC
@@ -57,7 +57,6 @@ def corpus_prep(docs: "ray.data.Dataset",
                 neardup_threshold: float = 0.7,
                 num_blocks: int = 32,
                 max_broadcast_drop: int = 1_000_000,
-                scorer_concurrency: tuple[int, int] = (1, 4),
                 pair_mode: str = "all") -> "ray.data.Dataset":
     """docs (doc_id, text, ...) -> cleaned corpus with score columns.
 
@@ -78,12 +77,10 @@ def corpus_prep(docs: "ray.data.Dataset",
     uniq = keyed_keep_one(hashed, "text_hash", [("doc_id", "ascending")])
 
     scored = (uniq
-              .map_batches(LangIdBatch, batch_format="pyarrow",
-                           batch_size=512,
-                           concurrency=scorer_concurrency)
-              .map_batches(QualityScoreBatch, batch_format="pyarrow",
-                           batch_size=512,
-                           concurrency=scorer_concurrency))
+              .map_batches(LangIdBatch(), batch_format="pyarrow",
+                           batch_size=512)
+              .map_batches(QualityScoreBatch(), batch_format="pyarrow",
+                           batch_size=512))
 
     def keep_quality(batch: pa.Table) -> pa.Table:
         keep = pc.and_(pc.greater_equal(batch["quality"], quality_min),

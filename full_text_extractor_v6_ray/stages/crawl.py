@@ -342,7 +342,7 @@ class SitemapParseBatch:
     """Parse ``urlset`` sitemap XML payloads into one row per ``<url>``
     entry: (owner passthrough columns, url, lastmod, priority).
 
-    Stateless actor-pool parse stage, the sitemap analog of the WARC
+    Stateless task parse stage, the sitemap analog of the WARC
     record walker (``sources/warc.py``): compiled patterns at module
     import, one linear regex sweep per payload, malformed entries
     (missing ``<loc>``) skipped rather than raised — a crawler must
@@ -519,40 +519,4 @@ class RobotsParseBatch:
             "prefix": pa.array(prefixes, pa.string()),
             "allow": pa.array(allows, pa.bool_()),
             "crawl_delay": pa.array(delays, pa.int64()),
-        })
-
-
-_SMBLOCK_RE = __import__("re").compile(r"<sitemap\b[^>]*>(.*?)</sitemap>",
-                                       __import__("re").S)
-
-
-class SitemapIndexParseBatch:
-    """Parse ``sitemapindex`` payloads into one row per child sitemap:
-    (owner passthrough, sitemap_url, lastmod). The fetch loop feeds
-    these back through the segment reader and then ``SitemapParseBatch``
-    — index expansion is exactly one more hop of the same shape."""
-
-    def __init__(self, xml_col: str = "xml", id_col: str = "site_id"):
-        self.xml_col = xml_col
-        self.id_col = id_col
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        ids_out, urls, lastmods = [], [], []
-        ids = batch.column(self.id_col).to_pylist()
-        for sid, payload in zip(ids, batch.column(self.xml_col).to_pylist()):
-            text = payload.decode("utf-8", errors="replace") \
-                if isinstance(payload, (bytes, bytearray)) else payload
-            for m in _SMBLOCK_RE.finditer(text):
-                block = m.group(1)
-                loc = _LOC_RE.search(block)
-                if not loc or not loc.group(1):
-                    continue
-                lm = _LASTMOD_RE.search(block)
-                ids_out.append(sid)
-                urls.append(_xml_unescape(loc.group(1)))
-                lastmods.append(lm.group(1) if lm else None)
-        return pa.table({
-            self.id_col: pa.array(ids_out, pa.int64()),
-            "sitemap_url": pa.array(urls, pa.string()),
-            "lastmod": pa.array(lastmods, pa.string()),
         })

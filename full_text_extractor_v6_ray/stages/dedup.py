@@ -42,7 +42,7 @@ def materialize_rebased(ds: "ray.data.Dataset",
     Needed when one lazy pipeline feeds SEVERAL consumers (join sides,
     iterative loops, schema probes): without the cut, every consumer —
     including each ``.schema()`` probe a join makes — re-executes the
-    full upstream lineage (re-spawning its actor pools), and iterative
+    full upstream lineage, and iterative
     unions double block counts per round.
 
     Two flavors:

@@ -11,7 +11,7 @@ mix (kind variety, short-text blocks, bullets, long prose paragraphs).
 Same additive-rules + ladder shape; per-rule reasons reported like the
 reference's ``reasons`` list.
 
-Deterministic, per-row pure; actor-pool/task ``map_batches`` stage.
+Deterministic, per-row pure; task ``map_batches`` stage.
 """
 
 from __future__ import annotations

@@ -2,8 +2,8 @@
 
 Two paths, per the training-data-pipeline requirement:
 
-  - brute-force cosine top-k (the exact baseline): the query matrix is
-    broadcast ONCE via ``ray.put`` (read per actor in ``__init__``, never
+  - brute-force cosine top-k (the exact baseline): the query matrix rides
+    inside the stage's callable, which Ray ships ONCE per execution (never
     re-shipped per batch); each batch does one numpy matmul and emits only
     its local top-k per query — the driver-side final reduce sees
     (#blocks x k x #queries) tiny rows, never the full score matrix.
@@ -40,12 +40,12 @@ def _normalize(m: np.ndarray) -> np.ndarray:
 
 
 class CosineTopKBatch:
-    """map_batches actor: local top-k cosine scores vs broadcast queries."""
+    """map_batches task: local top-k cosine scores vs the query matrix."""
 
-    def __init__(self, queries_ref, k: int = 10):
-        q = ray.get(queries_ref)  # once per actor
-        self.query_ids = q["ids"]
-        self.qmat = _normalize(np.asarray(q["vecs"], dtype=np.float64))
+    def __init__(self, query_ids: list[int], query_vecs: np.ndarray,
+                 k: int = 10):
+        self.query_ids = list(query_ids)
+        self.qmat = _normalize(np.asarray(query_vecs, dtype=np.float64))
         self.k = k
 
     def __call__(self, batch: pa.Table) -> pa.Table:
@@ -73,12 +73,9 @@ def knn_cosine(embeddings: "ray.data.Dataset", query_ids: list[int],
     """Exact cosine top-k of each query vs the dataset. Returns a small
     (len(queries) x k) pandas frame, deterministically ordered
     (query_id asc, score desc round 9, vec_id asc)."""
-    ref = ray.put({"ids": list(query_ids), "vecs": np.asarray(query_vecs)})
     partials = embeddings.map_batches(
-        CosineTopKBatch,
-        fn_constructor_kwargs={"queries_ref": ref, "k": k},
-        batch_format="pyarrow", batch_size=4096, concurrency=(1, 4),
-    ).to_pandas()
+        CosineTopKBatch(query_ids, query_vecs, k),
+        batch_format="pyarrow", batch_size=4096).to_pandas()
     partials["score_r"] = partials["score"].round(9)
     partials = partials.sort_values(
         ["query_id", "score_r", "vec_id"], ascending=[True, False, True],
@@ -125,23 +122,18 @@ def knn_cosine_lsh(embeddings: "ray.data.Dataset", query_ids: list[int],
     signers = [LshSignBatch(d, n_planes, seed + 1000 * t)
                for t in range(n_tables)]
 
-    class MultiLsh:
-        def __init__(self):
-            self.signers = [LshSignBatch(d, n_planes, seed + 1000 * t)
-                            for t in range(n_tables)]
+    def multi_lsh(batch: pa.Table) -> pa.Table:
+        vecs = _to_matrix(batch.column("embedding"))
+        tables = []
+        for t, s in enumerate(signers):
+            b = s.bucket_of(vecs).astype(np.int64)
+            tbl = batch.append_column("lsh_table",
+                                      pa.array([t] * len(b), pa.int32()))
+            tables.append(tbl.append_column("lsh_bucket", pa.array(b)))
+        return pa.concat_tables(tables)
 
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            vecs = _to_matrix(batch.column("embedding"))
-            tables = []
-            for t, s in enumerate(self.signers):
-                b = s.bucket_of(vecs).astype(np.int64)
-                tbl = batch.append_column("lsh_table",
-                                          pa.array([t] * len(b), pa.int32()))
-                tables.append(tbl.append_column("lsh_bucket", pa.array(b)))
-            return pa.concat_tables(tables)
-
-    bucketed = embeddings.map_batches(MultiLsh, batch_format="pyarrow",
-                                      batch_size=4096, concurrency=(1, 4))
+    bucketed = embeddings.map_batches(multi_lsh, batch_format="pyarrow",
+                                      batch_size=4096)
 
     by_bucket: dict[tuple[int, int], list[int]] = {}
     for t, s in enumerate(signers):
@@ -200,7 +192,7 @@ def cosine_neardup_lsh(embeddings: "ray.data.Dataset",
                        ) -> "ray.data.Dataset":
     """Embedding-cosine near-dup pairs WITHOUT a full-matrix broadcast —
     the 10^12-scale path (the exact all-pairs variant is O(N^2) compute
-    with O(N*d) per-actor memory and exists only as the small-scale
+    with O(N*d) per-task memory and exists only as the small-scale
     oracle verifier, driver_queries.q_embeddings_neardup).
 
     Shape: multi-table random-hyperplane LSH buckets each vector L times
@@ -215,29 +207,21 @@ def cosine_neardup_lsh(embeddings: "ray.data.Dataset",
     """
     from .dedup import hash_bucketed_distinct
 
-    class MultiLshPlanes:
-        """Plane sets built lazily from the first batch's dim (seeded —
-        identical in every actor)."""
+    def multi_lsh(batch: pa.Table) -> pa.Table:
+        # plane sets from the batch's own dim (seeded, so every batch of
+        # one dim draws the same planes)
+        vecs = _to_matrix(batch.column("embedding"))
+        tables = []
+        for t in range(n_tables):
+            s = LshSignBatch(vecs.shape[1], n_planes, seed + 1000 * t)
+            b = s.bucket_of(vecs).astype(np.int64)
+            tbl = batch.append_column(
+                "lsh_table", pa.array(np.full(len(b), t, dtype=np.int32)))
+            tables.append(tbl.append_column("lsh_bucket", pa.array(b)))
+        return pa.concat_tables(tables)
 
-        def __init__(self):
-            self.signers = None
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            vecs = _to_matrix(batch.column("embedding"))
-            if self.signers is None:
-                self.signers = [LshSignBatch(vecs.shape[1], n_planes,
-                                             seed + 1000 * t)
-                                for t in range(n_tables)]
-            tables = []
-            for t, s in enumerate(self.signers):
-                b = s.bucket_of(vecs).astype(np.int64)
-                tbl = batch.append_column(
-                    "lsh_table", pa.array(np.full(len(b), t, dtype=np.int32)))
-                tables.append(tbl.append_column("lsh_bucket", pa.array(b)))
-            return pa.concat_tables(tables)
-
-    bucketed = embeddings.map_batches(MultiLshPlanes, batch_format="pyarrow",
-                                      batch_size=4096, concurrency=(1, 4))
+    bucketed = embeddings.map_batches(multi_lsh, batch_format="pyarrow",
+                                      batch_size=4096)
 
     def per_bucket(g: pa.Table) -> pa.Table:
         vecs = _normalize(_to_matrix(g.column("embedding")))
@@ -288,10 +272,10 @@ def kmeans_fit(sample: np.ndarray, n_clusters: int, seed: int = 42,
 
 
 class IvfAssignBatch:
-    """Broadcast centroids once; assign each vector to its nearest list."""
+    """Assign each vector to its nearest centroid's list."""
 
-    def __init__(self, centroids_ref):
-        self.cent = ray.get(centroids_ref)
+    def __init__(self, centroids: np.ndarray):
+        self.cent = centroids
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         vecs = _normalize(_to_matrix(batch.column("embedding")))
@@ -307,9 +291,9 @@ def knn_cosine_ivf(embeddings: "ray.data.Dataset", query_ids: list[int],
     each query scans only its ``nprobe`` nearest lists.
 
     Train on a driver-side sample (bounded by ``train_sample`` rows — at
-    10^12 scale a seeded random_sample feeds this), broadcast centroids via
-    ``ray.put``, assign lists in map_batches, ONE groupby shuffle on the
-    list id, per-list numpy matmuls in map_groups.
+    10^12 scale a seeded random_sample feeds this), ship the centroids
+    inside the assign stage's callable, assign lists in map_batches, ONE
+    groupby shuffle on the list id, per-list numpy matmuls in map_groups.
     """
     qv = _normalize(np.asarray(query_vecs, dtype=np.float64))
     sample_tbl = pa.concat_tables(
@@ -317,11 +301,8 @@ def knn_cosine_ivf(embeddings: "ray.data.Dataset", query_ids: list[int],
         .iter_batches(batch_size=1024, batch_format="pyarrow"))
     cent = kmeans_fit(_to_matrix(sample_tbl.column("embedding")),
                       n_clusters, seed)
-    cent_ref = ray.put(cent)
-
-    assigned = embeddings.map_batches(
-        IvfAssignBatch, fn_constructor_kwargs={"centroids_ref": cent_ref},
-        batch_format="pyarrow", batch_size=4096, concurrency=(1, 4))
+    assigned = embeddings.map_batches(IvfAssignBatch(cent),
+                                      batch_format="pyarrow", batch_size=4096)
 
     probes: dict[int, list[int]] = {}
     order = np.argsort(-(qv @ cent.T), axis=1, kind="stable")[:, :nprobe]

@@ -62,7 +62,7 @@ class MinHashBatch:
     """documents batch -> + minhash signature column (fixed binary).
 
     num_perm=128, bands 16 x rows 8 (LSH threshold ~ (1/b)^(1/r) ≈ 0.71).
-    Permutation params generated once per actor from the seed.
+    Permutation params generated once per instance from the seed.
     """
 
     def __init__(self, text_col: str = "text", num_perm: int = 128,
@@ -239,13 +239,12 @@ def minhash_dup_pairs(docs: "ray.data.Dataset", text_col: str = "text",
     from .joins import hash_join
 
     sigs = docs.map_batches(
-        MinHashBatch, fn_constructor_kwargs={
-            "text_col": text_col, "num_perm": num_perm, "seed": seed},
-        batch_format="pyarrow", batch_size=256, concurrency=(1, 4))
+        MinHashBatch(text_col=text_col, num_perm=num_perm, seed=seed),
+        batch_format="pyarrow", batch_size=256)
 
     # The signature table feeds THREE consumers (band explode + both join
     # sides) and the joins' schema probes — materialize it ONCE or every
-    # consumer re-runs the MinHash actor stage (measured: minutes vs
+    # consumer re-runs the MinHash stage (measured: minutes vs
     # seconds). ~(num_perm*8)B/doc, never the text; at 10^12 docs use a
     # parquet intermediate instead (see materialize_rebased docstring).
     blocks = exchange.bucket_count()
@@ -346,10 +345,8 @@ def simhash_dup_pairs(docs: "ray.data.Dataset", text_col: str = "text",
     rows (32 B/doc total — cheap, unlike the 1 KB minhash signature), so
     verification happens in-bucket with no join.
     """
-    sigs = docs.map_batches(SimHashBatch,
-                            fn_constructor_kwargs={"text_col": text_col},
-                            batch_format="pyarrow", batch_size=256,
-                            concurrency=(1, 4))
+    sigs = docs.map_batches(SimHashBatch(text_col), batch_format="pyarrow",
+                            batch_size=256)
 
     def explode(batch: pa.Table) -> pa.Table:
         n = batch.num_rows

@@ -74,7 +74,7 @@ def _ldjson_fields(text: str) -> tuple[str, str, str]:
     return author, published, modified
 
 
-class PageMetadataBatch:
+def page_metadata_batch(batch: pa.Table) -> pa.Table:
     """(url, html) -> structural metadata + completeness (0..1).
 
     Depth parity with the reference's document-properties extraction
@@ -84,100 +84,96 @@ class PageMetadataBatch:
     article:modified_time, and schema.org JSON-LD datePublished /
     dateModified / author.name (meta tags win over JSON-LD).
     """
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        urls = batch.column("url")
-        has_title, has_h1, lang_attr, has_desc = [], [], [], []
-        authors, published, modified, completeness = [], [], [], []
-        canonicals, noindex = [], []
-        for payload in batch.column("html").to_pylist():
-            try:
-                text = (payload or b"").decode("utf-8", errors="replace")
-            except Exception:
-                text = ""
-            t = bool(_TITLE.search(text))
-            h = bool(_H1.search(text))
-            lm = _LANG.search(text)
-            d = bool(_META_DESC.search(text))
-            am = _META_AUTHOR.search(text)
-            pm = _OG_PUBLISHED.search(text)
-            mm = _OG_MODIFIED.search(text)
-            ld_author, ld_pub, ld_mod = (
-                _ldjson_fields(text) if "json" in text else ("", "", ""))
-            author = am.group(1) if am else ld_author
-            pub = pm.group(1) if pm else ld_pub
-            mod = mm.group(1) if mm else ld_mod
-            cm = _CANONICAL.search(text)
-            rm = _ROBOTS.search(text)
-            canonicals.append((cm.group(1) or cm.group(2)) if cm else "")
-            noindex.append(bool(rm) and "noindex" in
-                           (rm.group(1) or rm.group(2)).lower())
-            has_title.append(t)
-            has_h1.append(h)
-            lang_attr.append(lm.group(1) if lm else "")
-            has_desc.append(d)
-            authors.append(author)
-            published.append(pub)
-            modified.append(mod)
-            completeness.append(round(
-                (int(t) + int(h) + int(bool(lm)) + int(d)
-                 + int(bool(author)) + int(bool(pub))) / 6.0, 6))
-        return pa.table({
-            "url": urls,
-            "has_title": pa.array(has_title),
-            "has_h1": pa.array(has_h1),
-            "lang_attr": pa.array(lang_attr, pa.string()),
-            "has_meta_description": pa.array(has_desc),
-            "author": pa.array(authors, pa.string()),
-            "published": pa.array(published, pa.string()),
-            "modified": pa.array(modified, pa.string()),
-            "canonical": pa.array(canonicals, pa.string()),
-            "noindex": pa.array(noindex, pa.bool_()),
-            "completeness": pa.array(completeness, pa.float64()),
-        })
+    urls = batch.column("url")
+    has_title, has_h1, lang_attr, has_desc = [], [], [], []
+    authors, published, modified, completeness = [], [], [], []
+    canonicals, noindex = [], []
+    for payload in batch.column("html").to_pylist():
+        try:
+            text = (payload or b"").decode("utf-8", errors="replace")
+        except Exception:
+            text = ""
+        t = bool(_TITLE.search(text))
+        h = bool(_H1.search(text))
+        lm = _LANG.search(text)
+        d = bool(_META_DESC.search(text))
+        am = _META_AUTHOR.search(text)
+        pm = _OG_PUBLISHED.search(text)
+        mm = _OG_MODIFIED.search(text)
+        ld_author, ld_pub, ld_mod = (
+            _ldjson_fields(text) if "json" in text else ("", "", ""))
+        author = am.group(1) if am else ld_author
+        pub = pm.group(1) if pm else ld_pub
+        mod = mm.group(1) if mm else ld_mod
+        cm = _CANONICAL.search(text)
+        rm = _ROBOTS.search(text)
+        canonicals.append((cm.group(1) or cm.group(2)) if cm else "")
+        noindex.append(bool(rm) and "noindex" in
+                       (rm.group(1) or rm.group(2)).lower())
+        has_title.append(t)
+        has_h1.append(h)
+        lang_attr.append(lm.group(1) if lm else "")
+        has_desc.append(d)
+        authors.append(author)
+        published.append(pub)
+        modified.append(mod)
+        completeness.append(round(
+            (int(t) + int(h) + int(bool(lm)) + int(d)
+             + int(bool(author)) + int(bool(pub))) / 6.0, 6))
+    return pa.table({
+        "url": urls,
+        "has_title": pa.array(has_title),
+        "has_h1": pa.array(has_h1),
+        "lang_attr": pa.array(lang_attr, pa.string()),
+        "has_meta_description": pa.array(has_desc),
+        "author": pa.array(authors, pa.string()),
+        "published": pa.array(published, pa.string()),
+        "modified": pa.array(modified, pa.string()),
+        "canonical": pa.array(canonicals, pa.string()),
+        "noindex": pa.array(noindex, pa.bool_()),
+        "completeness": pa.array(completeness, pa.float64()),
+    })
 
 
-class DataIslandBatch:
+def data_island_batch(batch: pa.Table) -> pa.Table:
     """(url, html) -> one row per parseable JSON data island."""
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        urls, idxs, kinds, keys, sizes = [], [], [], [], []
-        for url, payload in zip(batch.column("url").to_pylist(),
-                                batch.column("html").to_pylist()):
+    urls, idxs, kinds, keys, sizes = [], [], [], [], []
+    for url, payload in zip(batch.column("url").to_pylist(),
+                            batch.column("html").to_pylist()):
+        try:
+            text = (payload or b"").decode("utf-8", errors="replace")
+        except Exception:
+            continue
+        for i, m in enumerate(_ISLAND.finditer(text)):
+            raw = m.group(1).strip()
             try:
-                text = (payload or b"").decode("utf-8", errors="replace")
+                obj = json.loads(raw)
             except Exception:
                 continue
-            for i, m in enumerate(_ISLAND.finditer(text)):
-                raw = m.group(1).strip()
-                try:
-                    obj = json.loads(raw)
-                except Exception:
-                    continue
-                urls.append(url)
-                idxs.append(i)
-                if isinstance(obj, dict):
-                    kinds.append("object")
-                    keys.append(",".join(sorted(obj.keys())[:8]))
-                    sizes.append(len(obj))
-                elif isinstance(obj, list):
-                    kinds.append("array")
-                    keys.append("")
-                    sizes.append(len(obj))
-                else:
-                    kinds.append(type(obj).__name__)
-                    keys.append("")
-                    sizes.append(1)
-        return pa.table({
-            "url": pa.array(urls, pa.string()),
-            "island_idx": pa.array(idxs, pa.int32()),
-            "kind": pa.array(kinds, pa.string()),
-            "top_keys": pa.array(keys, pa.string()),
-            "n_items": pa.array(sizes, pa.int32()),
-        })
+            urls.append(url)
+            idxs.append(i)
+            if isinstance(obj, dict):
+                kinds.append("object")
+                keys.append(",".join(sorted(obj.keys())[:8]))
+                sizes.append(len(obj))
+            elif isinstance(obj, list):
+                kinds.append("array")
+                keys.append("")
+                sizes.append(len(obj))
+            else:
+                kinds.append(type(obj).__name__)
+                keys.append("")
+                sizes.append(1)
+    return pa.table({
+        "url": pa.array(urls, pa.string()),
+        "island_idx": pa.array(idxs, pa.int32()),
+        "kind": pa.array(kinds, pa.string()),
+        "top_keys": pa.array(keys, pa.string()),
+        "n_items": pa.array(sizes, pa.int32()),
+    })
 
 
-class ChartSeriesBatch:
+def chart_series_batch(batch: pa.Table) -> pa.Table:
     """(url, html) -> one row per chart series found in JSON data islands.
 
     The fidelity analog of the reference chart extractor
@@ -185,51 +181,49 @@ class ChartSeriesBatch:
     chart_type, title, categories, per-series names AND numeric values) —
     round 1 surfaced only island kind/keys/size; this surfaces the numbers.
     """
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        urls, idxs, ctypes, titles, cats = [], [], [], [], []
-        snames, values, npts, sums = [], [], [], []
-        for url, payload in zip(batch.column("url").to_pylist(),
-                                batch.column("html").to_pylist()):
+    urls, idxs, ctypes, titles, cats = [], [], [], [], []
+    snames, values, npts, sums = [], [], [], []
+    for url, payload in zip(batch.column("url").to_pylist(),
+                            batch.column("html").to_pylist()):
+        try:
+            text = (payload or b"").decode("utf-8", errors="replace")
+        except Exception:
+            continue
+        for i, m in enumerate(_ISLAND.finditer(text)):
             try:
-                text = (payload or b"").decode("utf-8", errors="replace")
+                obj = json.loads(m.group(1).strip())
             except Exception:
                 continue
-            for i, m in enumerate(_ISLAND.finditer(text)):
-                try:
-                    obj = json.loads(m.group(1).strip())
-                except Exception:
+            chart = obj.get("chart") if isinstance(obj, dict) else None
+            if not isinstance(chart, dict):
+                continue
+            series = chart.get("series")
+            if not isinstance(series, list):
+                continue
+            cat_str = ",".join(str(c) for c in
+                               chart.get("categories", []) or [])
+            for s in series:
+                if not isinstance(s, dict):
                     continue
-                chart = obj.get("chart") if isinstance(obj, dict) else None
-                if not isinstance(chart, dict):
-                    continue
-                series = chart.get("series")
-                if not isinstance(series, list):
-                    continue
-                cat_str = ",".join(str(c) for c in
-                                   chart.get("categories", []) or [])
-                for s in series:
-                    if not isinstance(s, dict):
-                        continue
-                    vals = [float(v) for v in s.get("values", []) or []
-                            if isinstance(v, (int, float))]
-                    urls.append(url)
-                    idxs.append(i)
-                    ctypes.append(str(chart.get("type", "")))
-                    titles.append(str(chart.get("title", "")))
-                    cats.append(cat_str)
-                    snames.append(str(s.get("name", "")))
-                    values.append(vals)
-                    npts.append(len(vals))
-                    sums.append(round(sum(vals), 6))
-        return pa.table({
-            "url": pa.array(urls, pa.string()),
-            "island_idx": pa.array(idxs, pa.int32()),
-            "chart_type": pa.array(ctypes, pa.string()),
-            "chart_title": pa.array(titles, pa.string()),
-            "categories": pa.array(cats, pa.string()),
-            "series_name": pa.array(snames, pa.string()),
-            "series_values": pa.array(values, pa.list_(pa.float64())),
-            "n_points": pa.array(npts, pa.int32()),
-            "values_sum": pa.array(sums, pa.float64()),
-        })
+                vals = [float(v) for v in s.get("values", []) or []
+                        if isinstance(v, (int, float))]
+                urls.append(url)
+                idxs.append(i)
+                ctypes.append(str(chart.get("type", "")))
+                titles.append(str(chart.get("title", "")))
+                cats.append(cat_str)
+                snames.append(str(s.get("name", "")))
+                values.append(vals)
+                npts.append(len(vals))
+                sums.append(round(sum(vals), 6))
+    return pa.table({
+        "url": pa.array(urls, pa.string()),
+        "island_idx": pa.array(idxs, pa.int32()),
+        "chart_type": pa.array(ctypes, pa.string()),
+        "chart_title": pa.array(titles, pa.string()),
+        "categories": pa.array(cats, pa.string()),
+        "series_name": pa.array(snames, pa.string()),
+        "series_values": pa.array(values, pa.list_(pa.float64())),
+        "n_points": pa.array(npts, pa.int32()),
+        "values_sum": pa.array(sums, pa.float64()),
+    })

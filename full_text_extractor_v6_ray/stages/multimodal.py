@@ -2,7 +2,7 @@
 
 Images/audio/video travel as ``binary`` columns with a ``media_type``
 string and a metadata struct; decode / feature-extract / resize /
-frame-sample run as actor-pool ``map_batches`` stages with SMALL batch
+frame-sample run as task ``map_batches`` stages with SMALL batch
 sizes (binary rows are wide — SURVEY.md §4.2).
 
 Image decode is REAL for PNG and uncompressed BMP (and WAV for audio)
@@ -125,39 +125,34 @@ MEDIA_META_TYPE = pa.struct([
 ])
 
 
-class DecodeImageBatch:
-    """Actor-pool stage: (id, media, media_type) -> + decoded metadata.
+def decode_image_batch(batch: pa.Table) -> pa.Table:
+    """(id, media, media_type) -> + decoded metadata.
 
     PNG/BMP decode for real via the in-repo codecs; FAKEIMG via the
     container header; undecodable payloads land on the error column
     (degradation principle, same as the extractor).
     """
-
-    def _decode(self, payload: bytes) -> np.ndarray:
-        return decode_image_payload(payload)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        metas, errors = [], []
-        for payload in batch.column("media").to_pylist():
-            try:
-                arr = self._decode(payload or b"")
-                metas.append({
-                    "width": int(arr.shape[1]),
-                    "height": int(arr.shape[0]),
-                    "channels": int(arr.shape[2]) if arr.ndim == 3 else 1,
-                    "mean_intensity": round(float(arr.mean()), 6),
-                    "payload_sha1": hashlib.sha1(payload).hexdigest(),
-                })
-                errors.append("")
-            except Exception as exc:
-                metas.append({"width": 0, "height": 0, "channels": 0,
-                              "mean_intensity": 0.0, "payload_sha1": ""})
-                errors.append(f"decode_error:{type(exc).__name__}")
-        batch = batch.append_column("media_meta",
-                                    pa.array(metas, MEDIA_META_TYPE))
-        batch = batch.append_column("decode_error",
-                                    pa.array(errors, pa.string()))
-        return batch
+    metas, errors = [], []
+    for payload in batch.column("media").to_pylist():
+        try:
+            arr = decode_image_payload(payload or b"")
+            metas.append({
+                "width": int(arr.shape[1]),
+                "height": int(arr.shape[0]),
+                "channels": int(arr.shape[2]) if arr.ndim == 3 else 1,
+                "mean_intensity": round(float(arr.mean()), 6),
+                "payload_sha1": hashlib.sha1(payload).hexdigest(),
+            })
+            errors.append("")
+        except Exception as exc:
+            metas.append({"width": 0, "height": 0, "channels": 0,
+                          "mean_intensity": 0.0, "payload_sha1": ""})
+            errors.append(f"decode_error:{type(exc).__name__}")
+    batch = batch.append_column("media_meta",
+                                pa.array(metas, MEDIA_META_TYPE))
+    batch = batch.append_column("decode_error",
+                                pa.array(errors, pa.string()))
+    return batch
 
 
 class ResizeImageBatch:
@@ -190,41 +185,6 @@ class ResizeImageBatch:
                 out.append(None)
         return batch.set_column(batch.column_names.index("media"),
                                 "media", pa.array(out, pa.binary()))
-
-
-class ImageFeatureBatch:
-    """Feature-extract stage: decoded image -> fixed-width feature vector
-    (per-channel means + 8-bin intensity histogram + aspect ratio).
-
-    The vector layout is the real contract (downstream ANN/dedup over a
-    ``list<float>`` column); pixels come from any decodable container
-    (PNG/BMP real codecs, FAKEIMG fixture) exactly like DecodeImageBatch.
-    """
-
-    N_BINS = 8
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        feats, errors = [], []
-        for payload in batch.column("media").to_pylist():
-            try:
-                arr = decode_image_payload(payload or b"")
-                if arr.ndim == 2:
-                    arr = arr[:, :, None]
-                chan_means = arr.reshape(-1, arr.shape[2]).mean(axis=0)
-                hist, _ = np.histogram(arr, bins=self.N_BINS,
-                                       range=(0, 256))
-                hist = hist / max(1, arr.size)
-                aspect = arr.shape[1] / max(1, arr.shape[0])
-                vec = np.concatenate([chan_means / 255.0, hist, [aspect]])
-                feats.append([round(float(v), 6) for v in vec])
-                errors.append("")
-            except Exception as exc:
-                feats.append(None)
-                errors.append(f"feature_error:{type(exc).__name__}")
-        batch = batch.append_column(
-            "features", pa.array(feats, pa.list_(pa.float64())))
-        return batch.append_column("feature_error",
-                                   pa.array(errors, pa.string()))
 
 
 # ---------------------------------------------------------------------------
@@ -309,46 +269,44 @@ class FrameSampleBatch:
                          "media_type": pa.array(mtype, pa.string())})
 
 
-class AudioFeatureBatch:
+def audio_feature_batch(batch: pa.Table) -> pa.Table:
     """Audio feature-extract: duration, RMS, zero-crossing rate — numpy
     vectorized per row over the PCM body. Real RIFF/WAVE PCM decodes via
     the in-repo codec; FAKEAUD remains the synthetic-fixture container.
     Multichannel WAV is downmixed (channel mean) before features."""
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        durs, rmss, zcrs, errors = [], [], [], []
-        for payload in batch.column("media").to_pylist():
-            try:
-                p = payload or b""
-                if p.startswith(b"RIFF"):
-                    rate, pcm = _codecs.wav_decode(p)
-                    pcm = pcm.astype(np.float64)
-                    if pcm.ndim == 2:
-                        pcm = pcm.mean(axis=1)
-                    n = len(pcm)
-                elif p.startswith(FAKEAUD_MAGIC):
-                    rate, n = struct.unpack_from("<II", p,
-                                                 len(FAKEAUD_MAGIC))
-                    pcm = np.frombuffer(p, dtype=np.int16,
-                                        offset=len(FAKEAUD_MAGIC) + 8,
-                                        count=n).astype(np.float64)
-                else:
-                    raise ValueError("unsupported audio container")
-                durs.append(round(n / max(1, rate), 6))
-                rmss.append(round(float(np.sqrt(np.mean(pcm ** 2))), 6))
-                zcrs.append(round(float(np.mean(np.signbit(pcm[1:])
-                                                != np.signbit(pcm[:-1]))), 6))
-                errors.append("")
-            except Exception as exc:
-                durs.append(0.0)
-                rmss.append(0.0)
-                zcrs.append(0.0)
-                errors.append(f"audio_error:{type(exc).__name__}")
-        batch = batch.append_column("duration_s", pa.array(durs, pa.float64()))
-        batch = batch.append_column("rms", pa.array(rmss, pa.float64()))
-        batch = batch.append_column("zcr", pa.array(zcrs, pa.float64()))
-        return batch.append_column("audio_error",
-                                   pa.array(errors, pa.string()))
+    durs, rmss, zcrs, errors = [], [], [], []
+    for payload in batch.column("media").to_pylist():
+        try:
+            p = payload or b""
+            if p.startswith(b"RIFF"):
+                rate, pcm = _codecs.wav_decode(p)
+                pcm = pcm.astype(np.float64)
+                if pcm.ndim == 2:
+                    pcm = pcm.mean(axis=1)
+                n = len(pcm)
+            elif p.startswith(FAKEAUD_MAGIC):
+                rate, n = struct.unpack_from("<II", p,
+                                             len(FAKEAUD_MAGIC))
+                pcm = np.frombuffer(p, dtype=np.int16,
+                                    offset=len(FAKEAUD_MAGIC) + 8,
+                                    count=n).astype(np.float64)
+            else:
+                raise ValueError("unsupported audio container")
+            durs.append(round(n / max(1, rate), 6))
+            rmss.append(round(float(np.sqrt(np.mean(pcm ** 2))), 6))
+            zcrs.append(round(float(np.mean(np.signbit(pcm[1:])
+                                            != np.signbit(pcm[:-1]))), 6))
+            errors.append("")
+        except Exception as exc:
+            durs.append(0.0)
+            rmss.append(0.0)
+            zcrs.append(0.0)
+            errors.append(f"audio_error:{type(exc).__name__}")
+    batch = batch.append_column("duration_s", pa.array(durs, pa.float64()))
+    batch = batch.append_column("rms", pa.array(rmss, pa.float64()))
+    batch = batch.append_column("zcr", pa.array(zcrs, pa.float64()))
+    return batch.append_column("audio_error",
+                               pa.array(errors, pa.string()))
 
 
 def video_dataset_from_documents(sf_dir: str, seed: int = 42):
@@ -485,30 +443,26 @@ def jpeg_dataset_from_documents(sf_dir: str, varied_quality: bool = False):
     return docs.map_batches(gen, batch_format="pyarrow", batch_size=64)
 
 
-class JpegQualityBatch:
+def jpeg_quality_batch(batch: pa.Table) -> pa.Table:
     """Header-only JPEG quality estimation (extractor/codecs.py
     jpeg_quality_estimate): reads only the marker stream up to SOS —
     no entropy decode, no pixel materialization — so the stage runs at
-    I/O speed over 100 TB of thumbnails. Actor stage for symmetry with
-    the decode stages (state is trivial here, but the pool contract
-    keeps per-stage resources explicit)."""
+    I/O speed over 100 TB of thumbnails."""
+    from ..extractor.codecs import jpeg_quality_estimate
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        from ..extractor.codecs import jpeg_quality_estimate
-
-        quals, exact = [], []
-        for payload in batch.column("media").to_pylist():
-            try:
-                q, ex = jpeg_quality_estimate(payload)
-            except Exception:
-                q, ex = None, False
-            quals.append(q)
-            exact.append(ex)
-        return pa.table({
-            "doc_id": batch.column("id"),
-            "quality": pa.array(quals, pa.int64()),
-            "std_tables": pa.array(exact, pa.bool_()),
-        })
+    quals, exact = [], []
+    for payload in batch.column("media").to_pylist():
+        try:
+            q, ex = jpeg_quality_estimate(payload)
+        except Exception:
+            q, ex = None, False
+        quals.append(q)
+        exact.append(ex)
+    return pa.table({
+        "doc_id": batch.column("id"),
+        "quality": pa.array(quals, pa.int64()),
+        "std_tables": pa.array(exact, pa.bool_()),
+    })
 
 
 def wav_dataset_from_documents(sf_dir: str):

@@ -3,8 +3,9 @@
 Beyond the reference's own operators (SURVEY.md lists word/char counts at
 M25), a 100 TB training-data pipeline needs language ID, quality scoring,
 token counting and fingerprinting over the ``documents`` table. All are
-actor-pool ``map_batches`` stages: profiles/regexes compiled once per actor
-in ``__init__`` (the reference's compile-per-file anti-pattern inverted,
+task ``map_batches`` stages over a callable instance: profiles/regexes
+compiled once in ``__init__`` and shipped with the instance, never per
+file (the reference's compile-per-file anti-pattern inverted,
 powerpoint_processor.py:359-365).
 """
 
@@ -263,7 +264,7 @@ PII_IPV4 = r"\b(?:\d{1,3}\.){3}\d{1,3}\b"
 
 class PiiScrubBatch:
     """Redacts emails/phones/IPv4s -> [EMAIL]/[PHONE]/[IP] and counts
-    matches per doc. Regexes compiled once per actor; order matters
+    matches per doc. Regexes compiled once per instance; order matters
     (emails first: their digits must not be half-eaten as phones)."""
 
     def __init__(self, text_col: str = "text"):
@@ -343,20 +344,19 @@ class DecontaminateBatch:
 
     The standard eval-decontamination step of a training-data pipeline:
     the benchmark set is tiny (thousands of prompts), the corpus is not —
-    so the needles are broadcast ONCE (``ray.put`` on the driver, read per
-    actor in ``__init__``) and membership is a pure per-batch filter: no
-    shuffle, no state, composes with read-side column pruning.
+    so the needles ride inside the instance (Ray ships a stage's callable
+    to the object store once per execution) and membership is a pure
+    per-batch filter: no shuffle, no state, composes with read-side
+    column pruning.
 
     Matching is vectorized per needle (``pc.match_substring`` over the
     whole batch column, O(needles) kernel launches, not O(rows) Python).
     For needle sets past ~10^4, swap the loop for one Aho-Corasick pass
-    per row inside the same actor contract — the broadcast/filter shape
+    per row inside the same callable — the broadcast/filter shape
     (the part that matters at 100 TB) is unchanged.
     """
 
-    def __init__(self, needles_ref, text_col: str = "text"):
-        import ray
-        needles = ray.get(needles_ref)  # once per actor
+    def __init__(self, needles, text_col: str = "text"):
         # Dedup + drop empties ('' would match everything); sort so the
         # scan order (and thus timing) is deterministic.
         self.needles = sorted({n for n in needles if n})
@@ -375,12 +375,8 @@ class DecontaminateBatch:
 def decontaminate(docs: "ray.data.Dataset", needles: list,
                   text_col: str = "text") -> "ray.data.Dataset":
     """Drop rows whose ``text_col`` contains any of ``needles``."""
-    import ray
-    ref = ray.put(list(needles))
-    return docs.map_batches(
-        DecontaminateBatch, fn_constructor_kwargs={
-            "needles_ref": ref, "text_col": text_col},
-        batch_format="pyarrow", zero_copy_batch=True, concurrency=(1, 8))
+    return docs.map_batches(DecontaminateBatch(needles, text_col),
+                            batch_format="pyarrow", zero_copy_batch=True)
 
 
 # ---------------------------------------------------------------------------
@@ -589,7 +585,8 @@ def perplexity_buckets(docs: "ray.data.Dataset", id_col: str = "doc_id",
 
     Pipeline shape (all stages streaming):
       1. unigram tf via ``vocab_stats`` (map-side combiner shuffle);
-      2. token→ln(tf/total) table broadcast ONCE via ``ray.put`` —
+      2. token→ln(tf/total) table shipped ONCE inside the scoring
+         function (Ray puts a stage's callable in the object store once) —
          sound for real-corpus vocabularies (1e6–1e8 entries); beyond
          that swap for a bucketed token join (the tfidf_top_terms
          shape);
@@ -606,8 +603,6 @@ def perplexity_buckets(docs: "ray.data.Dataset", id_col: str = "doc_id",
     Every token of the scored corpus is in-vocab by construction
     (same corpus trains and scores); foreign tokens would score with
     the minimum observed logprob."""
-    import ray
-
     from ray.data.aggregate import Sum
 
     from .stats import grouped_quantile_disc
@@ -617,40 +612,30 @@ def perplexity_buckets(docs: "ray.data.Dataset", id_col: str = "doc_id",
     total = float(vt["tf"].sum())
     lp = dict(zip(vt["token"], np.log(vt["tf"].to_numpy() / total)))
     floor_lp = float(min(lp.values())) if lp else 0.0
-    lp_ref = ray.put((lp, floor_lp))
 
-    class ScoreBatch:
-        def __init__(self, ref):
-            self.lp, self.floor = ray.get(ref)
+    def score(batch: pa.Table) -> pa.Table:
+        from ..functions.text_stats import re2_tokens
 
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            from ..functions.text_stats import re2_tokens
+        ids = batch.column(id_col)
+        n_toks, scores = [], []
+        for s in batch.column(text_col).to_pylist():
+            # RE2 dialect — MUST match vocab_stats' Arrow split, or
+            # tokens containing \x0b/\xa0/… miss the lp table
+            toks = re2_tokens(s)
+            n_toks.append(len(toks))
+            if toks:
+                g = lp.get
+                scores.append(sum(g(t, floor_lp) for t in toks) / len(toks))
+            else:
+                scores.append(floor_lp)
+        sc = np.round(np.array(scores, dtype=np.float64), score_ndigits)
+        return pa.table({
+            id_col: ids,
+            "n_tokens": pa.array(n_toks, pa.int64()),
+            "avg_logprob": pa.array(sc, pa.float64()),
+        })
 
-            ids = batch.column(id_col)
-            n_toks, scores = [], []
-            for s in batch.column(text_col).to_pylist():
-                # RE2 dialect — MUST match vocab_stats' Arrow split, or
-                # tokens containing \x0b/\xa0/… miss the lp table
-                toks = re2_tokens(s)
-                n_toks.append(len(toks))
-                if toks:
-                    g = self.lp.get
-                    scores.append(
-                        sum(g(t, self.floor) for t in toks) / len(toks))
-                else:
-                    scores.append(self.floor)
-            sc = np.round(np.array(scores, dtype=np.float64),
-                          score_ndigits)
-            return pa.table({
-                id_col: ids,
-                "n_tokens": pa.array(n_toks, pa.int64()),
-                "avg_logprob": pa.array(sc, pa.float64()),
-            })
-
-    scored = docs.map_batches(ScoreBatch,
-                              fn_constructor_kwargs={"ref": lp_ref},
-                              batch_format="pyarrow", concurrency=2,
-                              batch_size=512)
+    scored = docs.map_batches(score, batch_format="pyarrow", batch_size=512)
 
     def slim(batch: pa.Table) -> pa.Table:
         return pa.table({
@@ -699,12 +684,10 @@ def dsir_log_ratio(docs: "ray.data.Dataset", id_col: str = "doc_id",
     subset, so every scored token is raw-known):
     p̂(t) = (c(t)+1) / (T+V). Scale shape mirrors
     ``perplexity_buckets``: both count tables come from the map-side
-    ``vocab_stats`` combiner; the token→log-ratio table broadcasts
-    ONCE via ``ray.put`` (sound for 1e6–1e8-entry real vocabularies;
+    ``vocab_stats`` combiner; the token→log-ratio table ships ONCE
+    inside the scoring function (sound for 1e6–1e8-entry real vocabularies;
     beyond that use a bucketed token join, the tfidf_top_terms shape);
     scoring is one streaming Counter pass per batch."""
-    import ray
-
     raw = vocab_stats(docs, text_col=text_col).select_columns(
         ["token", "tf"]).to_pandas()
     tgt_docs = docs.map_batches(
@@ -722,30 +705,25 @@ def dsir_log_ratio(docs: "ray.data.Dataset", id_col: str = "doc_id",
     tgt_arr = np.array([tgt_c.get(t, 0.0) for t in raw_tok])
     lr = (np.log(tgt_arr + 1.0) - np.log(t_tgt + v)
           - np.log(raw_c + 1.0) + np.log(t_raw + v))
-    lr_ref = ray.put(dict(zip(raw_tok, lr)))
+    log_ratio = dict(zip(raw_tok, lr))
 
-    class Score:
-        def __init__(self, ref):
-            self.lr = ray.get(ref)
+    def score(batch: pa.Table) -> pa.Table:
+        from ..functions.text_stats import re2_tokens
 
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            from ..functions.text_stats import re2_tokens
-
-            ws = []
-            g = self.lr.get
-            for s in batch.column(text_col).to_pylist():
-                # RE2 dialect — must match the vocab_stats-built tables
-                toks = re2_tokens(s)
-                ws.append(float(sum(g(t, 0.0) for t in toks)))
-            return pa.table({
-                id_col: batch.column(id_col),
-                "log_ratio": pa.array(
-                    np.round(np.array(ws, dtype=np.float64), ndigits)),
-            })
+        ws = []
+        g = log_ratio.get
+        for s in batch.column(text_col).to_pylist():
+            # RE2 dialect — must match the vocab_stats-built tables
+            toks = re2_tokens(s)
+            ws.append(float(sum(g(t, 0.0) for t in toks)))
+        return pa.table({
+            id_col: batch.column(id_col),
+            "log_ratio": pa.array(
+                np.round(np.array(ws, dtype=np.float64), ndigits)),
+        })
 
     return docs.select_columns([id_col, text_col]).map_batches(
-        Score, fn_constructor_kwargs={"ref": lr_ref},
-        batch_format="pyarrow", concurrency=2, batch_size=512)
+        score, batch_format="pyarrow", batch_size=512)
 
 
 def normalize_for_dedup(col) -> "pa.ChunkedArray":
@@ -790,7 +768,7 @@ class CompressionRatioBatch:
     base64 blobs; natural prose sits ~2-4x). Used as a filter feature
     alongside the Gopher-style heuristics in QualityScoreBatch.
 
-    Per-batch stateless actor stage; the per-doc ``zlib.compress`` IS
+    Per-batch stateless task stage; the per-doc ``zlib.compress`` IS
     the work (C speed, no Python-loop overhead worth removing). Not
     SQL-expressible — rows-only at the oracle gate, pinned by unit
     tests on texts of known redundancy.

@@ -342,12 +342,12 @@ def _media_batch(payloads):
 
 def test_decode_stage_mixed_real_and_fake():
     from full_text_extractor_v6_ray.stages.multimodal import (
-        DecodeImageBatch, make_fake_image)
+        decode_image_batch, make_fake_image)
 
     png = codecs.png_encode(np.full((5, 9, 3), 100, np.uint8))
     bmp = codecs.bmp_encode(np.full((4, 6, 3), 30, np.uint8))
     gray = codecs.png_encode(np.full((3, 3), 7, np.uint8))
-    out = DecodeImageBatch()(_media_batch(
+    out = decode_image_batch(_media_batch(
         [png, bmp, gray, make_fake_image(8, 8, 3, 1), b"JUNK"]))
     metas = out.column("media_meta").to_pylist()
     errs = out.column("decode_error").to_pylist()
@@ -375,11 +375,11 @@ def test_resize_stage_real_payload_reencodes_png():
 
 def test_audio_stage_real_wav_square_wave():
     from full_text_extractor_v6_ray.stages.multimodal import (
-        AudioFeatureBatch)
+        audio_feature_batch)
 
     n, amp = 4096, 1500
     pcm = np.where(np.arange(n) % 8 < 4, amp, -amp).astype(np.int16)
-    out = AudioFeatureBatch()(_media_batch([codecs.wav_encode(pcm, 8000)]))
+    out = audio_feature_batch(_media_batch([codecs.wav_encode(pcm, 8000)]))
     assert out.column("audio_error").to_pylist() == [""]
     assert out.column("duration_s").to_pylist() == [round(n / 8000, 6)]
     assert out.column("rms").to_pylist() == [float(amp)]
@@ -724,8 +724,8 @@ def test_frame_sample_batch_avi(ray_session):
     import pyarrow as pa
 
     from full_text_extractor_v6_ray.stages.multimodal import (
-        DecodeImageBatch,
         FrameSampleBatch,
+        decode_image_batch,
     )
 
     frames = [np.full((8, 8), 10 * i, np.uint8) for i in range(5)]
@@ -738,7 +738,7 @@ def test_frame_sample_batch_avi(ray_session):
     sampled = FrameSampleBatch(stride=2)(batch)
     assert sampled.column("frame_idx").to_pylist() == [0, 2, 4]
     assert sampled.column("media_type").to_pylist() == ["image/jpeg"] * 3
-    decoded = DecodeImageBatch()(sampled)
+    decoded = decode_image_batch(sampled)
     means = [m["mean_intensity"]
              for m in decoded.column("media_meta").to_pylist()]
     assert means == [0.0, 20.0, 40.0]

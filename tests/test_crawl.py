@@ -260,11 +260,8 @@ def test_apply_robots_rules_wildcards(ray_session):
     assert set(got["path"]) == {"/docs/page"}
 
 
-def test_sitemapindex_parse():
-    from full_text_extractor_v6_ray.stages.crawl import (
-        SitemapIndexParseBatch,
-        SitemapParseBatch,
-    )
+def test_sitemap_parse_skips_index_payload():
+    from full_text_extractor_v6_ray.stages.crawl import SitemapParseBatch
 
     idx = ('<?xml version="1.0"?><sitemapindex>'
            "<sitemap><loc>https://a.com/maps/1.xml</loc>"
@@ -274,9 +271,5 @@ def test_sitemapindex_parse():
            "</sitemapindex>")
     batch = pa.table({"site_id": pa.array([3], pa.int64()),
                       "xml": pa.array([idx], pa.string())})
-    out = SitemapIndexParseBatch()(batch).to_pandas()
-    assert list(out["sitemap_url"]) == ["https://a.com/maps/1.xml",
-                                        "https://a.com/maps/2.xml"]
-    assert out["lastmod"].tolist() == ["2025-02-01", None]
     # an index payload yields zero rows through the urlset parser
     assert SitemapParseBatch()(batch).num_rows == 0

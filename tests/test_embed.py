@@ -99,39 +99,35 @@ def test_cosine_neardup_lsh_recall(ray_session, emb_table):
 
 def test_multimodal_decode_roundtrip(ray_session):
     from full_text_extractor_v6_ray.stages.multimodal import (
-        DecodeImageBatch,
         ResizeImageBatch,
+        decode_image_batch,
         media_dataset_from_documents,
     )
 
     media = media_dataset_from_documents(SF_DIR)
-    decoded = media.map_batches(DecodeImageBatch, batch_format="pyarrow",
-                                batch_size=64, concurrency=2)
+    decoded = media.map_batches(decode_image_batch, batch_format="pyarrow",
+                                batch_size=64)
     df = decoded.to_pandas()
     assert len(df) == 500
     assert (df["decode_error"] == "").all()
     metas = df["media_meta"]
     assert all(m["width"] >= 16 and m["height"] >= 16 for m in metas)
 
-    # chained actor pools must not exceed session CPUs - 1 (read stage
-    # needs a slot) — two 2-actor pools on the 4-CPU test session deadlock
-    resized = media.map_batches(ResizeImageBatch, batch_format="pyarrow",
-                                batch_size=64, concurrency=1)
-    rdf = resized.map_batches(DecodeImageBatch, batch_format="pyarrow",
-                              batch_size=64, concurrency=1).to_pandas()
+    resized = media.map_batches(ResizeImageBatch(), batch_format="pyarrow",
+                                batch_size=64)
+    rdf = resized.map_batches(decode_image_batch, batch_format="pyarrow",
+                              batch_size=64).to_pandas()
     assert all(m["width"] == 64 and m["height"] == 64
                for m in rdf["media_meta"])
 
 
-def test_multimodal_video_frame_sample_and_features():
-    """Frame-sample explodes stride-2 frames as decodable FAKEIMG rows;
-    image features are fixed-width and deterministic."""
+def test_multimodal_video_frame_sample():
+    """Frame-sample explodes stride-2 frames as decodable FAKEIMG rows."""
     import pyarrow as pa
 
     from full_text_extractor_v6_ray.stages.multimodal import (
-        DecodeImageBatch,
         FrameSampleBatch,
-        ImageFeatureBatch,
+        decode_image_batch,
         make_fake_video,
     )
 
@@ -142,23 +138,17 @@ def test_multimodal_video_frame_sample_and_features():
     frames = FrameSampleBatch(stride=2)(batch)
     assert frames.num_rows == 3                      # ceil(5/2)
     assert frames["frame_idx"].to_pylist() == [0, 2, 4]
-    decoded = DecodeImageBatch()(frames)
+    decoded = decode_image_batch(frames)
     assert all(e == "" for e in decoded["decode_error"].to_pylist())
     metas = decoded["media_meta"].to_pylist()
     assert all(m["width"] == 20 and m["height"] == 10 for m in metas)
-
-    feats = ImageFeatureBatch()(frames)
-    vecs = feats["features"].to_pylist()
-    assert all(len(v) == 3 + 8 + 1 for v in vecs)    # means+hist+aspect
-    again = ImageFeatureBatch()(frames)["features"].to_pylist()
-    assert vecs == again
 
 
 def test_multimodal_audio_features():
     import pyarrow as pa
 
     from full_text_extractor_v6_ray.stages.multimodal import (
-        AudioFeatureBatch,
+        audio_feature_batch,
         make_fake_audio,
     )
 
@@ -167,7 +157,7 @@ def test_multimodal_audio_features():
         "media": pa.array([make_fake_audio(8000, 16000, seed=3),
                            b"not audio"], pa.binary()),
         "media_type": pa.array(["audio/fake", "audio/fake"], pa.string())})
-    out = AudioFeatureBatch()(batch)
+    out = audio_feature_batch(batch)
     assert out["duration_s"].to_pylist()[0] == 2.0
     assert out["rms"].to_pylist()[0] > 0
     assert 0 < out["zcr"].to_pylist()[0] < 1
@@ -177,12 +167,12 @@ def test_multimodal_audio_features():
 def test_multimodal_garbage_payload_errors_cleanly():
     import pyarrow as pa
 
-    from full_text_extractor_v6_ray.stages.multimodal import DecodeImageBatch
+    from full_text_extractor_v6_ray.stages.multimodal import decode_image_batch
 
     batch = pa.table({"id": pa.array([1], pa.int64()),
                       "media": pa.array([b"not an image"], pa.binary()),
                       "media_type": pa.array(["image/jpeg"], pa.string())})
-    out = DecodeImageBatch()(batch)
+    out = decode_image_batch(batch)
     assert out["decode_error"].to_pylist()[0].startswith("decode_error:")
 
 

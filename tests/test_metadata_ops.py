@@ -1,8 +1,8 @@
 import pyarrow as pa
 
 from full_text_extractor_v6_ray.stages.metadata import (
-    DataIslandBatch,
-    PageMetadataBatch,
+    data_island_batch,
+    page_metadata_batch,
 )
 
 
@@ -14,7 +14,7 @@ def _pages(htmls):
 
 
 def test_page_metadata_completeness():
-    out = PageMetadataBatch()(_pages([
+    out = page_metadata_batch(_pages([
         "<html lang='en'><head><title>T</title>"
         "<meta name='description' content='d'>"
         "<meta name='author' content='Jo Writer'>"
@@ -37,7 +37,7 @@ def test_page_metadata_jsonld_fallback():
           '"datePublished": "2024-01-02T03:04:05", '
           '"dateModified": "2024-02-02T03:04:05", '
           '"author": {"@type": "Person", "name": "Ld Author"}}</script>')
-    out = PageMetadataBatch()(_pages([
+    out = page_metadata_batch(_pages([
         f"<html><head>{ld}</head><body><p>x</p></body></html>",
         f"<html><head><meta name='author' content='Meta Author'>{ld}"
         f"</head><body><p>x</p></body></html>",
@@ -48,14 +48,14 @@ def test_page_metadata_jsonld_fallback():
 
 
 def test_chart_series_extraction():
-    from full_text_extractor_v6_ray.stages.metadata import ChartSeriesBatch
+    from full_text_extractor_v6_ray.stages.metadata import chart_series_batch
 
     chart = ('<script type="application/json">{"chart": {"type": "bar", '
              '"title": "T metrics", "categories": ["Q1", "Q2"], '
              '"series": [{"name": "s0", "values": [1.5, 2.5]}, '
              '{"name": "s1", "values": [3, 4]}]}}</script>')
     plain = '<script type="application/json">{"a": 1}</script>'
-    out = ChartSeriesBatch()(_pages([chart + plain, "<p>none</p>"]))
+    out = chart_series_batch(_pages([chart + plain, "<p>none</p>"]))
     assert out["series_name"].to_pylist() == ["s0", "s1"]
     assert out["chart_type"].to_pylist() == ["bar", "bar"]
     assert out["categories"].to_pylist() == ["Q1,Q2", "Q1,Q2"]
@@ -64,7 +64,7 @@ def test_chart_series_extraction():
 
 
 def test_data_islands_parse_and_skip_invalid():
-    out = DataIslandBatch()(_pages([
+    out = data_island_batch(_pages([
         '<script type="application/json">{"a": 1, "b": [1,2]}</script>'
         '<script type="application/ld+json">[1,2,3]</script>'
         '<script type="application/json">{invalid</script>',
@@ -123,7 +123,7 @@ def test_generated_pages_carry_islands():
 
     docs = pq.read_table("/root/testdata/sf0.001/documents.parquet").slice(0, 20)
     pages = pages_table_from_documents(docs)
-    out = DataIslandBatch()(pages)
+    out = data_island_batch(pages)
     # every html page has a parseable island with doc_id/lang/n_words;
     # even doc_ids add a JSON-LD Article island, %10==2 adds a chart island
     assert out.num_rows >= 18
@@ -134,9 +134,9 @@ def test_generated_pages_carry_islands():
 
 
 def test_page_metadata_canonical_and_robots():
-    from full_text_extractor_v6_ray.stages.metadata import PageMetadataBatch
+    from full_text_extractor_v6_ray.stages.metadata import page_metadata_batch
 
-    out = PageMetadataBatch()(_pages([
+    out = page_metadata_batch(_pages([
         "<html><head><link rel='canonical' href='https://x.io/a'>"
         "<meta name='robots' content='noindex, nofollow'></head></html>",
         "<html><head><link href='https://y.io/b' rel='canonical'>"
@@ -151,9 +151,9 @@ def test_page_metadata_canonical_and_robots():
 def test_robots_meta_attribute_order_robust():
     """content-before-name attribute order must still detect noindex
     (mirrors the canonical-link order robustness)."""
-    from full_text_extractor_v6_ray.stages.metadata import PageMetadataBatch
+    from full_text_extractor_v6_ray.stages.metadata import page_metadata_batch
 
-    out = PageMetadataBatch()(_pages([
+    out = page_metadata_batch(_pages([
         "<html><head><meta content='noindex' name='robots'></head></html>",
         "<html><head><meta content='index, follow' name='robots'>"
         "</head></html>",

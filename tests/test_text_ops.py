@@ -133,7 +133,7 @@ def test_repetition_signals(ray_session):
                  "p q p q p q"],            # dominant bigram chain
     })
     out = (ray.data.from_pandas(docs)
-           .map_batches(RepetitionBatch, batch_format="pyarrow", concurrency=1)
+           .map_batches(RepetitionBatch(), batch_format="pyarrow")
            .to_pandas().sort_values("doc_id").reset_index(drop=True))
     assert list(out["n_tok"]) == [4, 4, 6]
     assert out.loc[0, "dup_tok_frac"] == 0.0
