@@ -12,13 +12,16 @@ No stage materializes the full dataset; the streaming executor pipelines
 read → synth → extract → shuffle with backpressure.
 
 WARC front-end (``warc_extraction_pipeline``, dedup on) elects before
-it extracts:
+it extracts, walking each segment once:
 
-    read segments #1 -> (url, warc_ts, n) partial counts   [materialized]
+    read segments (one task each, raw bytes)
+      -> (url, warc_ts, seg, byte span) locator rows   [materialized]
       -> keep-latest election: driver Arrow (<= BROADCAST_MAX rows)
-         or bucketed aggregate (above)                     [eager, at build]
-    read segments #2 -> filter to the winning captures (broadcast
-                        is_in, or bucketed semi-join above the threshold)
+         or per bucket of one keyed exchange (above)
+    winners sorted by (seg, start): one block per segment holding any
+    (driver election) or per bucket
+      -> map_batches(FetchRecords): seek + read + inflate only the
+         winners' spans, HTTP envelope stripped
       -> map_batches(ExtractBatch)
       -> dedup_latest_by_ts, only if captures tied at a url's max warc_ts
          or the bucketed branch ran
@@ -33,16 +36,18 @@ from __future__ import annotations
 
 import os
 
+import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
 import ray.data
 
 from ..config import DEFAULT_CONFIG, ExtractConfig
-from ..sources.pages_gen import PAGES_SCHEMA, PageGenBatch
-from ..stages.dedup import bucketed_group_agg, dedup_latest_by_ts
+from ..sources.pages_gen import PageGenBatch
+from ..stages.dedup import dedup_latest_by_ts
+from ..stages.exchange import by_bucket
 from ..stages.extract import EXTRACTED_SCHEMA, ExtractBatch
-from ..stages.joins import BROADCAST_MAX, filter_to_keys
+from ..stages.joins import BROADCAST_MAX
 
 # pages per extraction batch; html rows are wide (~100 KB avg)
 BATCH_SIZE = 128
@@ -104,76 +109,69 @@ def extraction_pipeline(sf_dir: str,
     return extracted
 
 
-_CAPTURE = "__capture"
-
-
-def _capture_key(batch: pa.Table) -> pa.ChunkedArray:
-    """``url\\x00ts_us``: the (url, warc_ts) pair as one string key. The
-    timestamp digits never hold a NUL, so the key is injective."""
-    ts_us = pc.cast(pc.cast(batch.column("warc_ts"), pa.int64()),
-                    pa.string())
-    return pc.binary_join_element_wise(batch.column("url"), ts_us, "\x00")
-
-
-def _capture_counts(batch: pa.Table) -> pa.Table:
-    """Slim map-side partial: (url, warc_ts, n) captures per batch."""
-    return (batch.select(["url", "warc_ts"])
-            .group_by(["url", "warc_ts"]).aggregate([("url", "count")])
-            .rename_columns(["url", "warc_ts", "n"]))
+def _at_latest(t: pa.Table) -> pa.Table:
+    """The keep-latest election over locator rows: every row at its
+    url's max ``warc_ts`` (tied rows all kept), in ``(seg, start,
+    rec_start)`` order — the order ``FetchRecords`` reads in. The same
+    function runs on the driver and per bucket."""
+    latest = t.group_by("url").aggregate([("warc_ts", "max")])
+    at = pc.index_in(t.column("url"), value_set=latest.column("url"))
+    win = t.filter(pc.equal(t.column("warc_ts"),
+                            pc.take(latest.column("warc_ts_max"), at)))
+    return win.sort_by([("seg", "ascending"), ("start", "ascending"),
+                        ("rec_start", "ascending")])
 
 
 def latest_captures(warc_dir: str, broadcast_max: int = BROADCAST_MAX
                     ) -> tuple["ray.data.Dataset | None", bool]:
-    """Keep-latest election on slim rows: the WARC pages of
-    ``warc_dir`` filtered to every capture at its url's max
-    ``warc_ts`` (None when the segments hold no content record), plus
-    whether ``dedup_latest_by_ts`` must still run after extraction.
+    """Keep-latest election on record locators: the WARC pages of
+    ``warc_dir`` cut to every capture at its url's max ``warc_ts``
+    (None when the segments hold no content record), plus whether
+    ``dedup_latest_by_ts`` must still run after extraction.
 
-    The segments are read twice. The first read keeps only
-    ``(url, warc_ts, n)`` partial counts (projected in the same fused
-    task as the record walk, so no html reaches the object store) and
-    materializes them — the election runs eagerly, here. The second
-    read is the lazy pages Dataset, filtered map-side before extraction.
+    Each segment is walked once, in a task that reads the raw file and
+    keeps one slim ``LOCATOR_SCHEMA`` row per content record (url,
+    warc_ts, segment index, byte span); the rows are materialized — the
+    election runs eagerly, here. The returned pages Dataset is lazy:
+    ``FetchRecords`` reads only the winners' spans, so a losing
+    capture's body is never read past the first walk, and no page body
+    enters a shuffle.
 
-    At or below ``broadcast_max`` partial rows the election finishes on
-    the driver in Arrow (no shuffle) and the winning keys broadcast to
-    the filter. Rows tied at the max ``warc_ts`` all survive: their
-    tie-break (``n_chars``) is an extraction output, so the post-extract
-    dedup is needed only when some winning (url, warc_ts) has more than
-    one capture. Above the threshold the election is one bucketed
-    aggregate, pages meet the winners in a bucketed semi-join, and the
-    post-extract dedup always runs.
+    At or below ``broadcast_max`` locator rows the election runs on the
+    driver and the winners go out as one block per segment that holds
+    any (one fetch-and-extract task each). Rows tied at the max
+    ``warc_ts`` all survive: their tie-break (``n_chars``) is an
+    extraction output, so the post-extract dedup is needed only when
+    some url keeps more than one capture. Above the threshold the
+    election runs per bucket of one keyed exchange of the locator rows
+    and the post-extract dedup always runs.
     """
-    from ..sources.warc import read_warc_dir
+    from ..sources.warc import (
+        FetchRecords,
+        locate_records,
+        read_segments,
+        warc_paths,
+    )
 
-    slim = read_warc_dir(warc_dir).map_batches(
-        _capture_counts, batch_format="pyarrow",
-        zero_copy_batch=True).materialize()
-    n_partial = slim.count()
-    if n_partial == 0:
+    paths = warc_paths(warc_dir)
+    if not paths:
         return None, False
-    if n_partial <= broadcast_max:
-        t = pa.concat_tables(
-            [b for b in ray.get(slim.to_arrow_refs()) if b.num_rows])
-        latest = t.group_by("url").aggregate([("warc_ts", "max")])
-        at = pc.index_in(t.column("url"),
-                         value_set=latest.column("url").combine_chunks())
-        win = t.filter(pc.equal(t.column("warc_ts"),
-                                pc.take(latest.column("warc_ts_max"), at)))
-        keys = pc.unique(_capture_key(win))
-        ties = pc.sum(win.column("n")).as_py() > len(keys)
+    slim = read_segments(paths, locate_records).materialize()
+    n_rows = slim.count()
+    if n_rows == 0:
+        return None, False
+    if n_rows <= broadcast_max:
+        win = _at_latest(pa.concat_tables(ray.get(slim.to_arrow_refs())))
+        ties = win.num_rows > pc.count_distinct(win.column("url")).as_py()
+        segs = win.column("seg").to_numpy()
+        cuts = [0, *(np.flatnonzero(np.diff(segs)) + 1), len(segs)]
+        winners = ray.data.from_arrow(
+            [win.slice(a, b - a) for a, b in zip(cuts, cuts[1:])])
     else:
-        keys = bucketed_group_agg(slim, "url", [("warc_ts", "max")]) \
-            .map_batches(lambda b: pa.table({_CAPTURE: _capture_key(b)}),
-                         batch_format="pyarrow", zero_copy_batch=True)
+        winners = by_bucket(slim, "url", _at_latest)
         ties = True
-    pages = read_warc_dir(warc_dir).map_batches(
-        lambda b: b.append_column(_CAPTURE, _capture_key(b)),
-        batch_format="pyarrow", zero_copy_batch=True)
-    pages = filter_to_keys(
-        pages, keys, _CAPTURE, n_partial, broadcast_max=broadcast_max,
-        left_schema=PAGES_SCHEMA.append(pa.field(_CAPTURE, pa.string())))
-    return pages.drop_columns([_CAPTURE]), ties
+    return winners.map_batches(FetchRecords(paths), batch_format="pyarrow",
+                               zero_copy_batch=True), ties
 
 
 def warc_extraction_pipeline(warc_dir: str,
@@ -191,9 +189,10 @@ def warc_extraction_pipeline(warc_dir: str,
     parallelism and of retry is the segment file.
 
     With ``dedup`` the keep-latest election runs BEFORE extraction, on
-    slim (url, warc_ts) rows (``latest_captures``): the segments are
-    read twice, the first read and the election run eagerly when this
-    function is called, and only the surviving captures are extracted.
+    slim record-locator rows (``latest_captures``): the segment walk
+    and the election run eagerly when this function is called, and
+    only the winners' bytes are read again, at their locators, and
+    extracted — two Ray executions with ``out_dir``.
     ``dedup_latest_by_ts`` then runs after extraction only when the
     election left equal-max-``warc_ts`` ties (or took its bucketed
     branch); otherwise it would keep every row. Without ``dedup`` the

@@ -7,24 +7,43 @@ SEGMENT carries tens of thousands of records (Common Crawl: ~1 GB
 gzipped, ~50k records per segment file). This module turns segments
 into pages-schema rows, Ray-Data-first:
 
-    read_binary_files(segment paths)          # shards over segments
-      -> map_batches(WarcToPages)             # one row PER RECORD
-      -> extract_pages / dedup / sinks        # existing pipeline
+    read_segments(paths, WarcToPages().segment)   # one read task per
+                                                  # segment: RAW bytes,
+                                                  # one row PER RECORD
+      -> extract_pages / dedup / sinks            # existing pipeline
 
-Scale shape: path discovery is driver-side metadata only; segment
-bytes go straight to read tasks (one task holds at most one segment);
-record walking is a single linear scan driven by ``Content-Length``
-(never a regex over the blob); the per-record rows flow into the
-existing extract/dedup stages with no driver involvement. The unit of
-parallelism is the segment — exactly how a 256-node cluster consumes
-a 100 TB crawl (segments >> slots), and a failed task re-reads one
-segment, not the corpus.
+or, when only some captures are wanted (the keep-latest election of
+``pipelines/extract_pipeline.latest_captures``), in two passes:
+
+    read_segments(paths, locate_records)   # slim locator rows
+      ... pick the wanted rows ...
+    map_batches(FetchRecords(paths))       # seek + read + inflate just
+                                           # those records
+
+Scale shape: path discovery is driver-side metadata only; each read
+task opens one segment, reads its raw bytes and walks them (never
+Ray's ``read_binary_files``, which inflates a ``.gz`` path by
+extension, unbounded, before any guard here runs); record walking is a
+single linear scan driven by ``Content-Length`` (never a regex over
+the blob); the per-record rows flow into the existing extract/dedup
+stages with no driver involvement. The unit of parallelism is the segment —
+exactly how a 256-node cluster consumes a 100 TB crawl (segments >>
+slots), and a failed task re-reads one segment, not the corpus.
+
+Record locators: a content record is addressed the way Common Crawl's
+CDX index addresses it — ``(seg, start, end)``, a byte span of the
+segment file, plus ``(rec_start, rec_end)``, the record's range in the
+span's inflated bytes. A plain ``.warc`` span is the record itself; in
+a record-gzipped ``.warc.gz`` it is the gzip member holding the record;
+a record that crosses member boundaries (a whole-file gzip split into
+several members) gets the whole file as its span.
 
 ``.warc.gz`` handling: Common Crawl gzips PER RECORD and concatenates
-the members; whole-file gzip also appears in the wild. zlib's
-``decompressobj`` treats both identically (each member boundary starts
-a fresh header), so ``gunzip_members`` inflates either, bounded by a
-decompression-bomb guard sized to the standard ~1 GB-segment unit.
+the members; whole-file gzip also appears in the wild. Every reader
+here detects gzip by its magic bytes and inflates with
+``gunzip_members`` (one fresh zlib stream per member), bounded by the
+``MAX_INFLATED_BYTES`` decompression-bomb guard sized to the standard
+~1 GB-segment unit.
 
 WARC format notes (ISO 28500, mirrored from the single-record walker
 at ``extractor/containers.py:36-79``): records are
@@ -36,7 +55,10 @@ whose entity body is the page.
 
 from __future__ import annotations
 
+import bisect
 import datetime
+import functools
+import itertools
 import os
 import zlib
 
@@ -50,6 +72,37 @@ MAX_RECORDS_PER_SEGMENT = 1_000_000
 MAX_INFLATED_BYTES = 4 << 30
 
 _CONTENT_TYPES = (b"response", b"resource", b"conversion")
+# compressed bytes handed to zlib per call while walking gzip members
+_GZ_FEED = 1 << 16
+
+
+def _gzip_members(payload: bytes, max_bytes: int = MAX_INFLATED_BYTES):
+    """Yield ``(start, end, inflated)`` for each concatenated gzip member
+    of ``payload``: its byte range in ``payload`` and its inflated
+    bytes. The input is fed to zlib in ``_GZ_FEED`` slices, so finding
+    a member's end costs O(member), not a copy of everything after it.
+    The bomb guard and the stop rules are ``gunzip_members``'s."""
+    view = memoryview(payload)
+    n, pos, total = len(payload), 0, 0
+    while pos < n:
+        d = zlib.decompressobj(16 + zlib.MAX_WBITS)
+        parts: list[bytes] = []
+        at = pos
+        try:
+            while at < n and not d.eof:
+                feed = view[at:at + _GZ_FEED]
+                out = d.decompress(feed, max_bytes - total + 1)
+                total += len(out)
+                if total > max_bytes:
+                    raise ValueError("warc_gzip_too_large")
+                parts.append(out)
+                at += len(feed) - len(d.unused_data)
+        except zlib.error:
+            return   # not gzip / corrupt member: stop before it
+        yield pos, at, b"".join(parts)
+        if not d.eof:
+            return   # truncated member: keep what inflated
+        pos = at
 
 
 def gunzip_members(payload: bytes,
@@ -59,23 +112,7 @@ def gunzip_members(payload: bytes,
     guard). A truncated trailing member yields what inflated cleanly;
     a non-gzip payload returns b"" (callers fall back to raw bytes).
     """
-    out: list[bytes] = []
-    total = 0
-    data = payload
-    while data:
-        d = zlib.decompressobj(16 + zlib.MAX_WBITS)
-        try:
-            chunk = d.decompress(data, max_bytes - total + 1)
-        except Exception:
-            break
-        total += len(chunk)
-        if total > max_bytes:
-            raise ValueError("warc_gzip_too_large")
-        out.append(chunk)
-        if not d.eof:
-            break   # truncated member: keep what we have
-        data = d.unused_data
-    return b"".join(out)
+    return b"".join(m for _, _, m in _gzip_members(payload, max_bytes))
 
 
 def _parse_warc_date(raw: bytes) -> datetime.datetime:
@@ -91,20 +128,19 @@ def _parse_warc_date(raw: bytes) -> datetime.datetime:
         return datetime.datetime(1970, 1, 1)
 
 
-def iter_warc_records(payload: bytes,
-                      max_records: int = MAX_RECORDS_PER_SEGMENT,
-                      with_digest: bool = False):
-    """Yield (url, warc_ts, block) — or (url, warc_ts, block, digest)
-    with ``with_digest=True`` — for every CONTENT record in a raw
-    (already-inflated) WARC segment. ``digest`` is the raw
-    ``WARC-Payload-Digest`` header string (e.g. ``sha1:BASE32...``) or
-    None when the record carries none.
+def _walk_records(payload: bytes,
+                  max_records: int = MAX_RECORDS_PER_SEGMENT):
+    """The record walker: yield ``(start, block_start, end, headers)``
+    for every CONTENT record of a raw (already-inflated) WARC segment —
+    the record's range ``[start, end)`` in ``payload`` (header line to
+    the end of its block, separator excluded), where its block starts,
+    and its lower-cased header map.
 
     warcinfo / request / metadata records are skipped by their
-    ``Content-Length``; ``application/http; msgtype=response`` blocks
-    are stripped to the HTTP entity body. Malformed tails degrade to
-    stopping (everything parsed so far is kept) — the never-raise
-    ingestion contract.
+    ``Content-Length``. Malformed tails degrade to stopping (everything
+    parsed so far is kept): a truncated last block ends at the end of
+    ``payload``; a missing, unparseable or negative ``Content-Length``
+    ends the walk — the never-raise ingestion contract.
     """
     pos = 0
     n_total = len(payload)
@@ -122,30 +158,51 @@ def iter_warc_records(payload: bytes,
             n = int(headers.get(b"content-length", b""))
         except ValueError:
             return   # unskippable record: stop (no way to find the next)
+        if n < 0:
+            return
         body_start = head_end + 4
-        block = payload[body_start:body_start + n]
+        end = min(body_start + n, n_total)
         if headers.get(b"warc-type", b"") in _CONTENT_TYPES:
-            ctype = headers.get(b"content-type", b"")
-            body = block
-            if ctype.split(b";")[0].strip() == b"application/http":
-                http_end = block.find(b"\r\n\r\n")
-                body = block[http_end + 4:] if http_end >= 0 else b""
-            url = headers.get(b"warc-target-uri", b"").decode(
-                "utf-8", errors="replace")
-            when = _parse_warc_date(headers.get(b"warc-date", b""))
-            if with_digest:
-                raw = headers.get(b"warc-payload-digest")
-                digest = raw.decode("ascii", errors="replace") \
-                    if raw else None
-                yield url, when, body, digest
-            else:
-                yield url, when, body
+            yield pos, body_start, end, headers
         pos = body_start + n
         # record separator: \r\n\r\n per spec; tolerate a lone \r\n
         if payload.startswith(b"\r\n\r\n", pos):
             pos += 4
         elif payload.startswith(b"\r\n", pos):
             pos += 2
+
+
+def _target(headers: dict[bytes, bytes]) -> str:
+    return headers.get(b"warc-target-uri", b"").decode(
+        "utf-8", errors="replace")
+
+
+def iter_warc_records(payload: bytes,
+                      max_records: int = MAX_RECORDS_PER_SEGMENT,
+                      with_digest: bool = False):
+    """Yield (url, warc_ts, block) — or (url, warc_ts, block, digest)
+    with ``with_digest=True`` — for every CONTENT record in a raw
+    (already-inflated) WARC segment (``_walk_records``). ``digest`` is
+    the raw ``WARC-Payload-Digest`` header string (e.g.
+    ``sha1:BASE32...``) or None when the record carries none.
+
+    ``application/http; msgtype=response`` blocks are stripped to the
+    HTTP entity body.
+    """
+    for _, body_start, end, headers in _walk_records(payload, max_records):
+        block = payload[body_start:end]
+        ctype = headers.get(b"content-type", b"")
+        body = block
+        if ctype.split(b";")[0].strip() == b"application/http":
+            http_end = block.find(b"\r\n\r\n")
+            body = block[http_end + 4:] if http_end >= 0 else b""
+        when = _parse_warc_date(headers.get(b"warc-date", b""))
+        if with_digest:
+            raw = headers.get(b"warc-payload-digest")
+            digest = raw.decode("ascii", errors="replace") if raw else None
+            yield _target(headers), when, body, digest
+        else:
+            yield _target(headers), when, body
 
 
 _GZ_MAGIC = b"\x1f\x8b"
@@ -156,9 +213,10 @@ _PROVENANCE_FIELDS = [("warc_file", pa.string()),
 
 
 class WarcToPages:
-    """map_batches UDF: (path, bytes) segment rows -> pages-schema rows,
-    one per content record. Gzip segments inflate member-wise first;
-    the stateless walk is why this is a task pool, not actors.
+    """Segment walk: raw segment bytes -> pages-schema rows, one per
+    content record, as the ``read_segments`` walk (``segment``) or over
+    (path, bytes) rows (``__call__``). Gzip segments inflate
+    member-wise first.
 
     ``include_provenance=True`` appends CDX-style lineage columns
     ``warc_file`` (segment basename) and ``record_idx`` (0-based index
@@ -173,15 +231,21 @@ class WarcToPages:
         self.include_provenance = include_provenance
         self.include_digest = include_digest
 
+    def segment(self, seg: int, path: str, raw: bytes) -> pa.Table:
+        return self._pages([(path, raw)])
+
     def __call__(self, batch: pa.Table) -> pa.Table:
+        return self._pages(zip(batch.column("path").to_pylist(),
+                               batch.column("bytes").to_pylist()))
+
+    def _pages(self, segments) -> pa.Table:
         urls: list[str] = []
         ts: list[datetime.datetime] = []
         blocks: list[bytes] = []
         files: list[str] = []
         idxs: list[int] = []
         digests: list[str | None] = []
-        for path, payload in zip(batch.column("path").to_pylist(),
-                                 batch.column("bytes").to_pylist()):
+        for path, payload in segments:
             if payload[:2] == _GZ_MAGIC:
                 payload = gunzip_members(payload, self.max_inflated)
             base = os.path.basename(path)
@@ -219,26 +283,66 @@ class WarcToPages:
         return pa.Table.from_arrays(arrays, schema=pa.schema(fields))
 
 
+def warc_paths(folder: str) -> list[str]:
+    """The ``.warc`` / ``.warc.gz`` segments of ``folder``, sorted
+    lexicographically, so two runs (and two cluster sizes) shard the
+    identical segment list and a segment's index in it is stable."""
+    try:
+        names = sorted(os.listdir(folder))
+    except FileNotFoundError:
+        names = []
+    return [os.path.join(folder, n) for n in names
+            if n.endswith(".warc") or n.endswith(".warc.gz")]
+
+
+def _read_segment(walk, seg: int, path: str) -> list[pa.Table]:
+    with open(path, "rb") as f:
+        return [walk(seg, path, f.read())]
+
+
+def read_segments(paths: list[str], walk) -> "ray.data.Dataset":
+    """One Ray read task per segment: it opens ``paths[seg]``, reads the
+    file's RAW bytes and returns ``walk(seg, path, raw)``, an Arrow
+    table. A gzip segment reaches ``walk`` compressed, so every inflate
+    runs under ``MAX_INFLATED_BYTES``; the segment bytes never enter
+    the object store; and because the walk is the read itself, Ray
+    never fuses it into a downstream batch stage that would bundle
+    many segments into one task."""
+    import ray.data
+    from ray.data.block import BlockMetadata
+    from ray.data.datasource import Datasource, ReadTask
+
+    class WarcSegments(Datasource):
+        def estimate_inmemory_data_size(self):
+            return None
+
+        def get_read_tasks(self, parallelism):
+            return [ReadTask(
+                functools.partial(_read_segment, walk, seg, path),
+                BlockMetadata(num_rows=None, size_bytes=None,
+                              input_files=[path], exec_stats=None))
+                for seg, path in enumerate(paths)]
+
+    return ray.data.read_datasource(WarcSegments(),
+                                    override_num_blocks=len(paths))
+
+
 def read_warc_dir(folder: str,
                   include_provenance: bool = False,
                   include_digest: bool = False) -> "ray.data.Dataset":
     """Folder of .warc / .warc.gz segments -> streaming pages Dataset.
 
-    Paths sort lexicographically so two runs (and two cluster sizes)
-    shard the identical segment list; an empty folder yields an empty
-    Dataset with the exact pages schema (compose without special-casing).
-    ``include_digest`` surfaces ``WARC-Payload-Digest`` as a
-    ``payload_digest`` column (null where absent) — the hash an
-    incremental round trusts instead of re-reading every payload.
+    Segments are ``warc_paths(folder)``, each read raw and walked by
+    one read task (``read_segments``); an empty folder yields an empty
+    Dataset with the exact pages schema (compose without
+    special-casing). ``include_digest`` surfaces
+    ``WARC-Payload-Digest`` as a ``payload_digest`` column (null where
+    absent) — the hash an incremental round trusts instead of
+    re-reading every payload.
     """
     import ray.data
 
-    try:
-        names = sorted(os.listdir(folder))
-    except FileNotFoundError:
-        names = []
-    paths = [os.path.join(folder, n) for n in names
-             if n.endswith(".warc") or n.endswith(".warc.gz")]
+    paths = warc_paths(folder)
     if not paths:
         fields: list = list(PAGES_SCHEMA)
         if include_provenance:
@@ -246,11 +350,92 @@ def read_warc_dir(folder: str,
         if include_digest:
             fields.append(pa.field("payload_digest", pa.string()))
         return ray.data.from_arrow(pa.schema(fields).empty_table())
-    ds = ray.data.read_binary_files(paths, include_paths=True)
-    return ds.map_batches(
-        WarcToPages(include_provenance=include_provenance,
-                    include_digest=include_digest),
-        batch_format="pyarrow", zero_copy_batch=True)
+    return read_segments(
+        paths, WarcToPages(include_provenance=include_provenance,
+                           include_digest=include_digest).segment)
+
+
+LOCATOR_SCHEMA = pa.schema([
+    ("url", pa.string()),
+    ("warc_ts", pa.timestamp("us")),
+    ("seg", pa.int32()),        # index into the sorted segment paths
+    ("start", pa.int64()),      # the span: [start, end) of the file
+    ("end", pa.int64()),
+    ("rec_start", pa.int64()),  # the record in the span's inflated bytes
+    ("rec_end", pa.int64()),
+])
+
+
+def _locators(raw: bytes):
+    """``(url, warc_ts, start, end, rec_start, rec_end)`` of every
+    content record of one raw segment (see the module notes)."""
+    data, spans, ends = raw, [], []
+    if raw[:2] == _GZ_MAGIC:
+        parts = []
+        for start, end, inflated in _gzip_members(raw):
+            spans.append((start, end))
+            parts.append(inflated)
+        ends = list(itertools.accumulate(map(len, parts)))
+        data = b"".join(parts)
+        del parts
+    for start, _, end, h in _walk_records(data):
+        if not spans:
+            span = (start, end, 0, end - start)
+        else:
+            i = bisect.bisect_right(ends, start)   # the member holding it
+            lo = ends[i - 1] if i else 0
+            span = ((*spans[i], start - lo, end - lo) if end <= ends[i]
+                    else (0, len(raw), start, end))
+        yield (_target(h), _parse_warc_date(h.get(b"warc-date", b"")),
+               *span)
+
+
+def locate_records(seg: int, path: str, raw: bytes) -> pa.Table:
+    """``read_segments`` walk: one ``LOCATOR_SCHEMA`` row per content
+    record of one raw segment — the slim first pass: no record body is
+    copied out of the segment."""
+    cols = list(zip(*_locators(raw))) or [()] * 6
+    arrays = [pa.array(cols[0], pa.string()),
+              pa.array(cols[1], pa.timestamp("us")),
+              pa.array([seg] * len(cols[0]), pa.int32())]
+    arrays += [pa.array(c, pa.int64()) for c in cols[2:]]
+    return pa.Table.from_arrays(arrays, schema=LOCATOR_SCHEMA)
+
+
+class FetchRecords:
+    """map_batches UDF: ``LOCATOR_SCHEMA`` rows -> pages-schema rows,
+    reading only each record's span: ``seek`` + ``read`` of the span,
+    ``gunzip_members`` (under ``MAX_INFLATED_BYTES``) when it is gzip,
+    then the record walker over the record's bytes (HTTP envelope
+    stripped). Rows sorted by ``(seg, start)`` open each segment file
+    once per batch and inflate a span shared by several records (a
+    whole-file gzip) once."""
+
+    def __init__(self, paths: list[str]):
+        self.paths = paths
+
+    def __call__(self, batch: pa.Table) -> pa.Table:
+        bodies: list[bytes] = []
+        rows = zip(*(batch.column(c).to_pylist() for c in
+                     ("seg", "start", "end", "rec_start", "rec_end")))
+        for seg, recs in itertools.groupby(rows, key=lambda r: r[0]):
+            span, data = None, b""
+            with open(self.paths[seg], "rb") as f:
+                for _, start, end, lo, hi in recs:
+                    if (start, end) != span:
+                        span = (start, end)
+                        f.seek(start)
+                        data = f.read(end - start)
+                        if data[:2] == _GZ_MAGIC:
+                            data = gunzip_members(data)
+                    rec = next(iter_warc_records(data[lo:hi], 1), None)
+                    bodies.append(b"" if rec is None else rec[2])
+        n = batch.num_rows
+        return pa.Table.from_arrays(
+            [batch.column("url"), batch.column("warc_ts"),
+             pa.array(bodies, pa.binary()),
+             pa.array([""] * n, pa.string()),
+             pa.array([""] * n, pa.string())], schema=PAGES_SCHEMA)
 
 
 def warc_segment_manifest(warc_dir: str) -> "ray.data.Dataset":

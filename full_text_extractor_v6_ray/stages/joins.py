@@ -353,8 +353,7 @@ def broadcast_join(left: "ray.data.Dataset", right: pa.Table, on: str,
 def filter_to_keys(ds: "ray.data.Dataset",
                    keys: "ray.data.Dataset | pa.Array",
                    key: str, n_keys: int,
-                   broadcast_max: int = BROADCAST_MAX,
-                   left_schema: pa.Schema | None = None
+                   broadcast_max: int = BROADCAST_MAX
                    ) -> "ray.data.Dataset":
     """Keep the rows of ``ds`` whose string column ``key`` is in
     ``keys``: the size-dispatched work-list filter.
@@ -365,8 +364,7 @@ def filter_to_keys(ds: "ray.data.Dataset",
     below ``broadcast_max`` the values are collected on the driver and
     ``ds`` takes a semi ``broadcast_join`` with them, so the wide rows
     never enter a shuffle. Above it the key list is corpus-sized: ``ds``
-    and the keys meet in ONE bucketed ``hash_join`` semi-join
-    (``left_schema`` skips its schema probe of ``ds``).
+    and the keys meet in ONE bucketed ``hash_join`` semi-join.
     """
     if n_keys <= broadcast_max:
         if isinstance(keys, pa.Array):
@@ -378,7 +376,7 @@ def filter_to_keys(ds: "ray.data.Dataset",
         else:
             vals = pa.array([], pa.string())
         return broadcast_join(ds, pa.table({key: vals}), key, how="semi")
-    return hash_join(ds, keys, key, how="semi", left_schema=left_schema)
+    return hash_join(ds, keys, key, how="semi")
 
 
 def range_join(left: "ray.data.Dataset", right: "ray.data.Dataset",

@@ -12,12 +12,17 @@ import pyarrow as pa
 import pytest
 
 from full_text_extractor_v6_ray.sources.warc import (
+    LOCATOR_SCHEMA,
     MAX_INFLATED_BYTES,
+    FetchRecords,
     WarcToPages,
     build_warc_segment,
     gunzip_members,
     iter_warc_records,
+    locate_records,
+    read_segments,
     read_warc_dir,
+    warc_paths,
 )
 
 EPOCH = datetime.datetime(2020, 1, 1)
@@ -86,6 +91,27 @@ def test_gunzip_members_bomb_guard():
     with pytest.raises(ValueError, match="warc_gzip_too_large"):
         gunzip_members(big, max_bytes=1024)
     assert MAX_INFLATED_BYTES >= (1 << 30)
+
+
+def test_gunzip_members_many_members_and_trailing_garbage():
+    # members longer than one zlib feed, then bytes that are not gzip:
+    # every whole member inflates, the garbage stops the walk
+    parts = [bytes([65 + i % 26]) * 70_000 + bytes(range(256)) * (i + 1)
+             for i in range(5)]
+    blob = b"".join(gzip.compress(p, mtime=0) for p in parts)
+    assert gunzip_members(blob) == b"".join(parts)
+    assert gunzip_members(blob + b"not gzip at all") == b"".join(parts)
+
+
+def test_iter_records_negative_content_length_stops():
+    # a negative length would step the walk backwards onto its own
+    # record; it ends the walk like any unskippable record
+    good = build_warc_segment(_recs(1), warcinfo=False)
+    bad = (b"WARC/1.0\r\nWARC-Type: resource\r\n"
+           b"WARC-Target-URI: https://ex.com/x\r\n"
+           b"Content-Length: -40\r\n\r\nxx")
+    assert [u for u, _, _ in iter_warc_records(good + bad + good)] == [
+        "https://ex.com/0"]
 
 
 def test_gzip_member_segment_roundtrip():
@@ -235,8 +261,8 @@ def test_latest_captures_filters_before_extraction(ray_session, tmp_path):
 
 def test_latest_captures_semi_join_branch_matches_broadcast(
         ray_session, tmp_path):
-    """broadcast_max=0 forces the bucketed election + semi-join: the
-    same pages survive, and the post-extract dedup is always run."""
+    """broadcast_max=0 forces the per-bucket election: the same pages
+    survive, and the post-extract dedup is always run."""
     from full_text_extractor_v6_ray.pipelines.extract_pipeline import (
         latest_captures,
     )
@@ -423,3 +449,196 @@ def test_build_cdx_index_sorted_with_pointers_and_digest(
     assert r0["digest"] == hashlib.md5(b"seg0 body 0").hexdigest()
     assert r0["n_bytes"] == len(b"seg0 body 0")
     assert r0["record_idx"] == 0
+
+
+def _request_record(url):
+    block = b"GET / HTTP/1.1\r\nHost: ex.com\r\n\r\n"
+    return (b"WARC/1.0\r\nWARC-Type: request\r\n"
+            b"WARC-Target-URI: " + url.encode() + b"\r\n"
+            b"Content-Length: " + str(len(block)).encode() + b"\r\n\r\n"
+            + block + b"\r\n\r\n")
+
+
+def _shape_segments(folder):
+    """Every segment shape the locators address, with recrawls across
+    them: a plain segment (HTTP envelopes, a request record between
+    content records, a truncated tail), a record-gzipped one (truncated
+    final member), a whole-file gzip, a gzip whose members split
+    records, and a ``tie`` url captured at the same max warc_ts in two
+    segments (the second capture with the longer text)."""
+    day = datetime.timedelta(days=1)
+
+    def cap(i, k, ts):
+        return (f"https://ex.com/p{i}", ts, _page(f"{i} capture {k}"))
+
+    plain = (build_warc_segment([cap(i, 0, EPOCH) for i in range(3)],
+                                http_envelope_every=2)
+             + _request_record("https://ex.com/p0")
+             + build_warc_segment([cap(i, 0, EPOCH) for i in range(3, 6)],
+                                  warcinfo=False, http_envelope_every=2))
+    (folder / "a-plain.warc").write_bytes(plain[:-25])
+    records = build_warc_segment([cap(i, 1, EPOCH + day) for i in range(4)],
+                                 gzip_members=True, http_envelope_every=3)
+    (folder / "b-records.warc.gz").write_bytes(records[:-12])
+    whole = build_warc_segment(
+        [cap(2, 2, EPOCH + 2 * day), cap(4, 2, EPOCH + 2 * day),
+         ("https://ex.com/tie", TIE_TS, _page("short"))],
+        http_envelope_every=2)
+    (folder / "c-whole.warc.gz").write_bytes(gzip.compress(whole, mtime=0))
+    split = build_warc_segment(
+        [cap(5, 3, EPOCH + 3 * day),
+         ("https://ex.com/tie", TIE_TS, _page("tied and much longer")),
+         cap(6, 0, EPOCH)])
+    cut = [0, len(split) // 3, 2 * len(split) // 3, len(split)]
+    (folder / "d-split.warc.gz").write_bytes(b"".join(
+        gzip.compress(split[a:b], mtime=0) for a, b in zip(cut, cut[1:])))
+
+
+def _locate_all(paths):
+    return pa.concat_tables([locate_records(i, p, open(p, "rb").read())
+                             for i, p in enumerate(paths)])
+
+
+def test_locators_address_every_segment_shape(tmp_path):
+    """One locator row per content record; its span is the record in a
+    plain segment, the gzip member in a record-gzipped one, and the
+    whole file for a record that crosses member boundaries."""
+    _shape_segments(tmp_path)
+    paths = warc_paths(str(tmp_path))
+    sizes = [len(open(p, "rb").read()) for p in paths]
+    loc = _locate_all(paths)
+    assert loc.schema == LOCATOR_SCHEMA
+    rows = loc.to_pylist()
+    walked = [len(list(iter_warc_records(
+        gunzip_members(b) if b[:2] == b"\x1f\x8b" else b)))
+        for b in (open(p, "rb").read() for p in paths)]
+    assert [sum(r["seg"] == i for r in rows)
+            for i in range(len(paths))] == walked
+    by_seg = [[r for r in rows if r["seg"] == i] for i in range(4)]
+    plain, members, whole, split = by_seg
+    assert all(r["rec_start"] == 0 and r["rec_end"] == r["end"] - r["start"]
+               for r in plain)
+    assert len({r["start"] for r in members}) == len(members) > 1
+    assert all(r["rec_start"] == 0 and r["end"] <= sizes[1]
+               for r in members)
+    assert all((r["start"], r["end"]) == (0, sizes[2]) for r in whole)
+    spans = [(r["start"], r["end"]) for r in split]
+    assert (0, sizes[3]) in spans and len(set(spans)) > 1
+
+
+def test_fetch_records_matches_the_segment_walk(tmp_path):
+    """Reading each record back at its locator gives the row the full
+    segment walk gives, for every segment shape."""
+    _shape_segments(tmp_path)
+    paths = warc_paths(str(tmp_path))
+    fetched = FetchRecords(paths)(_locate_all(paths))
+    walked = WarcToPages()(pa.table({
+        "path": paths,
+        "bytes": pa.array([open(p, "rb").read() for p in paths])}))
+    assert fetched.schema == walked.schema
+    assert fetched.to_pylist() == walked.to_pylist()
+
+
+def test_read_segments_hands_the_walker_raw_bytes(ray_session, tmp_path):
+    """A .warc.gz reaches the walker as the file's raw gzip bytes, so
+    ``gunzip_members`` (and its bomb guard) does every inflate."""
+    _shape_segments(tmp_path)
+    paths = warc_paths(str(tmp_path))
+
+    def walk(seg, path, raw):
+        return pa.table({"seg": [seg], "path": [path],
+                         "raw": pa.array([raw], pa.binary())})
+
+    rows = sorted(read_segments(paths, walk).take_all(),
+                  key=lambda r: r["seg"])
+    assert [(r["seg"], r["path"]) for r in rows] == list(enumerate(paths))
+    for r in rows:
+        assert r["raw"] == open(r["path"], "rb").read()
+    assert rows[1]["raw"][:2] == b"\x1f\x8b"
+
+
+def test_read_warc_dir_truncated_gzip_keeps_prefix(ray_session, tmp_path):
+    """A .warc.gz cut inside its last member keeps the records that
+    inflated, as ``gunzip_members`` promises."""
+    seg = build_warc_segment(_recs(4), gzip_members=True)
+    (tmp_path / "s.warc.gz").write_bytes(seg[:-12])
+    urls = sorted(r["url"] for r in read_warc_dir(str(tmp_path)).take_all())
+    assert urls[:3] == [r[0] for r in _recs(3)]
+
+
+@pytest.mark.parametrize("broadcast_max", ["default", 0])
+def test_warc_pipeline_matches_extract_then_dedup(ray_session, tmp_path,
+                                                   monkeypatch,
+                                                   broadcast_max):
+    """Electing on locators and extracting only the winners gives, row
+    for row, what extracting every capture and deduplicating gives —
+    on the driver election and on the per-bucket one."""
+    import functools
+
+    from full_text_extractor_v6_ray.pipelines import (
+        extract_pipeline as ep,
+    )
+    from full_text_extractor_v6_ray.stages.dedup import dedup_latest_by_ts
+
+    _shape_segments(tmp_path)
+    if broadcast_max != "default":
+        monkeypatch.setattr(ep, "latest_captures", functools.partial(
+            ep.latest_captures, broadcast_max=broadcast_max))
+    got = ep.warc_extraction_pipeline(str(tmp_path)).take_all()
+    want = dedup_latest_by_ts(ep.extract_pages(
+        read_warc_dir(str(tmp_path)))).take_all()
+
+    def by_url(rows):
+        return sorted(rows, key=lambda r: r["url"])
+
+    assert len(want) == 8
+    assert by_url(got) == by_url(want)
+    tie = next(r for r in got if r["url"] == "https://ex.com/tie")
+    assert "tied and much longer" in tie["extracted_text"]
+
+
+def test_warc_pipeline_is_two_executions(ray_session, tmp_path,
+                                         count_executions):
+    """The locator walk and the fetch-extract-write: two Ray
+    executions, one walk of each segment."""
+    from full_text_extractor_v6_ray.pipelines import (
+        warc_extraction_pipeline,
+    )
+
+    for s in range(2):
+        (tmp_path / f"s{s}.warc").write_bytes(build_warc_segment(
+            [(f"https://ex.com/{i}", EPOCH + datetime.timedelta(days=s),
+              _page(f"{i} {s}")) for i in range(4)]))
+    count_executions.clear()
+    warc_extraction_pipeline(str(tmp_path), out_dir=str(tmp_path / "out"))
+    assert len(count_executions) == 2, count_executions
+
+
+def test_warc_pipeline_extracts_one_task_per_winning_segment(ray_session,
+                                                              tmp_path):
+    """The winners go to extraction as one block per segment that holds
+    any: three segments, the first holding only stale captures, give
+    two extraction tasks. Each segment holds a full extraction batch of
+    winners, so Ray's batch bundling cannot merge two segments."""
+    import re
+
+    from full_text_extractor_v6_ray.pipelines.extract_pipeline import (
+        BATCH_SIZE,
+        warc_extraction_pipeline,
+    )
+
+    n = BATCH_SIZE
+    stale = [(f"https://ex.com/{i}", EPOCH, _page(f"old {i}"))
+             for i in range(2 * n)]
+    (tmp_path / "s0.warc").write_bytes(build_warc_segment(stale))
+    for s, gz in ((1, True), (2, False)):
+        (tmp_path / f"s{s}.warc{'.gz' if gz else ''}").write_bytes(
+            build_warc_segment(
+                [(u, EPOCH + datetime.timedelta(days=1), _page(f"new {u}"))
+                 for u, _, _ in stale[(s - 1) * n:s * n]],
+                gzip_members=gz))
+    ds = warc_extraction_pipeline(str(tmp_path)).materialize()
+    assert ds.count() == 2 * n
+    m = re.search(r"MapBatches\(ExtractBatch\)[^\n:]*: (\d+) tasks executed",
+                  ds.stats())
+    assert m and int(m.group(1)) == 2, ds.stats()
