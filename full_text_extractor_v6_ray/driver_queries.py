@@ -752,46 +752,72 @@ def q_orders_customer_hashjoin(sf_dir: str):
                                   "c_name", "c_mktsegment"])
 
 
+def _revenue_by_customer(li: "ray.data.Dataset", orders: "ray.data.Dataset"
+                         ) -> "ray.data.Dataset":
+    """(o_custkey, revenue): the sum of ``l_extendedprice * (1 -
+    l_discount)`` per customer over the lineitem rows ``li`` joined to
+    ``orders`` (o_orderkey, o_custkey), rounded half up to cents.
+
+    Summed exactly, in int64 units of 1e-4 (cents x hundredths of
+    discount; ~8e9 lines at TPC-H's top price fit one customer): a float
+    sum follows block arrival order, and its last ulp survives the
+    rounding, so the bytes would depend on the session.
+    Map-side partial sums per order BEFORE the join (the shuffle carries
+    (orderkey, rev) partials, not lineitem rows).
+    """
+    from ray.data.aggregate import Sum
+
+    from .stages.joins import hash_join
+
+    def hundredths(col) -> pa.Array:
+        return pc.cast(pc.round(pc.multiply(col, 100.0)), pa.int64())
+
+    def partial_rev(batch: pa.Table) -> pa.Table:
+        rev = pc.multiply(hundredths(batch.column("l_extendedprice")),
+                          pc.subtract(100, hundredths(batch.column("l_discount"))))
+        t = pa.table({"l_orderkey": batch.column("l_orderkey"), "rev": rev})
+        df = t.to_pandas().groupby("l_orderkey", sort=False)["rev"].sum()
+        return pa.table({"l_orderkey": pa.array(df.index.to_numpy(), pa.int64()),
+                         "rev": pa.array(df.to_numpy(), pa.int64())})
+
+    def to_cents(batch: pa.Table) -> pa.Table:
+        # revenue >= 0, so integer division truncates like floor
+        cents = pc.divide(pc.add(batch.column("revenue"), 50), 100)
+        return pa.table({"o_custkey": batch.column("o_custkey"),
+                         "revenue": pc.divide(pc.cast(cents, pa.float64()),
+                                              100.0)})
+
+    li_partial = li.map_batches(partial_rev, batch_format="pyarrow",
+                                batch_size=4096)
+    joined = hash_join(li_partial, orders, "l_orderkey", "o_orderkey")
+    return (joined.select_columns(["o_custkey", "rev"])
+            .groupby("o_custkey")
+            .aggregate(Sum("rev", alias_name="revenue"))
+            .map_batches(to_cents, batch_format="pyarrow",
+                         zero_copy_batch=True))
+
+
 def q_returned_revenue_topk(sf_dir: str):
     """TPC-H Q10-style composite: filtered lineitem ⋈ orders (partitioned
     hash join) -> per-customer revenue -> broadcast customer/nation
     decorate -> global top-20.
 
     The full multi-stage composition in one query: predicate pushdown at
-    the read, map-side partial aggregation BEFORE the join (the shuffle
-    carries (orderkey, rev) partials, not lineitem rows), one bucketed
-    shuffle join, a small groupby, a broadcast lookup, and a
-    sort-on-the-already-small result.
+    the read, map-side partial aggregation BEFORE the join, one bucketed
+    shuffle join, a small groupby (``_revenue_by_customer``), a
+    broadcast lookup, and a sort-on-the-already-small result.
     """
     import pyarrow.dataset as pads
 
-    from ray.data.aggregate import Sum
-
-    from .stages.joins import broadcast_join, hash_join
+    from .stages.joins import broadcast_join
 
     li = ray.data.read_parquet(
         os.path.join(sf_dir, "lineitem.parquet"),
         columns=["l_orderkey", "l_extendedprice", "l_discount"],
         filter=pads.field("l_returnflag") == "R",
     )
-
-    def partial_rev(batch: pa.Table) -> pa.Table:
-        rev = pc.multiply(batch.column("l_extendedprice"),
-                          pc.subtract(pa.scalar(1.0), batch.column("l_discount")))
-        t = pa.table({"l_orderkey": batch.column("l_orderkey"), "rev": rev})
-        df = t.to_pandas().groupby("l_orderkey", sort=False)["rev"].sum()
-        return pa.table({"l_orderkey": pa.array(df.index.to_numpy(), pa.int64()),
-                         "rev": pa.array(df.to_numpy(), pa.float64())})
-
-    li_partial = li.map_batches(partial_rev, batch_format="pyarrow",
-                                batch_size=4096)
     orders = _read(sf_dir, "orders", columns=["o_orderkey", "o_custkey"])
-    joined = hash_join(li_partial, orders, "l_orderkey", "o_orderkey")
-    by_cust = (joined.select_columns(["o_custkey", "rev"])
-               .groupby("o_custkey")
-               .aggregate(Sum("rev", alias_name="revenue")))
-
-    named = broadcast_join(by_cust,
+    named = broadcast_join(_revenue_by_customer(li, orders),
                            _customer_nations(sf_dir, ["c_custkey", "c_name"]),
                            "o_custkey", "c_custkey", how="left")
 
@@ -801,7 +827,7 @@ def q_returned_revenue_topk(sf_dir: str):
             "c_custkey": batch.column("o_custkey"),
             "c_name": pc.fill_null(batch.column("c_name"), ""),
             "n_name": pc.fill_null(batch.column("n_name"), ""),
-            "revenue": pc.round(batch.column("revenue"), ndigits=2)})
+            "revenue": batch.column("revenue")})
 
     out = named.map_batches(decorate, batch_format="pyarrow",
                             zero_copy_batch=True)

@@ -46,15 +46,8 @@ from ..config import DEFAULT_CONFIG, ExtractConfig
 from ..sources.pages_gen import PageGenBatch
 from ..stages.dedup import dedup_latest_by_ts
 from ..stages.exchange import by_bucket
-from ..stages.extract import EXTRACTED_SCHEMA, ExtractBatch
+from ..stages.extract import BATCH_SIZE, EXTRACTED_SCHEMA, ExtractBatch
 from ..stages.joins import BROADCAST_MAX
-
-# pages per extraction batch; html rows are wide (~100 KB avg)
-BATCH_SIZE = 128
-# documents per page-synthesis task: small so the fused synth->extract
-# chain yields many fine-grained tasks (load balance / short tail); with
-# replicate=R one task carries ~DOC_BATCH_SIZE*R pages
-DOC_BATCH_SIZE = 32
 
 
 def pages_dataset_from_documents(sf_dir: str, seed: int = 42,
@@ -65,6 +58,9 @@ def pages_dataset_from_documents(sf_dir: str, seed: int = 42,
     Column-pruned read (only the four columns the generator needs) — the
     'prune at the read' rule; generation is a stateless per-row pure
     function, so a plain-function map_batches stage (cheap elastic tasks).
+    Its ``BATCH_SIZE`` documents per batch set the task grain of the
+    fused synth -> extract operator; with ``replicate=R`` one batch
+    carries ~``BATCH_SIZE`` * R pages.
     """
     docs = ray.data.read_parquet(
         os.path.join(sf_dir, "documents.parquet"),
@@ -72,7 +68,7 @@ def pages_dataset_from_documents(sf_dir: str, seed: int = 42,
     )
     return docs.map_batches(PageGenBatch(seed, replicate),
                             batch_format="pyarrow",
-                            batch_size=DOC_BATCH_SIZE,
+                            batch_size=BATCH_SIZE,
                             zero_copy_batch=True)
 
 
@@ -85,12 +81,17 @@ def extract_pages(pages: "ray.data.Dataset",
     workers — an actor pool's 5-14 s per-execution spawn (measured, 30
     actors at 32 cpus: tasks 11.6 s vs actors 16-26 s on the 223k-page
     bench) buys nothing here.
+
+    No ``batch_size``: Ray fuses a read into this stage only when the
+    stage asks for no minimum bundle, so each read task (a parquet file,
+    a WARC segment) extracts its own pages and no html block crosses the
+    object store; ``ExtractBatch`` bounds its working set in
+    ``BATCH_SIZE``-row slices.
     """
     return pages.map_batches(
         ExtractBatch(cfg),
         batch_format="pyarrow",
         zero_copy_batch=True,
-        batch_size=BATCH_SIZE,
     )
 
 

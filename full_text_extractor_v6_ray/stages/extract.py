@@ -10,6 +10,10 @@ at import and reused for every batch.
 Arrow in / Arrow out (``batch_format="pyarrow"``, zero-copy from the object
 store). The wide ``html`` binary column is DROPPED on output so the dedup
 shuffle moves only the extracted columns (SURVEY.md §4.2 "wide rows").
+
+The stage asks Ray for no batch size, so it fuses into its read
+(``pipelines.extract_pipeline.extract_pages``); the UDF bounds its own
+working set, walking whatever batch it gets in ``BATCH_SIZE``-row slices.
 """
 
 from __future__ import annotations
@@ -18,6 +22,10 @@ import pyarrow as pa
 
 from ..config import DEFAULT_CONFIG, ExtractConfig
 from ..extractor.document import extract_document
+
+# pages per extraction slice: html rows are wide (~100 KB avg), and only
+# one slice of payloads is held as Python objects at a time
+BATCH_SIZE = 128
 
 SPANS_TYPE = pa.list_(pa.struct([
     ("kind", pa.string()),
@@ -61,6 +69,12 @@ class ExtractBatch:
         self.cfg = cfg
 
     def __call__(self, batch: pa.Table) -> pa.Table:
+        # the same rows for any batch size: each slice is extracted alone
+        return pa.concat_tables(
+            [self._extract(batch.slice(i, BATCH_SIZE))
+             for i in range(0, max(batch.num_rows, 1), BATCH_SIZE)])
+
+    def _extract(self, batch: pa.Table) -> pa.Table:
         cfg = self.cfg
         urls = batch.column("url")
         ts = batch.column("warc_ts")

@@ -4,12 +4,16 @@ Runs every ``queries()`` entry (or the named ones) at the given sf_dir in
 ONE Ray session (``num_cpus=4``, as in ``tests/conftest.py``) and prints
 one JSON line per query, flushed as it finishes:
 
-    {"name": ..., "executions": ..., "limit1": ..., "rows": ..., "wall_s": ...}
+    {"name": ..., "executions": ..., "limit1": ..., "rows": ..., "wall_s": ...,
+     "operators": [[[name, tasks], ...], ...]}
 
 ``executions`` counts the Ray Data executions the query started
 (``testing.count_executions``), ``limit1`` the ``limit=1`` ones among
-them (schema probes), ``rows`` the result's row count and ``wall_s``
-the query's wall time, result consumed.
+them (schema probes), ``rows`` the result's row count, ``wall_s``
+the query's wall time, result consumed, and ``operators`` each
+execution's physical operators, inputs first, with the Ray tasks each
+ran (a fused operator is one ``A->B`` name: a read fused with the map
+stages after it reads ``ReadParquet->MapBatches(...)``).
 
 Usage: python scripts/query_census.py sf_dir [query ...]
 """
@@ -44,8 +48,9 @@ def main(sf_dir: str, names: list[str]) -> None:
             wall = time.perf_counter() - t
         print(json.dumps({
             "name": name, "executions": len(execs),
-            "limit1": sum("limit=1" in e for e in execs),
-            "rows": rows, "wall_s": round(wall, 2)}), flush=True)
+            "limit1": sum("limit=1" in ops for ops in execs),
+            "rows": rows, "wall_s": round(wall, 2),
+            "operators": [e.tasks() for e in execs]}), flush=True)
     ray.shutdown()
 
 

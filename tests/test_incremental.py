@@ -275,6 +275,34 @@ def test_round_is_one_scan(ray_session, tmp_path, count_executions, mode):
                 s["n_unchanged"]) == want[i]
 
 
+def test_probe_round_fuses_into_the_read(ray_session, tmp_path,
+                                         count_executions):
+    """A probe-path round over k parquet files is one execution of ONE
+    fused operator, read -> probe -> extract -> write, with one task per
+    file: no page block crosses the object store between read and
+    extract. Two files per cluster CPU keep Ray from splitting the read
+    blocks (a split read never fuses)."""
+    import pyarrow.parquet as pq
+    import ray
+    import ray.data
+
+    k = 2 * int(ray.cluster_resources()["CPU"])
+    files = []
+    for f in range(k):
+        files.append(str(tmp_path / f"pages-{f}.parquet"))
+        pq.write_table(_page_table({f"https://f{f}.ex/p{i}": f"{f} {i}"
+                                    for i in range(3)}), files[-1])
+    count_executions.clear()
+    s = incremental_extraction_round(ray.data.read_parquet(files),
+                                     str(tmp_path / "state"))
+    assert s["n_new"] == 3 * k
+    [run] = count_executions
+    assert run.tasks() == [
+        ("Input", 0),
+        ("ReadParquet->MapBatches(probe)->MapBatches(ExtractBatch)"
+         "->MapBatches(<lambda>)->Write", k)], run.tasks()
+
+
 def test_incremental_trusts_warc_payload_digest(ray_session, tmp_path):
     # segments carry WARC-Payload-Digest; the round must diff on the
     # recorded digests (hash_col) without re-hashing payloads

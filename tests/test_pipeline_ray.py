@@ -72,3 +72,109 @@ def test_write_parquet_roundtrip(ray_session, tmp_path):
     assert back.num_rows == pq.read_metadata(
         os.path.join(SF_DIR, "documents.parquet")).num_rows
     assert "extracted_text" in back.column_names
+
+
+def _mixed_pages(n: int):
+    """n pages cycling through html, gzip>html, pdf, .doc, .xls, .docx and
+    an undecodable payload, over the sf0.001 documents' text."""
+    import gzip
+    import io
+    import zipfile
+
+    import pyarrow as pa
+
+    from full_text_extractor_v6_ray.extractor.ole2 import build_doc, build_xls
+    from full_text_extractor_v6_ray.sources.pages_gen import (
+        PAGES_SCHEMA,
+        build_page_row,
+    )
+
+    docs = pq.read_table(os.path.join(SF_DIR, "documents.parquet"),
+                         columns=["doc_id", "text", "lang", "source"]
+                         ).to_pylist()
+
+    def docx(paras):
+        buf = io.BytesIO()
+        with zipfile.ZipFile(buf, "w") as zf:
+            zf.writestr("word/document.xml", "<w:document><w:body>" + "".join(
+                f"<w:p><w:r><w:t>{p}</w:t></w:r></w:p>" for p in paras)
+                + "</w:body></w:document>")
+        return buf.getvalue()
+
+    rows = []
+    for i in range(n):
+        d = docs[i % len(docs)]
+        doc_id = 1 + 50 * i                # never a PDF page id (3 mod 50)
+        page = build_page_row(doc_id, d["text"], d["lang"], d["source"])[0]
+        words = d["text"].split()
+        paras = [" ".join(words[j:j + 12]) for j in range(0, len(words), 12)]
+        body = [
+            page["html"],
+            gzip.compress(page["html"], 6, mtime=0),
+            build_page_row(doc_id + 2, d["text"], d["lang"],
+                           d["source"])[0]["html"],
+            build_doc(paras),
+            build_xls([("S", [["word", "len"]]
+                        + [[w, len(w)] for w in words[:8]])]),
+            docx(paras),
+            b"\x00\x01garbage" * 8,
+        ][i % 7]
+        rows.append({**page, "url": f"https://mix.ex/{i}", "html": body,
+                     "text": ""})
+    return pa.Table.from_pylist(rows, schema=PAGES_SCHEMA)
+
+
+def test_extract_batch_bytes_do_not_depend_on_the_batch():
+    """ExtractBatch walks any batch in BATCH_SIZE-row slices: one call over
+    3 x BATCH_SIZE + 1 mixed-kind pages gives exactly the schema and bytes
+    of the per-slice calls concatenated, and of the per-row calls."""
+    import pyarrow as pa
+
+    from full_text_extractor_v6_ray.stages.extract import (
+        BATCH_SIZE,
+        EXTRACTED_SCHEMA,
+        ExtractBatch,
+    )
+
+    def ipc(t: pa.Table) -> bytes:
+        sink = pa.BufferOutputStream()
+        with pa.ipc.new_stream(sink, t.schema) as w:
+            w.write_table(t.combine_chunks())
+        return sink.getvalue().to_pybytes()
+
+    n = 3 * BATCH_SIZE + 1
+    pages = _mixed_pages(n)
+    eb = ExtractBatch()
+    whole = eb(pages)
+    assert whole.schema == EXTRACTED_SCHEMA
+    assert {"html", "gzip>html", "pdf", "doc", "xls", "docx", "error"} <= set(
+        whole.column("method").to_pylist())
+    for step in (BATCH_SIZE, 1):
+        parts = pa.concat_tables([eb(pages.slice(i, step))
+                                  for i in range(0, n, step)])
+        assert parts.schema == whole.schema
+        assert ipc(parts) == ipc(whole)
+
+
+def test_extract_pages_fuses_into_the_parquet_read(ray_session, tmp_path):
+    """extract_pages over k parquet files is ONE operator, the read fused
+    with the extraction, one task per file. Two files per cluster CPU keep
+    Ray from splitting the read blocks (a split read never fuses)."""
+    import ray
+    import ray.data
+
+    from full_text_extractor_v6_ray.pipelines import extract_pages
+    from full_text_extractor_v6_ray.testing import count_executions
+
+    k = 2 * int(ray.cluster_resources()["CPU"])
+    pages = _mixed_pages(3 * k)
+    files = [str(tmp_path / f"pages-{f}.parquet") for f in range(k)]
+    for f, path in enumerate(files):
+        pq.write_table(pages.slice(3 * f, 3), path)
+    with count_executions() as runs:
+        out = extract_pages(ray.data.read_parquet(files)).materialize()
+    assert out.count() == 3 * k
+    [run] = runs
+    assert run.tasks() == [("Input", 0),
+                           ("ReadParquet->MapBatches(ExtractBatch)", k)
+                           ], run.tasks()

@@ -100,3 +100,33 @@ def test_q3_shipping_priority_is_one_execution(ray_session,
     a, b = _canon(got), _canon(exp)
     assert list(a.columns) == list(b.columns)
     pd.testing.assert_frame_equal(a, b, check_dtype=False)
+
+
+def test_returned_revenue_bytes_do_not_depend_on_block_order(ray_session):
+    """The per-customer revenue of ``returned_revenue_topk`` is summed
+    exactly: the same lineitem rows, in two block orders, give the same
+    bytes, and the exact cents. Summed in float in any order, these four
+    rows round to 1428183.3599999999."""
+    import pyarrow as pa
+    import ray
+    import ray.data
+
+    from full_text_extractor_v6_ray import driver_queries as dq
+
+    prices = [145055.86, 393795.14, 524888.24, 465558.24]
+    discounts = [0.02, 0.1, 0.05, 0.07]
+    blocks = [pa.table({"l_orderkey": pa.array([k], pa.int64()),
+                        "l_extendedprice": [p], "l_discount": [d]})
+              for k, (p, d) in enumerate(zip(prices, discounts))]
+    orders = ray.data.from_arrow(pa.table({
+        "o_orderkey": pa.array(range(4), pa.int64()),
+        "o_custkey": pa.array([7] * 4, pa.int64())}))
+
+    def revenue(bs):
+        refs = dq._revenue_by_customer(ray.data.from_arrow(bs),
+                                       orders).to_arrow_refs()
+        return pa.concat_tables(t for t in ray.get(refs) if t.num_rows)
+
+    got = [revenue(bs) for bs in (blocks, blocks[::-1])]
+    assert got[0].to_pylist() == [{"o_custkey": 7, "revenue": 1428183.36}]
+    assert got[1].equals(got[0])

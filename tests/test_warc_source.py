@@ -618,8 +618,9 @@ def test_warc_pipeline_extracts_one_task_per_winning_segment(ray_session,
                                                               tmp_path):
     """The winners go to extraction as one block per segment that holds
     any: three segments, the first holding only stale captures, give
-    two extraction tasks. Each segment holds a full extraction batch of
-    winners, so Ray's batch bundling cannot merge two segments."""
+    two extraction tasks. The extraction asks Ray for no minimum batch,
+    so Ray bundles no two winner blocks into one task; each segment's
+    ``BATCH_SIZE`` winners fill one ``ExtractBatch`` slice."""
     import re
 
     from full_text_extractor_v6_ray.pipelines.extract_pipeline import (
@@ -642,3 +643,24 @@ def test_warc_pipeline_extracts_one_task_per_winning_segment(ray_session,
     m = re.search(r"MapBatches\(ExtractBatch\)[^\n:]*: (\d+) tasks executed",
                   ds.stats())
     assert m and int(m.group(1)) == 2, ds.stats()
+
+
+def test_extract_pages_fuses_into_the_segment_read(ray_session, tmp_path):
+    """``extract_pages(read_warc_dir(d))`` is ONE operator, the segment
+    walk fused with the extraction, one task per segment: no page block
+    crosses the object store between them."""
+    from full_text_extractor_v6_ray.pipelines import extract_pages
+    from full_text_extractor_v6_ray.testing import count_executions
+
+    for s in range(6):
+        (tmp_path / f"s{s}.warc{'.gz' if s % 2 else ''}").write_bytes(
+            build_warc_segment(
+                [(f"https://ex.com/{s}/{i}", EPOCH, _page(f"{s} {i}"))
+                 for i in range(3)], gzip_members=bool(s % 2)))
+    with count_executions() as runs:
+        out = extract_pages(read_warc_dir(str(tmp_path))).materialize()
+    assert out.count() == 18
+    [run] = runs
+    assert run.tasks() == [("Input", 0),
+                           ("ReadWarcSegments->MapBatches(ExtractBatch)", 6)
+                           ], run.tasks()
