@@ -137,8 +137,8 @@ def fast_feed(parser: BlockParser, html_text: str) -> None:
     per-tag ``match`` call, no Python ``find('<')`` loop. Gaps between
     matches are data; a gap carrying a stray ``<`` takes the slow
     stdlib-parity path (``_gap_text``), whose resume position may skip
-    matches (bogus-comment consumption) — skipped via ``start < pos``,
-    the same guard that drops tags inside consumed rawtext content.
+    matches (bogus-comment consumption) — skipped via ``start < pos``.
+    After a script/style's rawtext the sweep restarts at its close tag.
     """
     n = len(html_text)
     handle_data = parser.handle_data
@@ -202,6 +202,9 @@ def fast_feed(parser: BlockParser, html_text: str) -> None:
                 handle_data(html_text[pos:cm.start()])  # killed anyway
                 handle_endtag(name)
                 pos = cm.end()
+                # rescan: a match that began inside the content (an
+                # opened comment or CDATA) may run past the close tag
+                break
         else:
             break  # finditer exhausted: no restart needed
     if pos < n:

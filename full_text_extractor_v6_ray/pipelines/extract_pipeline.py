@@ -14,8 +14,10 @@ read → synth → extract → shuffle with backpressure.
 WARC front-end (``warc_extraction_pipeline``, dedup on) elects before
 it extracts, walking each segment once:
 
-    read segments (one task each, raw bytes)
-      -> (url, warc_ts, seg, byte span) locator rows   [materialized]
+    walk segments (one plain Ray task each, raw bytes; no Ray Data
+    execution)
+      -> (url, warc_ts, seg, byte span) locator tables in the object
+         store; the driver fetches their row counts
       -> keep-latest election: driver Arrow (<= BROADCAST_MAX rows)
          or per bucket of one keyed exchange (above)
     winners sorted by (seg, start): one block per segment holding any
@@ -130,46 +132,48 @@ def latest_captures(warc_dir: str, broadcast_max: int = BROADCAST_MAX
     (None when the segments hold no content record), plus whether
     ``dedup_latest_by_ts`` must still run after extraction.
 
-    Each segment is walked once, in a task that reads the raw file and
-    keeps one slim ``LOCATOR_SCHEMA`` row per content record (url,
-    warc_ts, segment index, byte span); the rows are materialized — the
-    election runs eagerly, here. The returned pages Dataset is lazy:
+    Each segment is walked once, in a plain Ray task
+    (``sources/warc.walk_segments``) that reads the raw file and keeps
+    one slim ``LOCATOR_SCHEMA`` row per content record (url, warc_ts,
+    segment index, byte span): the walk runs eagerly, here, and its
+    output feeds only the election, so it pays no Ray Data execution.
+    The driver fetches the row counts; the returned pages Dataset is lazy:
     ``FetchRecords`` reads only the winners' spans, so a losing
     capture's body is never read past the first walk, and no page body
     enters a shuffle.
 
-    At or below ``broadcast_max`` locator rows the election runs on the
-    driver and the winners go out as one block per segment that holds
-    any (one fetch-and-extract task each). Rows tied at the max
-    ``warc_ts`` all survive: their tie-break (``n_chars``) is an
-    extraction output, so the post-extract dedup is needed only when
+    At or below ``broadcast_max`` locator rows the driver fetches the
+    locator tables, elects, and sends the winners out as one block per
+    segment that holds any (one fetch-and-extract task each). Rows tied
+    at the max ``warc_ts`` all survive: their tie-break (``n_chars``) is
+    an extraction output, so the post-extract dedup is needed only when
     some url keeps more than one capture. Above the threshold the
     election runs per bucket of one keyed exchange of the locator rows
-    and the post-extract dedup always runs.
+    and the post-extract dedup always runs; the locator tables go into
+    it by reference and never reach the driver.
     """
     from ..sources.warc import (
         FetchRecords,
         locate_records,
-        read_segments,
+        walk_segments,
         warc_paths,
     )
 
     paths = warc_paths(warc_dir)
-    if not paths:
-        return None, False
-    slim = read_segments(paths, locate_records).materialize()
-    n_rows = slim.count()
+    counts, slim = walk_segments(paths, locate_records)
+    n_rows = sum(counts)
     if n_rows == 0:
         return None, False
     if n_rows <= broadcast_max:
-        win = _at_latest(pa.concat_tables(ray.get(slim.to_arrow_refs())))
+        win = _at_latest(pa.concat_tables(ray.get(slim)))
         ties = win.num_rows > pc.count_distinct(win.column("url")).as_py()
         segs = win.column("seg").to_numpy()
         cuts = [0, *(np.flatnonzero(np.diff(segs)) + 1), len(segs)]
         winners = ray.data.from_arrow(
             [win.slice(a, b - a) for a, b in zip(cuts, cuts[1:])])
     else:
-        winners = by_bucket(slim, "url", _at_latest)
+        winners = by_bucket(ray.data.from_arrow_refs(
+            [t for n, t in zip(counts, slim) if n]), "url", _at_latest)
         ties = True
     return winners.map_batches(FetchRecords(paths), batch_format="pyarrow",
                                zero_copy_batch=True), ties
@@ -191,9 +195,10 @@ def warc_extraction_pipeline(warc_dir: str,
 
     With ``dedup`` the keep-latest election runs BEFORE extraction, on
     slim record-locator rows (``latest_captures``): the segment walk
-    and the election run eagerly when this function is called, and
-    only the winners' bytes are read again, at their locators, and
-    extracted — two Ray executions with ``out_dir``.
+    (plain Ray tasks, one per segment) and the election run eagerly
+    when this function is called, and only the winners' bytes are read
+    again, at their locators, and extracted — one Ray Data execution
+    with ``out_dir``.
     ``dedup_latest_by_ts`` then runs after extraction only when the
     election left equal-max-``warc_ts`` ties (or took its bucketed
     branch); otherwise it would keep every row. Without ``dedup`` the

@@ -15,10 +15,16 @@ into pages-schema rows, Ray-Data-first:
 or, when only some captures are wanted (the keep-latest election of
 ``pipelines/extract_pipeline.latest_captures``), in two passes:
 
-    read_segments(paths, locate_records)   # slim locator rows
+    walk_segments(paths, locate_records)   # slim locator rows: plain
+                                           # Ray tasks, the same read
       ... pick the wanted rows ...
     map_batches(FetchRecords(paths))       # seek + read + inflate just
                                            # those records
+
+A pass whose output only feeds the driver (the election's locator
+walk) runs as plain Ray tasks, not as a Ray Data execution: at
+``num_cpus=1`` an execution costs ~35-40 ms plus ~9 ms per task, a plain
+task ~1 ms (``scripts/ray_floor.py``).
 
 Scale shape: path discovery is driver-side metadata only; each read
 task opens one segment, reads its raw bytes and walks them (never
@@ -36,7 +42,8 @@ segment file, plus ``(rec_start, rec_end)``, the record's range in the
 span's inflated bytes. A plain ``.warc`` span is the record itself; in
 a record-gzipped ``.warc.gz`` it is the gzip member holding the record;
 a record that crosses member boundaries (a whole-file gzip split into
-several members) gets the whole file as its span.
+several members) gets the whole file as its span. The locator walk
+inflates a record-gzipped segment one member at a time.
 
 ``.warc.gz`` handling: Common Crawl gzips PER RECORD and concatenates
 the members; whole-file gzip also appears in the wild. Every reader
@@ -140,16 +147,21 @@ def _walk_records(payload: bytes,
     ``Content-Length``. Malformed tails degrade to stopping (everything
     parsed so far is kept): a truncated last block ends at the end of
     ``payload``; a missing, unparseable or negative ``Content-Length``
-    ends the walk — the never-raise ingestion contract.
+    ends the walk — the never-raise ingestion contract. The generator
+    returns ``(stop, walked)``: the offset the walk stopped at
+    (``len(payload)`` when it ended exactly at the end of the last
+    record or separator, past it when a block was cut short, before it
+    when the walk stopped early) and the number of records, of any
+    type, it walked.
     """
     pos = 0
     n_total = len(payload)
-    for _ in range(max_records):
+    for walked in range(max_records):
         if pos >= n_total or not payload.startswith(b"WARC/", pos):
-            return
+            return pos, walked
         head_end = payload.find(b"\r\n\r\n", pos)
         if head_end < 0:
-            return
+            return pos, walked
         headers: dict[bytes, bytes] = {}
         for line in payload[pos:head_end].split(b"\r\n")[1:]:
             k, _, v = line.partition(b":")
@@ -157,9 +169,9 @@ def _walk_records(payload: bytes,
         try:
             n = int(headers.get(b"content-length", b""))
         except ValueError:
-            return   # unskippable record: stop (no way to find the next)
+            return pos, walked   # unskippable: no way to find the next
         if n < 0:
-            return
+            return pos, walked
         body_start = head_end + 4
         end = min(body_start + n, n_total)
         if headers.get(b"warc-type", b"") in _CONTENT_TYPES:
@@ -170,6 +182,7 @@ def _walk_records(payload: bytes,
             pos += 4
         elif payload.startswith(b"\r\n", pos):
             pos += 2
+    return pos, max_records
 
 
 def _target(headers: dict[bytes, bytes]) -> str:
@@ -300,6 +313,31 @@ def _read_segment(walk, seg: int, path: str) -> list[pa.Table]:
         return [walk(seg, path, f.read())]
 
 
+def _counted_walk(walk, seg: int, path: str) -> tuple[int, pa.Table]:
+    [table] = _read_segment(walk, seg, path)
+    return table.num_rows, table
+
+
+@functools.cache
+def _counted_walk_task():
+    import ray
+    return ray.remote(num_returns=2)(_counted_walk)
+
+
+def walk_segments(paths: list[str], walk) -> tuple[list[int], list]:
+    """The segment walk as plain Ray tasks, for a pass whose output only
+    feeds the driver: one task per segment runs ``_read_segment(walk,
+    seg, path)`` (the raw-bytes read of ``read_segments``) and returns
+    the table's row count and the table as two objects. Returns the
+    counts, fetched, and the table refs, not fetched (see the module
+    notes for why this is not a Ray Data execution)."""
+    import ray
+
+    task = _counted_walk_task()
+    refs = [task.remote(walk, seg, path) for seg, path in enumerate(paths)]
+    return ray.get([n for n, _ in refs]), [t for _, t in refs]
+
+
 def read_segments(paths: list[str], walk) -> "ray.data.Dataset":
     """One Ray read task per segment: it opens ``paths[seg]``, reads the
     file's RAW bytes and returns ``walk(seg, path, raw)``, an Arrow
@@ -366,28 +404,86 @@ LOCATOR_SCHEMA = pa.schema([
 ])
 
 
+def _locator(h: dict[bytes, bytes], *span) -> tuple:
+    return (_target(h), _parse_warc_date(h.get(b"warc-date", b"")), *span)
+
+
+def _whole_records(data: bytes, max_records: int) -> tuple | None:
+    """``(records, walked)`` of ``_walk_records(data, max_records)``
+    when the walk ends exactly at the end of ``data``, else None (a
+    record or its separator runs past it, or the walk stopped early)."""
+    recs: list = []
+    walk = _walk_records(data, max_records)
+    try:
+        while True:
+            recs.append(next(walk))
+    except StopIteration as done:
+        stop, walked = done.value
+        return (recs, walked) if stop == len(data) else None
+
+
+def _joined_locators(raw: bytes, members, base: int, max_records: int):
+    """Locators of the records in ``members`` (``_gzip_members``
+    triples) walked as one inflated stream that starts ``base`` bytes
+    into the segment's inflated bytes: a record inside one member is
+    addressed by that member, one that crosses members by the whole
+    file."""
+    spans, parts = [], []
+    for start, end, data in members:
+        if data:
+            spans.append((start, end))
+            parts.append(data)
+    ends = list(itertools.accumulate(map(len, parts)))
+    data = b"".join(parts)
+    del parts
+    for start, _, end, h in _walk_records(data, max_records):
+        i = bisect.bisect_right(ends, start)   # the member holding it
+        lo = ends[i - 1] if i else 0
+        yield _locator(h, *((*spans[i], start - lo, end - lo)
+                            if end <= ends[i]
+                            else (0, len(raw), base + start, base + end)))
+
+
 def _locators(raw: bytes):
     """``(url, warc_ts, start, end, rec_start, rec_end)`` of every
-    content record of one raw segment (see the module notes)."""
-    data, spans, ends = raw, [], []
-    if raw[:2] == _GZ_MAGIC:
-        parts = []
-        for start, end, inflated in _gzip_members(raw):
-            spans.append((start, end))
-            parts.append(inflated)
-        ends = list(itertools.accumulate(map(len, parts)))
-        data = b"".join(parts)
-        del parts
-    for start, _, end, h in _walk_records(data):
-        if not spans:
-            span = (start, end, 0, end - start)
-        else:
-            i = bisect.bisect_right(ends, start)   # the member holding it
-            lo = ends[i - 1] if i else 0
-            span = ((*spans[i], start - lo, end - lo) if end <= ends[i]
-                    else (0, len(raw), start, end))
-        yield (_target(h), _parse_warc_date(h.get(b"warc-date", b"")),
-               *span)
+    content record of one raw segment (see the module notes).
+
+    A gzip segment is walked one member at a time, so a record-gzipped
+    segment holds at most two members' inflated bytes at once. From the
+    first member whose walk does not end exactly at its end (a record
+    crosses members: whole-file gzip, split members, a truncated tail;
+    or the segment's record cap ran out) the rest of the segment is
+    walked joined, starting one member earlier: a record separator may
+    straddle that boundary."""
+    if raw[:2] != _GZ_MAGIC:
+        for start, _, end, h in _walk_records(raw):
+            yield _locator(h, start, end, 0, end - start)
+        return
+    members = _gzip_members(raw)
+    # the last member walked: (member, its locators, base and budget
+    # at its start); its locators wait until the next member is whole
+    held, base, budget = None, 0, MAX_RECORDS_PER_SEGMENT
+    for member in members:
+        start, end, data = member
+        if not data:
+            continue
+        whole = _whole_records(data, budget)
+        if whole is None:
+            first = [member]
+            if held:
+                first, (base, budget) = [held[0], member], held[2:]
+            yield from _joined_locators(
+                raw, itertools.chain(first, members), base, budget)
+            return
+        if held:
+            yield from held[1]
+        recs, walked = whole
+        held = (member, [_locator(h, start, end, s, e)
+                         for s, _, e, h in recs], base, budget)
+        base += len(data)
+        budget -= walked
+    if held:
+        yield from held[1]
 
 
 def locate_records(seg: int, path: str, raw: bytes) -> pa.Table:

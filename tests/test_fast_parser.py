@@ -33,6 +33,11 @@ EDGE_CASES = [
     "<p>bad attr <span class=>x</span></p>",
     "<<<not html at all>>>",
     "",
+    # rawtext whose content opens a comment / CDATA that its close tag cuts
+    "<script>a<!--</script><p>hello world</p>-->",
+    "<style>a<!--</style><p>x</p><p>two</p>",
+    "<script>x=\"<!--\"</script><p>hello</p><!-- c --><p>after</p>",
+    "<script>s=\"<![CDATA[\"</script><p>cdata</p>",
 ]
 
 

@@ -14,6 +14,7 @@ import pytest
 from full_text_extractor_v6_ray.sources.warc import (
     LOCATOR_SCHEMA,
     MAX_INFLATED_BYTES,
+    MAX_RECORDS_PER_SEGMENT,
     FetchRecords,
     WarcToPages,
     build_warc_segment,
@@ -526,6 +527,72 @@ def test_locators_address_every_segment_shape(tmp_path):
     assert (0, sizes[3]) in spans and len(set(spans)) > 1
 
 
+def test_locator_walk_holds_one_member_at_a_time():
+    """On a record-gzipped segment the locator walk inflates one member
+    at a time: its Python-heap peak stays under half the segment's
+    inflated size (joining the members first costs twice that size)."""
+    import random
+    import tracemalloc
+
+    rng = random.Random(7)
+    raw = build_warc_segment(
+        [(f"https://ex.com/{i}", EPOCH, rng.randbytes(4096))
+         for i in range(300)], gzip_members=True)
+    inflated = len(gunzip_members(raw))
+    locate_records(0, "s.warc.gz", raw)   # one-time imports and caches
+    tracemalloc.start()
+    try:
+        n = locate_records(0, "s.warc.gz", raw).num_rows
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert n == 300
+    assert peak < inflated / 2, (peak, inflated)
+
+
+def test_member_wise_locators_match_the_joined_walk():
+    """Walking gzip members one at a time gives the locators of one
+    walk over all inflated members, wherever the member cuts fall:
+    between records, inside one, or inside a record separator."""
+    import random
+    import re
+
+    from full_text_extractor_v6_ray.sources import warc
+
+    rng = random.Random(3)
+    for _ in range(300):
+        plain = build_warc_segment(
+            [(f"https://ex.com/{i}", EPOCH,
+              bytes(rng.choice(b"ab\r\n") for _ in range(rng.randint(0, 9))))
+             for i in range(rng.randint(1, 5))],
+            warcinfo=rng.random() < 0.5)
+        if rng.random() < 0.3:   # lone \r\n record separators
+            plain = plain.replace(b"\r\n\r\nWARC/", b"\r\nWARC/")
+        near = sorted({min(max(m.start() + d, 0), len(plain))
+                       for m in re.finditer(b"WARC/", plain)
+                       for d in (-4, -2, 0, 2, 7)})
+        cuts = sorted({0, len(plain), *rng.sample(
+            near, min(len(near), rng.randint(1, 5)))})
+        raw = b"".join(gzip.compress(plain[a:b], mtime=0)
+                       for a, b in zip(cuts, cuts[1:]))
+        joined = warc._joined_locators(raw, warc._gzip_members(raw), 0,
+                                       MAX_RECORDS_PER_SEGMENT)
+        assert list(warc._locators(raw)) == list(joined), cuts
+
+
+def test_locator_walk_keeps_the_segment_record_cap(monkeypatch):
+    """``MAX_RECORDS_PER_SEGMENT`` caps the records walked in the whole
+    segment, not in each gzip member: the member-wise locator walk
+    stops where the joined walk stops."""
+    from full_text_extractor_v6_ray.sources import warc
+
+    raw = build_warc_segment(_recs(6), gzip_members=True)
+    monkeypatch.setattr(warc, "MAX_RECORDS_PER_SEGMENT", 3)
+    urls = locate_records(0, "s.warc.gz", raw).column("url").to_pylist()
+    assert urls == [u for u, _, _ in iter_warc_records(
+        gunzip_members(raw), max_records=3)] == [r[0] for r in _recs(2)]
+
+
 def test_fetch_records_matches_the_segment_walk(tmp_path):
     """Reading each record back at its locator gives the row the full
     segment walk gives, for every segment shape."""
@@ -597,21 +664,90 @@ def test_warc_pipeline_matches_extract_then_dedup(ray_session, tmp_path,
     assert "tied and much longer" in tie["extracted_text"]
 
 
-def test_warc_pipeline_is_two_executions(ray_session, tmp_path,
-                                         count_executions):
-    """The locator walk and the fetch-extract-write: two Ray
-    executions, one walk of each segment."""
+def test_warc_pipeline_is_one_execution(ray_session, tmp_path,
+                                        count_executions, monkeypatch):
+    """The locator walk runs as plain Ray tasks, one per segment, and
+    the fetch-extract-write is the one Ray Data execution."""
     from full_text_extractor_v6_ray.pipelines import (
         warc_extraction_pipeline,
     )
+    from full_text_extractor_v6_ray.sources import warc
 
-    for s in range(2):
+    walks = []
+
+    def spy(paths, walk):
+        counts, refs = real(paths, walk)
+        walks.append((len(paths), counts, len(refs)))
+        return counts, refs
+
+    real = warc.walk_segments
+    monkeypatch.setattr(warc, "walk_segments", spy)
+    for s in range(3):
         (tmp_path / f"s{s}.warc").write_bytes(build_warc_segment(
             [(f"https://ex.com/{i}", EPOCH + datetime.timedelta(days=s),
               _page(f"{i} {s}")) for i in range(4)]))
     count_executions.clear()
     warc_extraction_pipeline(str(tmp_path), out_dir=str(tmp_path / "out"))
-    assert len(count_executions) == 2, count_executions
+    assert len(count_executions) == 1, count_executions
+    assert walks == [(3, [4, 4, 4], 3)]
+
+
+@pytest.mark.parametrize("broadcast_max", ["default", 0])
+def test_locator_tables_reach_the_driver_only_at_or_below_broadcast_max(
+        ray_session, tmp_path, monkeypatch, broadcast_max):
+    """Above ``broadcast_max`` every value ``latest_captures`` fetches
+    is a row count or Ray metadata, never a locator table: the tables
+    go from the walk tasks into the bucketed election by reference. At
+    or below it the driver fetches them (the spy's positive control)."""
+    import ray
+
+    from full_text_extractor_v6_ray.pipelines.extract_pipeline import (
+        latest_captures,
+    )
+
+    _recrawl_segments(tmp_path)
+    kwargs = {} if broadcast_max == "default" else {"broadcast_max": 0}
+    got = []
+
+    def spy(refs, *args, **kw):
+        out = real(refs, *args, **kw)
+        got.append(out)
+        return out
+
+    real = ray.get
+    with monkeypatch.context() as m:
+        m.setattr(ray, "get", spy)
+        pages, _ = latest_captures(str(tmp_path), **kwargs)
+    assert got[0] == [3, 3]   # the walk's row counts, one per segment
+    tables = [v for out in got for v in
+              (out if isinstance(out, list) else [out])
+              if isinstance(v, pa.Table)]
+    if broadcast_max == "default":
+        assert sum(t.num_rows for t in tables) == 6
+    else:
+        assert tables == []
+    assert pages.count() == 4
+
+
+def test_warcinfo_only_segments_elect_nothing(ray_session, tmp_path):
+    """Segments holding only ``warcinfo`` records have no content record
+    to elect: ``latest_captures`` gives ``(None, False)`` and the
+    pipeline an empty Dataset with the extracted schema."""
+    from full_text_extractor_v6_ray.pipelines import (
+        warc_extraction_pipeline,
+    )
+    from full_text_extractor_v6_ray.pipelines.extract_pipeline import (
+        latest_captures,
+    )
+    from full_text_extractor_v6_ray.stages.extract import EXTRACTED_SCHEMA
+
+    (tmp_path / "s0.warc").write_bytes(build_warc_segment([]))
+    (tmp_path / "s1.warc.gz").write_bytes(
+        build_warc_segment([], gzip_members=True))
+    assert latest_captures(str(tmp_path)) == (None, False)
+    out = warc_extraction_pipeline(str(tmp_path))
+    assert out.count() == 0
+    assert out.schema().base_schema == EXTRACTED_SCHEMA
 
 
 def test_warc_pipeline_extracts_one_task_per_winning_segment(ray_session,
