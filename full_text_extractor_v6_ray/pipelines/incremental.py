@@ -13,16 +13,19 @@ pages stream):
     manifest/round-{k-1} ──▶ SortedKeyIndex(url) + hash, built and
                              ray.put ONCE per round on the driver
                                                          │
-    pages_k ──▶ per batch, in the task that read it:     ▼
-                md5(html) ──▶ (url, hash) part ──▶ manifest/round-k.tmp
-                probe prev: keep new + changed rows only
-            ──▶ extract ──▶ out/<state>/delta/round-k/ (+ round col)
-    driver: stream the tmp parts' urls into a "seen" bitmap over prev
-            ──▶ unseen prev urls ──▶ out/<state>/tombstones/round-k/
+    pages_k ──▶ ONE map_batches UDF per batch, in the    ▼
+                task that read it:
+                md5(html) ──▶ (url, hash) part ──▶ manifest/round-k.tmp/
+                index.positions ──▶ new + changed rows ──▶ extract
+                    ──▶ (+ round col) part ──▶ delta/round-k/
+                returns one summary row: rows, work rows and the prev
+                positions its urls matched
+    driver: sum the summaries; mark the positions in a bitmap over prev
+            ──▶ unmarked prev urls ──▶ tombstones/round-k/
 
   n_prev > BROADCAST_MAX — the exchange path:
 
-    pages_k ──(url, md5(html)) slim rows──▶ manifest/round-k.tmp
+    pages_k ──(url, md5(html)) parts──▶ manifest/round-k.tmp
     snapshot_diff(prev, cur): ONE bucketed exchange; its blocks write
       the tombstones and keep only the work urls (materialized)
     pages_k ── filter_to_keys(work urls) ──▶ extract ──▶ delta/round-k/
@@ -30,14 +33,20 @@ pages stream):
   either way: manifest/round-k.tmp ──rename──▶ manifest/round-k/
               (url → hash, full; the rename is the commit point)
 
+Every file a round writes is one ``pq.write_table`` part named after
+its first url (``_write_part``), written where its rows are made: a
+retried task rewrites its own file, and no Ray ``Write`` operator runs.
+
 Ray executions per round: 1 on the probe path (bootstrap included: its
-prev is empty); 3 on the exchange path (slim write, diff, extract +
-delta write), plus ``filter_to_keys``'s one-row schema probe when the
+prev is empty), one fused read -> ``cdc_round`` operator with one task
+per read block; 3 on the exchange path (manifest parts, diff, extract +
+delta parts), plus ``filter_to_keys``'s one-row schema probe when the
 work urls join lazily built pages. With ``slim=`` rows (a CDX index)
-the probe runs over the slim rows, writing the manifest parts and
-materializing the work urls, and the pages are read once, filtered to
-them: 2 executions. The status counts need no pass of their own: they
-follow from the manifest, tombstone and delta row counts.
+each slim block is probed in a plain Ray task that writes its manifest
+part and returns its summary and, by reference, its work urls; the
+pages are then read once, filtered to them: 2 executions. The status
+counts need no pass of their own: they follow from the summaries (and,
+on the exchange path, the tombstone row counts).
 
 Consumers read base+deltas (``read_current_corpus``) — the standard CDC
 contract; unchanged rows are never copied forward, so a round's compute
@@ -55,6 +64,7 @@ is a no-op (idempotence test).
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -70,9 +80,9 @@ import ray.data
 
 from ..config import DEFAULT_CONFIG, ExtractConfig
 from ..stages.crawl import snapshot_diff
+from ..stages.extract import ExtractBatch
 from ..stages.hashing import md5_hex
 from ..stages.joins import BROADCAST_MAX, SortedKeyIndex, filter_to_keys
-from .extract_pipeline import extract_pages
 
 
 def _rounds(state_dir: str) -> list[int]:
@@ -98,8 +108,9 @@ def _manifest_meta(state_dir: str, k: int) -> dict | None:
 
 def _fresh_dir(path: str) -> str:
     """rmtree+makedirs: a re-run after a mid-round crash must not leave
-    the crashed attempt's partial uuid-named parquet files beside the
-    new ones (write_parquet appends, it never clears)."""
+    the crashed attempt's parts beside the new ones (an attempt over
+    other pages names its parts after other urls, so this one would
+    never overwrite them)."""
     shutil.rmtree(path, ignore_errors=True)
     os.makedirs(path)
     return path
@@ -107,6 +118,13 @@ def _fresh_dir(path: str) -> str:
 
 _WORK = pa.array(["changed", "new"], pa.string())
 _SLIM = pa.schema([("url", pa.string()), ("hash", pa.string())])
+# one row per batch a round task handled: its rows, its new and changed
+# rows, its null urls (a batch holding one is refused: nothing of it is
+# written) and, on the probe path, the previous manifest's positions its
+# urls matched (int32 holds every position under BROADCAST_MAX)
+_SUMMARY = pa.schema([("rows", pa.int64()), ("work", pa.int64()),
+                      ("null_urls", pa.int64()),
+                      ("seen", pa.list_(pa.int32()))])
 
 
 def incremental_extraction_round(
@@ -123,14 +141,16 @@ def incremental_extraction_round(
     the manifest rows, tombstones and delta go into per-round dirs
     first, then ``_meta.json`` and one tmp→rename of the manifest dir
     (the commit record), so a crashed round is invisible and re-runs
-    cleanly.
+    cleanly. A null url fails the round with ``ValueError`` before it
+    commits; the batch holding it writes no part.
 
     The diff is dispatched on the previous manifest's row count: at or
     below ``broadcast_max`` its url → hash lookup is built once on the
     driver and broadcast, and every page batch is hashed, written to
-    the manifest and filtered to its new and changed rows in the task
-    that read it (one execution); above it the slim rows go through one
-    bucketed exchange that moves no url row to the driver.
+    the manifest, filtered to its new and changed rows, extracted and
+    written to the delta in the task that read it (one execution); above
+    it the slim rows go through one bucketed exchange that moves no url
+    row to the driver.
 
     ``hash_col`` names a crawler-recorded content-hash column (e.g. the
     ``payload_digest`` column ``read_warc_dir(include_digest=True)``
@@ -197,36 +217,77 @@ def incremental_extraction_round(
     prev_dir = (os.path.join(state_dir, "manifest", f"round-{done[-1]}")
                 if done else None)
     n_prev = _parquet_rows(prev_dir) if done else 0
+    extract = ExtractBatch(cfg)
+
+    # the closures below run in Ray tasks, pickled by value with the
+    # module-level names they call as bound on the driver, so a name
+    # patched there (the fault tests' kill points) is what a task calls
+    def write_manifest(batch: pa.Table) -> pa.Array | None:
+        """Hash ``batch`` and write its (url, hash) manifest part; None,
+        writing nothing, when a url is null (a null key matches nothing,
+        so no round could diff it)."""
+        urls = batch.column("url")
+        if urls.null_count:
+            return None
+        h = content_hash(batch)
+        _write_part(man_tmp, pa.table({"url": urls, "hash": h}))
+        return h
+
+    def write_delta(work: pa.Table) -> pa.Table:
+        """Extract ``work``, write it as one delta part; its summary."""
+        if work.num_rows:
+            _write_part(delta_dir, _with_round(extract(work), k))
+        return _summary(work.num_rows, work.num_rows)
+
+    def delta_parts(work_pages: "ray.data.Dataset") -> None:
+        ray.get(_block_refs(work_pages.map_batches(
+            write_delta, batch_format="pyarrow", zero_copy_batch=True)))
 
     if n_prev <= broadcast_max:
         index, prev_hash = _prev_lookup(prev_dir)
         ref = ray.put((index, prev_hash))
 
-        def probe(batch: pa.Table) -> pa.Table:
-            urls, h = batch.column("url"), content_hash(batch)
-            if len(urls):
-                pq.write_table(pa.table({"url": urls, "hash": h}),
-                               _part_path(man_tmp, urls))
-            return batch.filter(_new_or_changed(ray.get(ref), urls, h))
+        def probe(batch: pa.Table) -> tuple[pa.Table, pa.Table]:
+            """Write the batch's manifest part; its summary and its new
+            and changed rows."""
+            h = write_manifest(batch)
+            if h is None:
+                return _refused(batch), batch.slice(0, 0)
+            index, prev_hash = ray.get(ref)
+            at = index.positions(batch.column("url"))
+            work = batch.filter(_new_or_changed(prev_hash, at, h))
+            summary = _summary(batch.num_rows, work.num_rows, at[at >= 0])
+            return summary, work
 
         if slim is None:
-            work_pages = pages.map_batches(probe, batch_format="pyarrow",
-                                           zero_copy_batch=True)
+            def cdc_round(batch: pa.Table) -> pa.Table:
+                summary, work = probe(batch)
+                write_delta(work)
+                return summary
+
+            n_cur, n_work, seen = _totals(ray.get(_block_refs(
+                pages.map_batches(cdc_round, batch_format="pyarrow",
+                                  zero_copy_batch=True))))
         else:
-            work = slim.map_batches(
-                lambda b: probe(b).select(["url"]),
-                batch_format="pyarrow", zero_copy_batch=True).materialize()
-            work_pages = filter_to_keys(pages, work, "url", work.count(),
-                                        broadcast_max=broadcast_max)
-        _write_delta(work_pages, delta_dir, k, cfg)
-        _write_gone(index, man_tmp, tomb_dir, k)
+            n_cur, n_work, seen, work = _probe_slim(slim, probe,
+                                                    broadcast_max)
+            delta_parts(filter_to_keys(pages, work, "url", n_work,
+                                       broadcast_max=broadcast_max))
+        hit = np.zeros(len(index), bool)
+        hit[seen] = True
+        gone = index.keys.filter(pa.array(~hit))
+        _write_part(tomb_dir, _with_round(pa.table({"url": gone}), k))
+        n_gone = len(gone)
     else:
-        rows = pages if slim is None else slim
-        rows.map_batches(
-            lambda b: pa.table({"url": b.column("url"),
-                                "hash": content_hash(b)}),
-            batch_format="pyarrow", zero_copy_batch=True
-        ).write_parquet(man_tmp)
+        def manifest_part(batch: pa.Table) -> pa.Table:
+            if write_manifest(batch) is None:
+                return _refused(batch)
+            return _summary(batch.num_rows)
+
+        n_cur, _, _ = _totals(ray.get(_block_refs(
+            (pages if slim is None else slim).map_batches(
+                manifest_part, batch_format="pyarrow",
+                zero_copy_batch=True))))
         work, n_work = _diff_distributed(prev_dir, man_tmp, tomb_dir, k)
         # the normal recrawl regime: the delta is a few percent of the
         # corpus, so the work urls broadcast once and pages filter
@@ -234,12 +295,10 @@ def incremental_extraction_round(
         # all pages through the semi-join exchange measured 10.6 s vs
         # full extraction's 11.0 s at 500k pages). A mass-change round
         # falls back to the bucketed semi-join (pages cross once).
-        _write_delta(filter_to_keys(pages, work, "url", n_work,
-                                    broadcast_max=broadcast_max),
-                     delta_dir, k, cfg)
-    # extraction emits one row per page, so the delta rows are the work
-    counts = _counts(n_prev, _parquet_rows(man_tmp),
-                     _parquet_rows(delta_dir), _parquet_rows(tomb_dir))
+        delta_parts(filter_to_keys(pages, work, "url", n_work,
+                                   broadcast_max=broadcast_max))
+        n_gone = _parquet_rows(tomb_dir)
+    counts = _counts(n_prev, n_cur, n_work, n_gone)
 
     # the manifest rename is the commit point: until it lands, readers
     # (``_rounds``) see neither this round's delta nor its tombstones.
@@ -260,13 +319,74 @@ def incremental_extraction_round(
     }
 
 
-def _write_delta(work_pages: "ray.data.Dataset", delta_dir: str, k: int,
-                 cfg: ExtractConfig) -> None:
-    extract_pages(work_pages, cfg=cfg).map_batches(
-        lambda b: b.append_column(
-            "round", pa.array([k] * b.num_rows, pa.int64())),
-        batch_format="pyarrow", zero_copy_batch=True
-    ).write_parquet(delta_dir)
+def _summary(rows: int, work: int = 0, seen=(),
+             null_urls: int = 0) -> pa.Table:
+    """One ``_SUMMARY`` row."""
+    seen = pa.array(seen, pa.int32())
+    return pa.Table.from_arrays(
+        [pa.array([rows], pa.int64()), pa.array([work], pa.int64()),
+         pa.array([null_urls], pa.int64()),
+         pa.ListArray.from_arrays(pa.array([0, len(seen)], pa.int32()),
+                                  seen)], schema=_SUMMARY)
+
+
+def _refused(batch: pa.Table) -> pa.Table:
+    """The summary of a batch that holds a null url."""
+    return _summary(0, null_urls=batch.column("url").null_count)
+
+
+def _block_refs(ds: "ray.data.Dataset") -> list:
+    """Execute ``ds``: its block refs, from one execution with no schema
+    probe (``to_arrow_refs`` runs a ``limit=1`` one when a block carries
+    no schema)."""
+    return [ref for bundle in ds.iter_internal_ref_bundles()
+            for ref in bundle.block_refs]
+
+
+def _totals(summaries: list) -> tuple[int, int, np.ndarray]:
+    """(rows, work rows, matched prev positions) summed over the
+    batches' summaries; a null url fails the round here, on the driver,
+    before its tombstones or its commit are written. An empty input runs
+    no batch and sums to zero."""
+    t = pa.concat_tables([_SUMMARY.empty_table()]
+                         + [s for s in summaries if len(s)])
+    nulls = pc.sum(t.column("null_urls")).as_py()
+    if nulls:
+        raise ValueError(
+            f"{nulls} input row(s) have a null url: a round keys every "
+            "page by its url; drop or fill them first")
+    return (pc.sum(t.column("rows")).as_py() or 0,
+            pc.sum(t.column("work")).as_py() or 0,
+            pc.list_flatten(t.column("seen")).to_numpy())
+
+
+@functools.cache
+def _probe_slim_task():
+    return ray.remote(num_returns=2)(_probe_slim_block)
+
+
+def _probe_slim_block(probe, block) -> tuple[pa.Table, pa.Table]:
+    from ray.data.block import BlockAccessor
+
+    summary, work = probe(BlockAccessor.for_block(block).to_arrow())
+    return summary, work.select(["url"])
+
+
+def _probe_slim(slim: "ray.data.Dataset", probe, broadcast_max: int):
+    """``probe`` over each block of the slim rows, in one plain Ray task
+    per block (the slim rows' own execution is the only Ray Data one):
+    (rows, work rows, matched prev positions) and the work urls, as
+    an array on the driver at or below ``broadcast_max`` rows, else as
+    a Dataset by reference."""
+    task, fn = _probe_slim_task(), ray.put(probe)
+    outs = [task.remote(fn, ref) for ref in _block_refs(slim)]
+    n_cur, n_work, seen = _totals(ray.get([s for s, _ in outs]))
+    refs = [w for _, w in outs]
+    if n_work > broadcast_max:
+        return n_cur, n_work, seen, ray.data.from_arrow_refs(refs)
+    urls = pa.chunked_array([t.column("url") for t in ray.get(refs)],
+                            pa.string()).combine_chunks()
+    return n_cur, n_work, seen, urls
 
 
 def _prev_lookup(prev_dir: str | None) -> tuple[SortedKeyIndex, pa.Array]:
@@ -279,29 +399,13 @@ def _prev_lookup(prev_dir: str | None) -> tuple[SortedKeyIndex, pa.Array]:
             prev.column("hash").combine_chunks())
 
 
-def _new_or_changed(prev: tuple[SortedKeyIndex, pa.Array], urls,
+def _new_or_changed(prev_hash: pa.Array, at: np.ndarray,
                     h: pa.Array) -> pa.Array:
-    """Mask of the (url, hash) rows whose url is not in the previous
-    manifest or whose hash differs from the one it recorded."""
-    index, prev_hash = prev
-    at = index.positions(urls)
+    """Mask of the rows whose url is not in the previous manifest (its
+    position there, ``at``, is -1) or whose hash ``h`` differs from the
+    one it recorded."""
     was = pc.take(prev_hash, pa.array(at, mask=at < 0))
     return pc.fill_null(pc.not_equal(was, h), True)
-
-
-def _write_gone(index: SortedKeyIndex, cur_dir: str, tomb_dir: str,
-                k: int) -> None:
-    """Tombstone the previous manifest's urls that no current manifest
-    part holds: each part's url column is read alone, one file at a
-    time, and marks the prev urls it holds in a bitmap."""
-    if not len(index):
-        return
-    seen = np.zeros(len(index), bool)
-    for f in _parquet_files(cur_dir):
-        at = index.positions(pq.read_table(f, columns=["url"])
-                             .column("url"))
-        seen[at[at >= 0]] = True
-    _write_tombstones(index.keys.filter(pa.array(~seen)), tomb_dir, k)
 
 
 def _parquet_files(path: str) -> list[str]:
@@ -324,21 +428,19 @@ def _counts(n_prev: int, n_cur: int, n_work: int, n_gone: int) -> dict:
             "unchanged": unchanged}
 
 
-def _part_path(dirname: str, urls) -> str:
-    """A part file named after its first url: a retried task rewrites
-    its own file, and two tasks never share one (urls are unique)."""
-    name = hashlib.md5(urls[0].as_py().encode()).hexdigest()
-    return os.path.join(dirname, f"part-{name}.parquet")
+def _with_round(table: pa.Table, k: int) -> pa.Table:
+    return table.append_column(
+        "round", pa.array(np.full(table.num_rows, k), pa.int64()))
 
 
-def _write_tombstones(gone, tomb_dir: str, k: int) -> None:
-    """Write the gone urls as one tombstone part (no file when none is
-    gone)."""
-    if len(gone):
-        pq.write_table(
-            pa.table({"url": gone,
-                      "round": pa.array([k] * len(gone), pa.int64())}),
-            _part_path(tomb_dir, gone))
+def _write_part(dirname: str, table: pa.Table) -> None:
+    """Write ``table`` as one part file named after its first url: a
+    retried task rewrites its own file, and two tasks never share one
+    (urls are unique). No file when it has no rows."""
+    if table.num_rows:
+        name = hashlib.md5(table.column("url")[0].as_py().encode())
+        pq.write_table(table, os.path.join(
+            dirname, f"part-{name.hexdigest()}.parquet"))
 
 
 def _diff_distributed(prev_dir: str, cur_dir: str, tomb_dir: str, k: int
@@ -358,8 +460,9 @@ def _diff_distributed(prev_dir: str, cur_dir: str, tomb_dir: str, k: int
         if not diff.num_rows:  # an empty bucket's block may carry no schema
             return pa.table({"url": pa.array([], pa.string())})
         status = diff.column("status")
-        _write_tombstones(diff.filter(pc.equal(status, "gone"))
-                          .column("url"), tomb_dir, k)
+        _write_part(tomb_dir, _with_round(pa.table(
+            {"url": diff.filter(pc.equal(status, "gone")).column("url")}),
+            k))
         return pa.table({"url": diff.filter(pc.is_in(
             status, value_set=_WORK)).column("url")})
 

@@ -1,7 +1,9 @@
 """Incremental recrawl at scale: full round 0 vs a 5%-delta round 1.
 
 Usage: python scripts/incremental_bench.py [n_pages] [num_cpus] [broadcast_max]
-Prints one JSON line. OWNS its Ray session. ``broadcast_max`` (default
+Prints one JSON line, with each timed round's Ray executions as
+``round{0,1}_operators``: per execution, ``[operator, tasks]`` per
+physical operator. OWNS its Ray session. ``broadcast_max`` (default
 ``stages.joins.BROADCAST_MAX``) picks the round's path: 0 forces the
 bucketed exchange (3 Ray executions per recrawl round), a value at or
 above the previous manifest's row count the single-scan probe path (1).
@@ -72,6 +74,10 @@ def _pages(round_tag: str):
                             zero_copy_batch=True)
 
 
+def _operators(executions) -> list:
+    return [[list(op) for op in e.tasks()] for e in executions]
+
+
 def main() -> None:
     import ray
 
@@ -91,12 +97,14 @@ def main() -> None:
         s0 = incremental_extraction_round(_pages("a"), STATE, **KW)
         t0 = round(time.perf_counter() - t, 2)
         x0 = len(executions)
+        ops0 = _operators(executions)
 
         executions.clear()
         t = time.perf_counter()
         s1 = incremental_extraction_round(_pages("b"), STATE, **KW)
         t1 = round(time.perf_counter() - t, 2)
         x1 = len(executions)
+        ops1 = _operators(executions)
 
     # base compaction: accumulate a realistic delta chain (alternating
     # snapshots flip 5% per round -> 16 rounds of churn on disk), time
@@ -129,9 +137,9 @@ def main() -> None:
         "metric": "incremental_round_sec",
         "n_pages": N, "num_cpus": CPUS, **KW,
         "round0_sec": t0, "round0_extracted": s0["extracted_rows"],
-        "round0_executions": x0,
+        "round0_executions": x0, "round0_operators": ops0,
         "round1_sec": t1, "round1_extracted": s1["extracted_rows"],
-        "round1_executions": x1,
+        "round1_executions": x1, "round1_operators": ops1,
         "round1_changed": s1["n_changed"],
         "round1_unchanged": s1["n_unchanged"],
         "delta_fraction": round(s1["extracted_rows"] / N, 4),

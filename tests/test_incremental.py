@@ -36,10 +36,18 @@ def _page_table(rows: dict[str, str]) -> pa.Table:
     })
 
 
-def _pages(rows: dict[str, str]):
+def _blocks(table: pa.Table) -> list[pa.Table]:
+    """``table`` as four blocks: 3 rows, 2 rows, an empty one, the
+    rest."""
+    return [table.slice(0, 3), table.slice(3, 2), table.slice(0, 0),
+            table.slice(5)]
+
+
+def _pages(rows: dict[str, str], split: bool = False):
     import ray.data
 
-    return ray.data.from_arrow(_page_table(rows))
+    table = _page_table(rows)
+    return ray.data.from_arrow(_blocks(table) if split else table)
 
 
 @pytest.fixture()
@@ -146,40 +154,41 @@ _EQ_V3 = {**_EQ_V2, "https://j5.ex/p5": "j body 5 back",
           "https://j3.ex/p3": "j body 3 AGAIN"}
 
 
-def _digest_pages(rows):
+def _digest_pages(rows, split=False):
     # a recorded digest for every page but j1 (md5 fallback row)
-    urls = sorted(rows)
-    dg = pa.array([None if "j1." in u else f"sha1:{rows[u]}"
-                   for u in urls], pa.string())
-    return _pages(rows).map_batches(
-        lambda b: b.append_column("payload_digest", dg),
+    dg = {u: None if "j1." in u else f"sha1:{b}" for u, b in rows.items()}
+    return _pages(rows, split).map_batches(
+        lambda b: b.append_column("payload_digest", pa.array(
+            [dg[u] for u in b.column("url").to_pylist()], pa.string())),
         batch_format="pyarrow")
 
 
-def _slim_rows(rows):
+def _slim_rows(rows, split=False):
     import ray.data
 
     from full_text_extractor_v6_ray.stages.hashing import md5_hex
 
     urls = sorted(rows)
-    return ray.data.from_arrow(pa.table({
+    table = pa.table({
         "url": pa.array(urls, pa.string()),
-        "hash": md5_hex(pa.array([_html(rows[u]) for u in urls]))}))
+        "hash": md5_hex(pa.array([_html(rows[u]) for u in urls]))})
+    return ray.data.from_arrow(_blocks(table) if split else table)
 
 
 _EQ_MODES = {
-    "md5": lambda v: (_pages(v), {}),
-    "hash_col": lambda v: (_digest_pages(v),
-                           {"hash_col": "payload_digest"}),
-    "slim": lambda v: (_pages(v), {"slim": _slim_rows(v)}),
+    "md5": lambda v, split: (_pages(v, split), {}),
+    "hash_col": lambda v, split: (_digest_pages(v, split),
+                                  {"hash_col": "payload_digest"}),
+    "slim": lambda v, split: (_pages(v, split),
+                              {"slim": _slim_rows(v, split)}),
 }
 
 
-def test_incremental_join_fallback_equivalence(ray_session, tmp_path):
-    # broadcast_max=0 forces the bucketed diff and semi-join; the
-    # probe path (broadcast_max large) must give the same
-    # summaries and the same committed delta, tombstones and manifest,
-    # in every hash mode
+def _assert_paths_agree(tmp_path, split):
+    """broadcast_max=0 forces the bucketed diff and semi-join; the
+    probe path (broadcast_max large) must give the same summaries and
+    the same committed delta, tombstones and manifest, in every hash
+    mode."""
     want_counts = [(8, 0, 0, 0), (1, 1, 1, 6), (1, 1, 0, 7)]
     for mode, make in _EQ_MODES.items():
         outs = {}
@@ -187,7 +196,7 @@ def test_incremental_join_fallback_equivalence(ray_session, tmp_path):
             d = str(tmp_path / f"{mode}_{branch}")
             outs[branch] = []
             for v in (_EQ_V1, _EQ_V2, _EQ_V3):
-                pages, kw = make(v)
+                pages, kw = make(v, split)
                 s = incremental_extraction_round(
                     pages, d, broadcast_max=bmax, **kw)
                 outs[branch].append((_summary(s),
@@ -201,6 +210,24 @@ def test_incremental_join_fallback_equivalence(ray_session, tmp_path):
         tombs = [f["tombstones"] for _, f in outs["driver"]]
         assert tombs[0] is None and tombs[2] is None
         assert tombs[1].column("url").to_pylist() == ["https://j5.ex/p5"]
+
+
+def test_incremental_join_fallback_equivalence(ray_session, tmp_path):
+    _assert_paths_agree(tmp_path, split=False)
+
+
+def test_multi_block_path_equivalence(ray_session, tmp_path,
+                                      count_executions):
+    """The same three rounds over four blocks each (3 rows, 2 rows, an
+    empty block, the rest): round 1's gone url (j5) is in no block and
+    the first block holds no work row in rounds 1 and 2, so the prev
+    urls are matched across several tasks, whose matches the driver
+    unites. Both paths must agree."""
+    _assert_paths_agree(tmp_path, split=True)
+    # the probe rounds really ran one task per block
+    tasks = [n for run in count_executions for name, n in run.tasks()
+             if "cdc_round" in name]
+    assert tasks and min(tasks) >= 3, tasks
 
 
 @pytest.mark.parametrize("bmax,limit", [(10**9, 2), (12, 3), (0, 3),
@@ -278,8 +305,9 @@ def test_round_is_one_scan(ray_session, tmp_path, count_executions, mode):
 def test_probe_round_fuses_into_the_read(ray_session, tmp_path,
                                          count_executions):
     """A probe-path round over k parquet files is one execution of ONE
-    fused operator, read -> probe -> extract -> write, with one task per
-    file: no page block crosses the object store between read and
+    fused operator, the read and the round UDF (hash, manifest part,
+    probe, extract, delta part), with one task per file and no Ray
+    ``Write``: no page block crosses the object store between read and
     extract. Two files per cluster CPU keep Ray from splitting the read
     blocks (a split read never fuses)."""
     import pyarrow.parquet as pq
@@ -299,8 +327,7 @@ def test_probe_round_fuses_into_the_read(ray_session, tmp_path,
     [run] = count_executions
     assert run.tasks() == [
         ("Input", 0),
-        ("ReadParquet->MapBatches(probe)->MapBatches(ExtractBatch)"
-         "->MapBatches(<lambda>)->Write", k)], run.tasks()
+        ("ReadParquet->MapBatches(cdc_round)", k)], run.tasks()
 
 
 def test_incremental_trusts_warc_payload_digest(ray_session, tmp_path):
@@ -507,6 +534,38 @@ def test_empty_rounds(ray_session, tmp_path, bmax):
         sorted(v)
 
 
+@pytest.mark.parametrize("bmax", [10**9, 0])
+@pytest.mark.parametrize("where", ["first", "last"])
+def test_null_url_fails_the_round(ray_session, tmp_path, bmax, where):
+    """A page with a null url fails its round with one ValueError,
+    whether it leads its batch or trails it, at bootstrap (probe path)
+    and in round 1 (the exchange path at bmax=0): the batch holding it
+    writes no manifest part, nothing commits, and the same pages
+    without it then commit as usual."""
+    import ray.data
+
+    def with_null(rows):
+        t = _page_table(rows)
+        null = t.slice(0, 1).set_column(0, "url", pa.nulls(1, pa.string()))
+        return ray.data.from_arrow(pa.concat_tables(
+            [null, t] if where == "first" else [t, null]))
+
+    d = str(tmp_path / "n")
+    for k, rows in enumerate((_EQ_V1, _EQ_V2)):
+        with pytest.raises(ValueError, match="null url"):
+            incremental_extraction_round(with_null(rows), d,
+                                         broadcast_max=bmax)
+        assert sorted(os.listdir(os.path.join(d, "manifest"))) == \
+            [f"round-{r}" for r in range(k)] + [f"round-{k}.tmp"]
+        assert os.listdir(os.path.join(d, "manifest",
+                                       f"round-{k}.tmp")) == []
+        s = incremental_extraction_round(_pages(rows), d,
+                                         broadcast_max=bmax)
+        assert s["round"] == k
+    assert (s["n_new"], s["n_changed"], s["n_gone"],
+            s["n_unchanged"]) == (1, 1, 1, 6)
+
+
 def _undisturbed_round_1(tmp_path, bmax):
     d = str(tmp_path / f"undisturbed_{bmax}")
     incremental_extraction_round(_pages(_EQ_V1), d, broadcast_max=bmax)
@@ -516,9 +575,10 @@ def _undisturbed_round_1(tmp_path, bmax):
 
 def test_round_survives_worker_kill_mid_extract(ray_session, tmp_path,
                                                 monkeypatch):
-    """os._exit a worker inside round 1's extract execution (flag-file
-    latch, fires once): Ray retries the task and the round commits the
-    same delta, tombstones and manifest as an undisturbed round."""
+    """os._exit a worker inside round 1's extraction, in the round UDF
+    after the batch's manifest part is written (flag-file latch, fires
+    once): Ray retries the task and the round commits the same delta,
+    tombstones and manifest as an undisturbed round."""
     import full_text_extractor_v6_ray.pipelines.incremental as inc
 
     want, want_corpus = _undisturbed_round_1(tmp_path, 10**9)
@@ -526,21 +586,58 @@ def test_round_survives_worker_kill_mid_extract(ray_session, tmp_path,
     incremental_extraction_round(_pages(_EQ_V1), d)
 
     flag = str(tmp_path / "killed_once")
-    real_extract = inc.extract_pages
 
-    def killing_extract(pages, **kw):
-        def maybe_die(batch: pa.Table) -> pa.Table:
+    class KillingExtract(inc.ExtractBatch):
+        def __call__(self, batch: pa.Table) -> pa.Table:
             if not os.path.exists(flag):
                 with open(flag, "w") as f:
                     f.write("x")
                 os._exit(1)
-            return batch
-        return real_extract(pages, **kw).map_batches(
-            maybe_die, batch_format="pyarrow")
+            return super().__call__(batch)
 
-    monkeypatch.setattr(inc, "extract_pages", killing_extract)
+    monkeypatch.setattr(inc, "ExtractBatch", KillingExtract)
     s = incremental_extraction_round(_pages(_EQ_V2), d)
     assert os.path.exists(flag)  # the kill really happened
+    assert s["round"] == 1 and s["extracted_rows"] == 2
+    _assert_same_commit(_committed(d, 1), want)
+    assert _corpus_table(d).equals(want_corpus)
+
+
+def test_round_survives_worker_kill_after_delta_write(ray_session,
+                                                      tmp_path,
+                                                      monkeypatch):
+    """os._exit a worker right after round 1's task wrote its delta part
+    (flag-file latch, fires once): the retried task rewrites the same
+    part file, and the round commits what an undisturbed round
+    commits."""
+    import full_text_extractor_v6_ray.pipelines.incremental as inc
+
+    want, want_corpus = _undisturbed_round_1(tmp_path, 10**9)
+    d = str(tmp_path / "killed")
+    incremental_extraction_round(_pages(_EQ_V1), d)
+
+    flag = str(tmp_path / "killed_once")
+    written = str(tmp_path / "delta_parts")
+    real_write = inc._write_part
+
+    def killing_write(dirname, table):
+        real_write(dirname, table)
+        if os.path.basename(os.path.dirname(dirname)) != "delta":
+            return
+        with open(written, "a") as f:
+            f.write(f"{sorted(os.listdir(dirname))}\n")
+        if not os.path.exists(flag):
+            with open(flag, "w") as f:
+                f.write("x")
+            os._exit(1)
+
+    monkeypatch.setattr(inc, "_write_part", killing_write)
+    s = incremental_extraction_round(_pages(_EQ_V2), d)
+    assert os.path.exists(flag)  # the kill really happened
+    # both attempts wrote the one part under the same name
+    with open(written) as f:
+        attempts = f.read().splitlines()
+    assert len(attempts) == 2 and attempts[0] == attempts[1], attempts
     assert s["round"] == 1 and s["extracted_rows"] == 2
     _assert_same_commit(_committed(d, 1), want)
     assert _corpus_table(d).equals(want_corpus)
@@ -561,12 +658,12 @@ def test_round_survives_worker_kill_in_probe(ray_session, tmp_path,
     flag = str(tmp_path / "killed_once")
     real_probe = inc._new_or_changed
 
-    def killing_probe(prev, urls, h):
+    def killing_probe(*args):
         if not os.path.exists(flag):
             with open(flag, "w") as f:
                 f.write("x")
             os._exit(1)
-        return real_probe(prev, urls, h)
+        return real_probe(*args)
 
     monkeypatch.setattr(inc, "_new_or_changed", killing_probe)
     s = incremental_extraction_round(_pages(_EQ_V2), d)
