@@ -2157,8 +2157,7 @@ def q_customers_no_events(sf_dir: str):
 
     cust = _read(sf_dir, "customer", columns=["c_custkey"])
     ev = _read(sf_dir, "events", columns=["user_id"])
-    return hash_join(cust, ev, "c_custkey", "user_id", how="anti",
-                     left_schema=pa.schema([("c_custkey", pa.int64())]))
+    return hash_join(cust, ev, "c_custkey", "user_id", how="anti")
 
 
 def q_events_hopping_15m(sf_dir: str):
@@ -2242,8 +2241,7 @@ def q_order_keys_intersect(sf_dir: str):
 
     orders = _read(sf_dir, "orders", columns=["o_orderkey"])
     items = _read(sf_dir, "lineitem", columns=["l_orderkey"])
-    return hash_join(orders, items, "o_orderkey", "l_orderkey", how="semi",
-                     left_schema=pa.schema([("o_orderkey", pa.int64())]))
+    return hash_join(orders, items, "o_orderkey", "l_orderkey", how="semi")
 
 
 def q_orders_date_dense_rank(sf_dir: str):
@@ -3158,8 +3156,9 @@ ORACLES = {
     """,
     "returned_revenue_topk": """
         SELECT c.c_custkey, c.c_name, n.n_name,
-               ROUND(SUM(l.l_extendedprice * (1 - l.l_discount)), 2)
-                   AS revenue
+               CAST(ROUND(SUM(CAST(l.l_extendedprice AS DECIMAL(15, 2))
+                              * (1 - CAST(l.l_discount AS DECIMAL(15, 2)))),
+                          2) AS DOUBLE) AS revenue
         FROM lineitem l
         JOIN orders o ON l.l_orderkey = o.o_orderkey
         JOIN customer c ON o.o_custkey = c.c_custkey
@@ -4340,10 +4339,7 @@ def q4_late_shipment_priority(sf_dir: str):
                              [("l_shipdate", "descending")])
     orders = _read(sf_dir, "orders",
                    columns=["o_orderkey", "o_orderdate", "o_orderpriority"])
-    joined = hash_join(
-        orders, maxship, "o_orderkey", "l_orderkey",
-        right_schema=pa.schema([("l_orderkey", pa.int64()),
-                                ("l_shipdate", pa.timestamp("us"))]))
+    joined = hash_join(orders, maxship, "o_orderkey", "l_orderkey")
 
     def late_only(batch: pa.Table) -> pa.Table:
         keep = pc.greater(batch.column("l_shipdate"),
@@ -4368,7 +4364,6 @@ def q3_shipping_priority(sf_dir: str):
     import datetime
 
     import pyarrow.dataset as pads
-    import pyarrow.parquet as pq
     from ray.data.aggregate import Sum
 
     from .stages.joins import broadcast_join, hash_join
@@ -4382,7 +4377,6 @@ def q3_shipping_priority(sf_dir: str):
                             "c_custkey", how="semi").map_batches(
         lambda b: b.drop_columns(["o_custkey"]), batch_format="pyarrow",
         zero_copy_batch=True)
-    footer = pq.read_schema(os.path.join(sf_dir, "orders.parquet"))
 
     li = ray.data.read_parquet(
         os.path.join(sf_dir, "lineitem.parquet"),
@@ -4402,12 +4396,7 @@ def q3_shipping_priority(sf_dir: str):
 
     li_partial = li.map_batches(partial_rev, batch_format="pyarrow",
                                 batch_size=4096)
-    joined = hash_join(
-        li_partial, orders, "l_orderkey", "o_orderkey",
-        left_schema=pa.schema([("l_orderkey", pa.int64()),
-                               ("rev", pa.float64())]),
-        right_schema=pa.schema([footer.field(c) for c in (
-            "o_orderkey", "o_orderdate", "o_orderpriority")]))
+    joined = hash_join(li_partial, orders, "l_orderkey", "o_orderkey")
     agg = (joined.groupby(["l_orderkey", "o_orderdate", "o_orderpriority"])
            .aggregate(Sum("rev", alias_name="revenue")))
 

@@ -140,10 +140,7 @@ def q5_local_supplier_volume(sf_dir: str):
     li = _read(sf_dir, "lineitem",
                columns=["l_orderkey", "l_suppkey", "l_extendedprice",
                         "l_discount"])
-    joined = hash_join(
-        li, oc, "l_orderkey", "o_orderkey",
-        right_schema=pa.schema([("o_orderkey", pa.int64()),
-                                ("c_nationkey", pa.int32())]))
+    joined = hash_join(li, oc, "l_orderkey", "o_orderkey")
     local = broadcast_join(
         joined, _table(sf_dir, "supplier", ["s_suppkey", "s_nationkey"]),
         "l_suppkey", "s_suppkey").map_batches(
@@ -214,10 +211,7 @@ def q7_volume_shipping(sf_dir: str):
                         how="semi").map_batches(
         volume, batch_format="pyarrow", zero_copy_batch=True)
 
-    joined = hash_join(
-        li, oc, "l_orderkey", "o_orderkey",
-        right_schema=pa.schema([("o_orderkey", pa.int64()),
-                                ("c_nationkey", pa.int32())]))
+    joined = hash_join(li, oc, "l_orderkey", "o_orderkey")
     # both nations are already in {A, B}
     flows = joined.map_batches(
         lambda b: b.filter(pc.not_equal(b.column("s_nationkey"),
@@ -265,10 +259,7 @@ def q13_customer_distribution(sf_dir: str):
               .aggregate(Sum("n_part", alias_name="c_count")))
 
     cust = _read(sf_dir, "customer", columns=["c_custkey"])
-    withc = hash_join(
-        cust, counts, "c_custkey", "o_custkey", how="left",
-        right_schema=pa.schema([("o_custkey", pa.int64()),
-                                ("c_count", pa.int64())]))
+    withc = hash_join(cust, counts, "c_custkey", "o_custkey", how="left")
 
     def fill_zero(batch: pa.Table) -> pa.Table:
         c = pc.fill_null(batch.column("c_count"), 0)
@@ -302,10 +293,7 @@ def q14_promo_revenue(sf_dir: str):
                filter=((pads.field("l_shipdate") >= lo)
                        & (pads.field("l_shipdate") < hi)))
     part = _read(sf_dir, "part", columns=["p_partkey", "p_type"])
-    joined = hash_join(
-        li, part, "l_partkey", "p_partkey",
-        right_schema=pa.schema([("p_partkey", pa.int64()),
-                                ("p_type", pa.string())]))
+    joined = hash_join(li, part, "l_partkey", "p_partkey")
 
     def partials(batch: pa.Table) -> pa.Table:
         rev = _np(batch.column("l_extendedprice")) \
@@ -479,10 +467,7 @@ def q17_small_qty_revenue(sf_dir: str):
 
     thr = avg.map_batches(to_threshold, batch_format="pyarrow",
                           zero_copy_batch=True)
-    joined = hash_join(
-        li, thr, "l_partkey", "t_partkey",
-        right_schema=pa.schema([("t_partkey", pa.int64()),
-                                ("qty_thr", pa.float64())]))
+    joined = hash_join(li, thr, "l_partkey", "t_partkey")
 
     def below(batch: pa.Table) -> pa.Table:
         keep = pc.less(batch.column("l_quantity"), batch.column("qty_thr"))
@@ -535,20 +520,9 @@ def q18_large_volume_customers(sf_dir: str):
     orders = _read(sf_dir, "orders",
                    columns=["o_orderkey", "o_custkey", "o_orderdate",
                             "o_totalprice"])
-    withq = hash_join(
-        orders, big, "o_orderkey", "l_orderkey",
-        right_schema=pa.schema([("l_orderkey", pa.int64()),
-                                ("sum_qty", pa.float64())]))
+    withq = hash_join(orders, big, "o_orderkey", "l_orderkey")
     cust = _read(sf_dir, "customer", columns=["c_custkey", "c_name"])
-    named = hash_join(
-        withq, cust, "o_custkey", "c_custkey",
-        left_schema=pa.schema([("o_orderkey", pa.int64()),
-                               ("o_custkey", pa.int64()),
-                               ("o_orderdate", pa.timestamp("us")),
-                               ("o_totalprice", pa.float64()),
-                               ("sum_qty", pa.float64())]),
-        right_schema=pa.schema([("c_custkey", pa.int64()),
-                                ("c_name", pa.string())]))
+    named = hash_join(withq, cust, "o_custkey", "c_custkey")
     return (named
             .sort(["o_totalprice", "o_orderdate", "o_orderkey"],
                   descending=[True, False, False])
@@ -718,10 +692,7 @@ def q8_market_share(sf_dir: str):
         li, _table(sf_dir, "supplier", ["s_suppkey", "s_nationkey"]),
         "l_suppkey", "s_suppkey", how="left").map_batches(
         std_volume, batch_format="pyarrow", zero_copy_batch=True)
-    joined = hash_join(
-        li, oc, "l_orderkey", "o_orderkey",
-        right_schema=pa.schema([("o_orderkey", pa.int64()),
-                                ("o_year", pa.int64())]))
+    joined = hash_join(li, oc, "l_orderkey", "o_orderkey")
 
     def partials(batch: pa.Table) -> pa.Table:
         df = pd.DataFrame({
@@ -803,10 +774,7 @@ def q9_product_profit(sf_dir: str):
             "o_year": pc.cast(pc.year(b.column("o_orderdate")),
                               pa.int64())}),
         batch_format="pyarrow", zero_copy_batch=True)
-    joined = hash_join(
-        li, orders, "l_orderkey", "o_orderkey",
-        right_schema=pa.schema([("o_orderkey", pa.int64()),
-                                ("o_year", pa.int64())]))
+    joined = hash_join(li, orders, "l_orderkey", "o_orderkey")
 
     def nation_year_partials(batch: pa.Table) -> pa.Table:
         df = pd.DataFrame({
@@ -920,10 +888,7 @@ def q12_shipping_priority_classes(sf_dir: str):
                        & (pads.field("l_returnflag").isin(["R", "A"]))))
     orders = _read(sf_dir, "orders",
                    columns=["o_orderkey", "o_orderpriority"])
-    joined = hash_join(
-        li, orders, "l_orderkey", "o_orderkey",
-        right_schema=pa.schema([("o_orderkey", pa.int64()),
-                                ("o_orderpriority", pa.string())]))
+    joined = hash_join(li, orders, "l_orderkey", "o_orderkey")
 
     def partials(batch: pa.Table) -> pa.Table:
         high = pc.is_in(batch.column("o_orderpriority"),
@@ -1040,10 +1005,7 @@ def q21_waiting_suppliers(sf_dir: str):
                    filter=(pads.field("o_orderstatus") == "F"))
     li = _read(sf_dir, "lineitem",
                columns=["l_orderkey", "l_suppkey", "l_shipdate"])
-    joined = hash_join(
-        li, orders, "l_orderkey", "o_orderkey",
-        right_schema=pa.schema([("o_orderkey", pa.int64()),
-                                ("o_orderdate", pa.timestamp("us"))]))
+    joined = hash_join(li, orders, "l_orderkey", "o_orderkey")
 
     def pair_partials(batch: pa.Table) -> pa.Table:
         late_cut = pc.add(batch.column("o_orderdate"),

@@ -40,8 +40,7 @@ retried task rewrites its own file, and no Ray ``Write`` operator runs.
 Ray executions per round: 1 on the probe path (bootstrap included: its
 prev is empty), one fused read -> ``cdc_round`` operator with one task
 per read block; 3 on the exchange path (manifest parts, diff, extract +
-delta parts), plus ``filter_to_keys``'s one-row schema probe when the
-work urls join lazily built pages. With ``slim=`` rows (a CDX index)
+delta parts). With ``slim=`` rows (a CDX index)
 each slim block is probed in a plain Ray task that writes its manifest
 part and returns its summary and, by reference, its work urls; the
 pages are then read once, filtered to them: 2 executions. The status
@@ -519,13 +518,7 @@ def read_current_corpus(state_dir: str) -> "ray.data.Dataset":
     # in one semi join
     live_slim = ray.data.read_parquet(files, columns=["url", "round"])
     live_slim = keyed_keep_one(live_slim, "url", [("round", "descending")])
-    # both schemas are known: a ``ds.schema()`` probe would run each
-    # keep-one shuffle once more just for one row
-    joined = hash_join(
-        live_slim, tombs, "url", how="left",
-        left_schema=pa.schema([("url", pa.string()), ("round", pa.int64())]),
-        right_schema=pa.schema([("url", pa.string()),
-                                ("tomb_round", pa.int64())]))
+    joined = hash_join(live_slim, tombs, "url", how="left")
 
     def survivors(batch: pa.Table) -> pa.Table:
         tr = batch.column("tomb_round")
@@ -536,12 +529,7 @@ def read_current_corpus(state_dir: str) -> "ray.data.Dataset":
 
     keep_urls = joined.map_batches(survivors, batch_format="pyarrow",
                                    zero_copy_batch=True)
-    from ..stages.extract import EXTRACTED_SCHEMA
-
-    live_schema = pa.schema(list(EXTRACTED_SCHEMA)
-                            + [pa.field("round", pa.int64())])
-    return hash_join(live, keep_urls, "url", how="semi",
-                     left_schema=live_schema)
+    return hash_join(live, keep_urls, "url", how="semi")
 
 
 def compact_state(state_dir: str) -> dict:

@@ -40,10 +40,9 @@ def materialize_rebased(ds: "ray.data.Dataset",
     """Materialize + HARD lineage cut at a pinned block count.
 
     Needed when one lazy pipeline feeds SEVERAL consumers (join sides,
-    iterative loops, schema probes): without the cut, every consumer —
-    including each ``.schema()`` probe a join makes — re-executes the
-    full upstream lineage, and iterative
-    unions double block counts per round.
+    iterative loops): without the cut, every consumer re-executes the
+    full upstream lineage, and iterative unions double block counts per
+    round.
 
     Two flavors:
       - default: rebuild from the materialized object-store refs (no

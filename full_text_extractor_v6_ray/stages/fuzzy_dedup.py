@@ -243,10 +243,10 @@ def minhash_dup_pairs(docs: "ray.data.Dataset", text_col: str = "text",
         batch_format="pyarrow", batch_size=256)
 
     # The signature table feeds THREE consumers (band explode + both join
-    # sides) and the joins' schema probes — materialize it ONCE or every
-    # consumer re-runs the MinHash stage (measured: minutes vs
-    # seconds). ~(num_perm*8)B/doc, never the text; at 10^12 docs use a
-    # parquet intermediate instead (see materialize_rebased docstring).
+    # sides) — materialize it ONCE or every consumer re-runs the MinHash
+    # stage (measured: minutes vs seconds). ~(num_perm*8)B/doc, never the
+    # text; at 10^12 docs use a parquet intermediate instead (see
+    # materialize_rebased docstring).
     blocks = exchange.bucket_count()
     sig_cols = materialize_rebased(
         sigs.select_columns(["doc_id", "minhash"]), blocks,
@@ -260,9 +260,9 @@ def minhash_dup_pairs(docs: "ray.data.Dataset", text_col: str = "text",
     pairs = materialize_rebased(_distinct_pairs(cands), blocks,
                                 spill_dir=spill_dir)
     if pairs.count() == 0:
-        # no LSH candidates at all (dup-free corpus): short-circuit with
-        # a typed empty result — the signature joins below can't probe a
-        # schemaless empty dataset
+        # no LSH candidates at all (dup-free corpus): a typed empty
+        # result, which the joins below (no rows, so no schema) would
+        # not give
         import ray.data
         return ray.data.from_arrow(pa.schema(
             [("doc_a", pa.int64()), ("doc_b", pa.int64()),
@@ -552,8 +552,8 @@ def dup_components_ds(pairs: "ray.data.Dataset", max_iters: int = 50,
     edges = rebase(pairs.map_batches(to_edges, batch_format="pyarrow"))
     if edges.count() == 0:
         # a dup-free corpus is a normal input, not an edge case: the
-        # bucketed join below would otherwise probe a schemaless empty
-        # dataset (same guard as dup_components_star_ds)
+        # typed empty result, which the label rounds below (no rows, so
+        # no schema) would not give (same guard as dup_components_star_ds)
         import ray.data
         return ray.data.from_arrow(_EMPTY_COMPONENTS.empty_table())
 
@@ -862,12 +862,7 @@ def remove_neardup_members_by_quality(ds: "ray.data.Dataset",
                             "component": pc.cast(b.column("component"),
                                                  pa.int64())}),
         batch_format="pyarrow", zero_copy_batch=True)
-    decorated = hash_join(
-        comp64, sid, key, "_sid",
-        left_schema=pa.schema([(key, pa.int64()),
-                               ("component", pa.int64())]),
-        right_schema=pa.schema([("_sid", pa.int64()),
-                                ("_score", pa.float64())]))
+    decorated = hash_join(comp64, sid, key, "_sid")
     keepers = keyed_keep_one(decorated, "component",
                              [("_score", "descending"),
                               (key, "ascending")])
@@ -1079,13 +1074,15 @@ def exact_substring_dedup(docs: "ray.data.Dataset",
 
     joined = hash_join(
         docs.select_columns([id_col, text_col]), pos_lists,
-        id_col, id_col, how="left",
-        right_schema=pa.schema([(id_col, pa.int64()),
-                                ("_dup_pos", pa.list_(pa.int64()))]))
+        id_col, id_col, how="left")
 
     def rewrite(batch: pa.Table) -> pa.Table:
         texts = batch.column(text_col).to_pylist()
-        plists = batch.column("_dup_pos").to_pylist()
+        # a dup-free corpus gives no position list at all, so the left
+        # join has no right column to carry (see ``hash_join``)
+        plists = (batch.column("_dup_pos").to_pylist()
+                  if "_dup_pos" in batch.column_names
+                  else [None] * batch.num_rows)
         clean: list[str] = []
         removed = np.zeros(len(texts), dtype=np.int64)
         for i, (t, ps) in enumerate(zip(texts, plists)):

@@ -89,6 +89,19 @@ def _hash_large_binary(arr: pa.Array) -> np.ndarray:
     return out
 
 
+def hash_family(t: pa.DataType) -> str | None:
+    """Which values ``hash64`` hashes alike: "integer" (any width, by
+    value), "binary" (strings and binaries, by bytes), else the type
+    itself (by its string form); None for the null type."""
+    if pa.types.is_integer(t):
+        return "integer"
+    if (pa.types.is_string(t) or pa.types.is_large_string(t)
+            or pa.types.is_binary(t) or pa.types.is_large_binary(t)
+            or pa.types.is_fixed_size_binary(t)):
+        return "binary"
+    return None if pa.types.is_null(t) else str(t)
+
+
 def hash64(values) -> np.ndarray:
     """Stable uint64 hash of a pyarrow Array/ChunkedArray, numpy array or
     list of ints/strings/bytes. Identical in every process and library
@@ -96,8 +109,8 @@ def hash64(values) -> np.ndarray:
     if isinstance(values, pa.ChunkedArray):
         values = values.combine_chunks()
     if isinstance(values, pa.Array):
-        t = values.type
-        if pa.types.is_integer(t):
+        family = hash_family(values.type)
+        if family == "integer":
             nulls = values.null_count
             filled = values.fill_null(0) if nulls else values
             v = filled.to_numpy(zero_copy_only=False)
@@ -109,9 +122,7 @@ def hash64(values) -> np.ndarray:
                 mask = values.is_null().to_numpy(zero_copy_only=False)
                 h[mask] = splitmix64(np.array([_NULL_SENTINEL]))[0]
             return h
-        if (pa.types.is_string(t) or pa.types.is_large_string(t)
-                or pa.types.is_binary(t) or pa.types.is_large_binary(t)
-                or pa.types.is_fixed_size_binary(t)):
+        if family == "binary":
             return _hash_large_binary(values.cast(pa.large_binary()))
         return _hash_large_binary(
             values.cast(pa.string()).cast(pa.large_binary()))

@@ -1,9 +1,10 @@
-"""Bucketed joins: one exchange shape, one per-bucket Arrow kernel.
+"""Bucketed joins: one exchange, one per-bucket Arrow kernel.
 
   - ``hash_join``: the partitioned equi-join (inner, left, full outer,
-    semi, anti; one key column or several). Both sides get ``bucket =
-    exchange.bucket_ids(key)``, a side tag and typed-null padding to the
-    union schema; ONE groupby-bucket exchange moves each row once. The
+    semi, anti; one key column or several). ONE ``exchange.co_bucket``
+    moves both sides as per-bucket Arrow IPC slices that each reducer
+    decodes under the schema they carry: no side is padded to the
+    other's schema, so the driver never probes one. The
     bucket count (``exchange.bucket_count``) bounds per-task memory for
     spread keys, never for a hot one: one key always lands in one bucket
     (``skew_hash_join`` handles hot keys). Inside a bucket the
@@ -25,8 +26,8 @@
     small branch and ``skew_hash_join``'s hot keys included).
 
 Partitioning assumption: equal keys land in equal buckets — guaranteed
-by ``exchange.bucket_ids`` on both sides, with both sides' keys cast to
-the left key types before hashing.
+by ``exchange.bucket_ids`` on both sides, as ``hash64`` hashes keys of
+one ``hash_family`` alike and ``exchange.co_bucket`` rejects two.
 
 Why not Ray's native ``Dataset.join``: Ray 2.49 has every join type used
 here, but its hash-shuffle join starts a pool of aggregator actors sized
@@ -46,82 +47,16 @@ import ray.data
 
 from . import exchange
 
-_SIDE = "__side"
 # hash_join's ``how`` -> Acero join type
 _JOIN_TYPES = {"inner": "inner", "left": "left outer",
                "outer": "full outer", "semi": "left semi",
                "anti": "left anti"}
 
 
-def _schema(ds: "ray.data.Dataset", given: pa.Schema | None) -> pa.Schema:
-    """``given``, else the Arrow schema of a ``ds.schema()`` probe (a
-    PandasBlockSchema's numpy dtypes mapped to Arrow types)."""
-    if given is not None:
-        return given
-    schema = ds.schema().base_schema
-    if isinstance(schema, pa.Schema):
-        return schema
-    fields = []
-    for n, t in zip(schema.names, schema.types):
-        if not isinstance(t, pa.DataType):
-            try:
-                t = pa.from_numpy_dtype(t)
-            except Exception:
-                t = pa.string()
-        fields.append((n, t))
-    return pa.schema(fields)
-
-
 def _concat(a: pa.Table, b: pa.Table) -> pa.Table:
     """Columns of ``a`` then those of ``b`` (equal row counts)."""
     return pa.Table.from_arrays(a.columns + b.columns,
                                 names=a.column_names + b.column_names)
-
-
-def _exchange(left: "ray.data.Dataset", right: "ray.data.Dataset",
-              lkeys: list[str], rkeys: list[str],
-              ls: pa.Schema, rs: pa.Schema,
-              per_bucket) -> "ray.data.Dataset":
-    """ONE bucketed exchange of both sides: the key columns of both are
-    cast to the left key types of ``ls`` (Acero joins equal types only),
-    both sides bucket on the key hash and pad to one union schema (left
-    columns, then right-only ones; the other side's as typed nulls), and
-    ``per_bucket(left rows, right rows)`` runs once per bucket."""
-    buckets = exchange.bucket_count()
-    types = [ls.field(k).type for k in lkeys]
-    lcast, rcast = dict(zip(lkeys, types)), dict(zip(rkeys, types))
-    rs = pa.schema([(n, rcast.get(n, t))
-                    for n, t in zip(rs.names, rs.types)])
-    union = {**dict(zip(rs.names, rs.types)), **dict(zip(ls.names, ls.types))}
-    names = list(dict.fromkeys(ls.names + rs.names))
-
-    def prep(keys: list[str], side: int, own: pa.Schema, cast: dict):
-        def fn(batch: pa.Table) -> pa.Table:
-            t = pa.Table.from_arrays(
-                [batch.column(c).cast(cast[c]) if c in cast
-                 else batch.column(c) for c in own.names], names=own.names)
-            n = t.num_rows
-            return pa.Table.from_arrays(
-                [t.column(c) if c in own.names else pa.nulls(n, union[c])
-                 for c in names]
-                + [pa.array(np.full(n, side, np.int8)),
-                   exchange.bucket_ids(t, keys, buckets)],
-                names=names + [_SIDE, exchange.BUCKET])
-
-        return fn
-
-    lt = left.map_batches(prep(lkeys, 0, ls, lcast),
-                          batch_format="pyarrow", zero_copy_batch=True)
-    rt = right.map_batches(prep(rkeys, 1, rs, rcast),
-                           batch_format="pyarrow", zero_copy_batch=True)
-
-    def run(g: pa.Table) -> pa.Table:
-        lmask = pc.equal(g.column(_SIDE), 0)
-        return per_bucket(g.filter(lmask).select(ls.names),
-                          g.filter(pc.invert(lmask)).select(rs.names))
-
-    return lt.union(rt).groupby(exchange.BUCKET).map_groups(
-        run, batch_format="pyarrow")
 
 
 def _join_tables(lt: pa.Table, rt: pa.Table, lkeys: list[str],
@@ -157,14 +92,11 @@ def _join_tables(lt: pa.Table, rt: pa.Table, lkeys: list[str],
 
 def hash_join(left: "ray.data.Dataset", right: "ray.data.Dataset",
               on: str | list[str], right_on: str | list[str] | None = None,
-              how: str = "inner",
-              left_schema: pa.Schema | None = None,
-              right_schema: pa.Schema | None = None) -> "ray.data.Dataset":
+              how: str = "inner") -> "ray.data.Dataset":
     """Partitioned hash join of ``left.on`` = ``right.right_on``
     (``right_on`` defaults to ``on``; a list joins on a composite key).
 
-    Output = left columns + right columns minus the right keys; no
-    other name may appear on both sides. ``how``:
+    Output = left columns + right columns minus the right keys. ``how``:
 
       - "inner": one row per matching (left, right) pair;
       - "left": every left row, right columns null when unmatched;
@@ -177,15 +109,20 @@ def hash_join(left: "ray.data.Dataset", right: "ray.data.Dataset",
 
     Null keys never match (SQL equality). Semi and anti ship only the
     right keys, deduped per batch (the combiner that bounds hot-key
-    traffic at O(batches)), and never probe the right schema.
+    traffic at O(batches)). Right keys are cast to the left key types
+    (``exchange.co_bucket``).
 
-    ``left_schema``/``right_schema``: pass ``pa.schema(...)`` to skip
-    the ``ds.schema()`` probe. The probe triggers PARTIAL EXECUTION of
-    a lazy input — and when that input's lineage ends in an aggregate
-    (a keeper election, a df table), "partial" means the WHOLE
-    upstream shuffle runs once just for the schema and again for the
-    join (measured: ~25% of the 2M-doc paragraph-dedup wall time).
-    Always pass schemas when the input is shuffle-derived.
+    A name on both sides (right keys aside) raises ``ValueError``: here
+    when both plans know their schema (``exchange.plan_schema``), else
+    in the first bucket, as ``ray.exceptions.RayTaskError(ValueError)``,
+    which is also a ``ValueError``.
+
+    A side with no rows at all sends no slice, so only its plan can name
+    its columns: a left or outer join with no right rows gives the right
+    columns as typed nulls when ``exchange.plan_schema(right)`` knows
+    them and leaves them out when it does not (a lazy ``map_batches`` or
+    shuffle output); the same holds for the left columns of an outer
+    join with no left rows.
     """
     lkeys = [on] if isinstance(on, str) else list(on)
     rkeys = lkeys if right_on is None else (
@@ -195,21 +132,26 @@ def hash_join(left: "ray.data.Dataset", right: "ray.data.Dataset",
     if not lkeys or len(lkeys) != len(rkeys):
         raise ValueError("hash_join: on/right_on must be equal-length, "
                          "non-empty")
-    ls = _schema(left, left_schema)
     if how in ("semi", "anti"):
         right = right.select_columns(rkeys).map_batches(
             lambda b: b.group_by(rkeys).aggregate([]),
             batch_format="pyarrow", zero_copy_batch=True)
-        rs = pa.schema([(rk, ls.field(lk).type)
-                        for lk, rk in zip(lkeys, rkeys)])
-    else:
-        rs = _schema(right, right_schema)
-        clash = set(ls.names) & (set(rs.names) - set(rkeys))
+
+    def check(lnames: list[str], rnames: list[str]) -> None:
+        clash = set(lnames) & (set(rnames) - set(rkeys))
         if clash:
             raise ValueError(f"hash_join: columns on both sides: "
                              f"{sorted(clash)}")
-    return _exchange(left, right, lkeys, rkeys, ls, rs,
-                     lambda lg, rg: _join_tables(lg, rg, lkeys, rkeys, how))
+
+    known = [exchange.plan_schema(ds) for ds in (left, right)]
+    if None not in known:
+        check(known[0].names, known[1].names)
+
+    def per_bucket(lt: pa.Table, rt: pa.Table) -> pa.Table:
+        check(lt.column_names, rt.column_names)
+        return _join_tables(lt, rt, lkeys, rkeys, how)
+
+    return exchange.co_bucket(left, right, lkeys, rkeys, per_bucket)
 
 
 # Key lists up to this many rows broadcast to a map-side filter; longer
@@ -308,6 +250,12 @@ def broadcast_join(left: "ray.data.Dataset", right: pa.Table, on: str,
     ``ray.put`` with the right payload once; each batch of ``left``
     probes it in a plain task, so ``left`` never enters an exchange
     and no per-batch work grows with the right side's size.
+
+    A left column named like a right payload column raises
+    ``ValueError`` here when the left plan knows its schema without
+    running anything; otherwise the first batch raises it inside a Ray
+    task, and the caller sees ``ray.exceptions.RayTaskError`` wrapping
+    Ray's ``UserCodeException``, which is not a ``ValueError``.
     """
     rk = on if right_on is None else right_on
     if how not in ("inner", "left", "semi", "anti"):
@@ -322,9 +270,7 @@ def broadcast_join(left: "ray.data.Dataset", right: pa.Table, on: str,
             raise ValueError(f"broadcast_join: columns on both sides: "
                              f"{sorted(clash)}")
 
-    # the left names are checked here when the plan knows them without
-    # running anything, else by the first batch
-    known = left.schema(fetch_if_missing=False)
+    known = exchange.plan_schema(left)
     if known is not None:
         check(known.names)
     ref = ray.put((SortedKeyIndex(right.column(rk)), payload))
@@ -427,11 +373,13 @@ def asof_join(left: "ray.data.Dataset", right: "ray.data.Dataset",
     index) tables and the payload is ``take``n. A match reaches back at
     most 2^63 - 1 units of the ts column (292 years at ns).
     """
-    ls, rs = _schema(left, None), _schema(right, None)
-    rvals = [n for n in rs.names if n not in (key_right, ts_right)]
-    ts_type = ls.field(ts_left).type
-
     def per_bucket(lg: pa.Table, rg: pa.Table) -> pa.Table:
+        rvals = [n for n in rg.column_names if n not in (key_right, ts_right)]
+        if not (lg.num_rows and rg.num_rows):  # a side may be keys only
+            return _concat(lg, rg.select(rvals).take(
+                pa.nulls(lg.num_rows, pa.int64())))
+        ts_type = lg.schema.field(ts_left).type
+
         def slim(t: pa.Table, key: str, ts: str, idx: str) -> pa.Table:
             return pa.table({"k": t.column(key),
                              "t": _asof_on(t.column(ts), ts_type),
@@ -443,8 +391,8 @@ def asof_join(left: "ray.data.Dataset", right: "ray.data.Dataset",
         return _concat(lg.take(m.column("__li")),
                        rg.select(rvals).take(m.column("__ri")))
 
-    return _exchange(left, right, [key_left], [key_right], ls, rs,
-                     per_bucket)
+    return exchange.co_bucket(left, right, [key_left], [key_right],
+                              per_bucket)
 
 
 def skew_hash_join(left: "ray.data.Dataset", right: "ray.data.Dataset",
@@ -469,38 +417,41 @@ def skew_hash_join(left: "ray.data.Dataset", right: "ray.data.Dataset",
          no shuffle, no straggler;
       3. everything else (an anti ``broadcast_join`` on the hot keys,
          both sides) takes the normal bucketed ``hash_join``;
-      4. union of the two streams (identical column order/dtypes).
+      4. union of the two streams (identical column order/dtypes);
+         when no right row has a hot key the hot stream is skipped (the
+         join is inner, so the hot left rows match nothing).
 
     Same output contract as ``hash_join(how='inner')``: left columns +
     right columns minus the right key.
     """
     from ray.data.aggregate import Count
 
-    ls, rs = _schema(left, None), _schema(right, None)
-
     sample = (left.select_columns([left_key])
               .random_sample(sample_frac, seed=seed))
-    top = (sample.groupby(left_key).aggregate(Count(alias_name="__c"))
-           .sort("__c", descending=True).limit(max_hot_keys).take_all())
-    hot = pa.table({"__hot": pa.array(
-        sorted(r[left_key] for r in top
-               if r["__c"] >= hot_min_samples and r[left_key] is not None),
-        ls.field(left_key).type)})
-
-    if not hot.num_rows:
-        return hash_join(left, right, left_key, right_key,
-                         left_schema=ls, right_schema=rs)
-
-    # small by the dim-table assumption: |hot keys| x rows-per-key
-    parts = list(broadcast_join(right, hot, right_key, "__hot", how="semi")
-                 .iter_batches(batch_format="pyarrow"))
-    right_hot = pa.concat_tables(parts) if parts else rs.empty_table()
-    hot_joined = broadcast_join(left, right_hot, left_key, right_key)
+    ranked = (sample.groupby(left_key).aggregate(Count(alias_name="__c"))
+              .sort("__c", descending=True).limit(max_hot_keys))
+    hot = [b.filter(pc.and_(pc.greater_equal(b.column("__c"),
+                                             hot_min_samples),
+                            pc.is_valid(b.column(left_key))))
+           .select([left_key])
+           for b in ranked.iter_batches(batch_format="pyarrow")]
+    if not sum(t.num_rows for t in hot):
+        return hash_join(left, right, left_key, right_key)
+    hot = pa.concat_tables(hot).rename_columns(["__hot"]).sort_by("__hot")
 
     cold_joined = hash_join(
         broadcast_join(left, hot, left_key, "__hot", how="anti"),
         broadcast_join(right, hot, right_key, "__hot", how="anti"),
-        left_key, right_key, left_schema=ls, right_schema=rs)
+        left_key, right_key)
+    # small by the dim-table assumption: |hot keys| x rows-per-key
+    parts = [b for b in broadcast_join(right, hot, right_key, "__hot",
+                                       how="semi")
+             .iter_batches(batch_format="pyarrow") if b.num_rows]
+    if not parts:
+        # inner join: the hot left rows match nothing
+        return cold_joined
+    hot_joined = broadcast_join(left, pa.concat_tables(parts), left_key,
+                                right_key)
     return hot_joined.union(cold_joined)
 
 

@@ -113,23 +113,16 @@ def bigram_logprob(docs: "ray.data.Dataset", id_col: str = "doc_id",
             "w2": pc.list_element(parts, 1),
         })
 
-    bi_schema = pa.schema([("bigram", pa.string()), ("c12", pa.int64()),
-                           ("w1", pa.string()), ("w2", pa.string())])
     uni1 = uni.map_batches(
         lambda b: b.rename_columns(["tok1", "c1"]),
         batch_format="pyarrow", zero_copy_batch=True)
     uni2 = uni.map_batches(
         lambda b: b.rename_columns(["tok2", "c2"]),
         batch_format="pyarrow", zero_copy_batch=True)
-    uni1_schema = pa.schema([("tok1", pa.string()), ("c1", pa.int64())])
-    uni2_schema = pa.schema([("tok2", pa.string()), ("c2", pa.int64())])
     bi_keyed = bi.map_batches(split_key, batch_format="pyarrow",
                               zero_copy_batch=True)
-    j1 = hash_join(bi_keyed, uni1, "w1", "tok1",
-                   left_schema=bi_schema, right_schema=uni1_schema)
-    j1_schema = bi_schema.append(pa.field("c1", pa.int64()))
-    j2 = hash_join(j1, uni2, "w2", "tok2",
-                   left_schema=j1_schema, right_schema=uni2_schema)
+    j1 = hash_join(bi_keyed, uni1, "w1", "tok1")
+    j2 = hash_join(j1, uni2, "w2", "tok2")
 
     def score_bigram(batch: pa.Table) -> pa.Table:
         from .hashing import hash64
@@ -168,9 +161,6 @@ def bigram_logprob(docs: "ray.data.Dataset", id_col: str = "doc_id",
 
     pairs = slim.map_batches(pairs_combined, batch_format="pyarrow",
                              zero_copy_batch=True)
-    pairs_schema = pa.schema([(id_col, pa.int64()),
-                              ("bhash", pa.uint64()),
-                              ("n", pa.int64())])
 
     # Size dispatch: the scored table is |distinct bigrams| rows —
     # vocab²-bounded in theory, usually far smaller. Under the
@@ -188,9 +178,7 @@ def bigram_logprob(docs: "ray.data.Dataset", id_col: str = "doc_id",
               if blocks else score_schema.empty_table())
         scored = broadcast_join(pairs, st, "bhash", "kbhash")
     else:
-        scored = hash_join(pairs, scores_mat, "bhash", "kbhash",
-                           left_schema=pairs_schema,
-                           right_schema=score_schema)
+        scored = hash_join(pairs, scores_mat, "bhash", "kbhash")
 
     def doc_partial(batch: pa.Table) -> pa.Table:
         nf = pc.cast(batch.column("n"), pa.float64())

@@ -401,15 +401,8 @@ def packed_chunk_text(docs: "ray.data.Dataset", id_col: str = "doc_id",
 
     slices = chunk_slices(docs, id_col, text_col, ctx=ctx,
                           num_ranges=num_ranges)
-    joined = hash_join(
-        slices, docs.select_columns([id_col, text_col]),
-        id_col, id_col,
-        left_schema=pa.schema([("chunk_id", pa.int64()),
-                               (id_col, pa.int64()),
-                               ("doc_from", pa.int64()),
-                               ("doc_to", pa.int64()),
-                               ("off_in_chunk", pa.int64()),
-                               ("end_in_chunk", pa.int64())]))
+    joined = hash_join(slices, docs.select_columns([id_col, text_col]),
+                       id_col, id_col)
 
     # RE2_TOKEN_RE, not Python re \S+: the manifest counted tokens with
     # Arrow's RE2 \S+ (ASCII whitespace), so the slicer must produce the

@@ -3,23 +3,38 @@
 from __future__ import annotations
 
 import contextlib
+import os
 from collections.abc import Iterator
 
 
 class Execution(tuple):
     """One Ray Data execution: its physical operators' names, inputs
     first (``('Input', 'ReadParquet->MapBatches(f)', 'limit=1')``; a
-    fused operator is one name)."""
+    fused operator is one name). ``sites``: where a ``limit=1`` one (a
+    ``ds.schema()`` probe) started, as ``_package_sites`` names it."""
 
     def __new__(cls, ops: list):
         self = super().__new__(cls, (op.name for op in ops))
         self._ops = ops
+        self.sites = _package_sites() if "limit=1" in self else ()
         return self
 
     def tasks(self) -> list[tuple[str, int]]:
         """(name, Ray tasks finished) per operator; final once the
         execution has ended."""
         return [(op.name, op.metrics.num_tasks_finished) for op in self._ops]
+
+
+def _package_sites() -> tuple[str, ...]:
+    """The innermost two frames of the calling stack that lie in this
+    package, this module excluded, as ``"path:line"`` relative to it."""
+    import traceback
+
+    root = os.path.dirname(__file__)
+    return tuple(f"{os.path.relpath(f.filename, root)}:{f.lineno}"
+                 for f in reversed(traceback.extract_stack())
+                 if f.filename.startswith(root + os.sep)
+                 and f.filename != __file__)[:2]
 
 
 @contextlib.contextmanager

@@ -5,11 +5,12 @@ ONE Ray session (``num_cpus=4``, as in ``tests/conftest.py``) and prints
 one JSON line per query, flushed as it finishes:
 
     {"name": ..., "executions": ..., "limit1": ..., "rows": ..., "wall_s": ...,
-     "operators": [[[name, tasks], ...], ...]}
+     "probe_sites": [[site, ...], ...], "operators": [[[name, tasks], ...], ...]}
 
 ``executions`` counts the Ray Data executions the query started
 (``testing.count_executions``), ``limit1`` the ``limit=1`` ones among
-them (schema probes), ``rows`` the result's row count, ``wall_s``
+them (schema probes), ``probe_sites`` where each of those started
+(``testing.Execution.sites``), ``rows`` the result's row count, ``wall_s``
 the query's wall time, result consumed, and ``operators`` each
 execution's physical operators, inputs first, with the Ray tasks each
 ran (a fused operator is one ``A->B`` name: a read fused with the map
@@ -50,6 +51,8 @@ def main(sf_dir: str, names: list[str]) -> None:
             "name": name, "executions": len(execs),
             "limit1": sum("limit=1" in ops for ops in execs),
             "rows": rows, "wall_s": round(wall, 2),
+            "probe_sites": [list(e.sites) for e in execs
+                            if "limit=1" in e],
             "operators": [e.tasks() for e in execs]}), flush=True)
     ray.shutdown()
 

@@ -393,6 +393,24 @@ def test_exact_substring_keepfirst(ray_session, bucket_count):
     assert got.loc[3, "n_removed"] == 8
 
 
+def test_exact_substring_dedup_of_dup_free_corpus(ray_session, bucket_count):
+    """No n-gram repeats: the position lists are empty, so the left join
+    has no right rows to carry a column from, and every text comes back
+    whole with nothing removed."""
+    import ray.data
+    from full_text_extractor_v6_ray.stages.fuzzy_dedup import (
+        exact_substring_dedup)
+
+    docs = [{"doc_id": i, "text": " ".join(f"w{i}_{j}" for j in range(12))}
+            for i in range(4)]
+    bucket_count(4)
+    got = (exact_substring_dedup(ray.data.from_items(docs), "text",
+                                 "doc_id", n=8)
+           .to_pandas().set_index("doc_id").sort_index())
+    assert got["clean_text"].tolist() == [d["text"] for d in docs]
+    assert got["n_removed"].tolist() == [0] * 4
+
+
 def test_candidate_pairs_star_mode_unit():
     """Star mode emits exactly (run-min -> member) edges, vectorized:
     duplicate doc rows inside a run collapse, singleton runs emit
@@ -483,3 +501,17 @@ def test_minhash_pair_mode_validated():
         "text": pa.array(["a b c"], pa.string())}))
     with pytest.raises(ValueError, match="pair_mode"):
         minhash_dup_pairs(ds, pair_mode="ring")
+
+
+def test_jaccard_pairs_query_runs_no_schema_probe(ray_session,
+                                                  count_executions):
+    """The ``docs_jaccard_pairs`` query at sf0.001 (LSH candidates, two
+    signature joins, exact verify): 7 Ray executions with the one that
+    consumes it, none of them a one-row ``limit=1`` schema probe."""
+    import __ray_entry__ as entry
+
+    count_executions.clear()
+    rows = entry.queries()["docs_jaccard_pairs"]("/root/testdata/sf0.001")
+    assert len(rows.take_all()) == 28
+    assert [e for e in count_executions if "limit=1" in e] == []
+    assert len(count_executions) == 7, count_executions

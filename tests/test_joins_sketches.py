@@ -269,6 +269,27 @@ def test_skew_hash_join_no_hot_keys_falls_back(ray_session, bucket_count):
     assert sorted(got.columns) == ["k", "lv", "rv"]
 
 
+def test_skew_hash_join_hot_key_without_match(ray_session, bucket_count):
+    """A hot left key that no right row has: the hot stream is skipped
+    (the join is inner) and the cold join alone gives pandas' rows."""
+    import ray.data
+    from full_text_extractor_v6_ray.stages.joins import skew_hash_join
+
+    keys = np.concatenate([np.zeros(500, np.int64), np.arange(1, 100)])
+    left = pa.table({"k": keys, "lv": np.arange(keys.size)})
+    right = pa.table({"rk": np.arange(1, 200), "rv": np.arange(1, 200) * 7})
+    bucket_count(4)
+    got = skew_hash_join(ray.data.from_arrow(left), ray.data.from_arrow(right),
+                         "k", "rk", sample_frac=0.5,
+                         hot_min_samples=8).to_pandas()
+    exp = left.to_pandas().merge(right.to_pandas(), left_on="k",
+                                 right_on="rk").drop(columns=["rk"])
+    key = ["k", "lv", "rv"]
+    pd.testing.assert_frame_equal(
+        got[key].sort_values(key).reset_index(drop=True),
+        exp[key].sort_values(key).reset_index(drop=True), check_dtype=False)
+
+
 def test_bloom_filter_no_false_negatives_and_low_fp():
     from full_text_extractor_v6_ray.stages.joins import BloomFilter
 
@@ -423,9 +444,9 @@ def test_hash_join_matches_duckdb_exactly(ray_session, how, key_type,
     assert mapped.schema().names == exp.column_names
 
 
-def test_hash_join_with_schemas_adds_no_execution(ray_session,
-                                                  count_executions):
-    """Shuffle-derived inputs with both schemas given: consuming the
+def test_hash_join_of_shuffled_sides_is_one_execution(ray_session,
+                                                      count_executions):
+    """Shuffle-derived inputs, no schema given anywhere: consuming the
     join is ONE Ray execution (no schema probe re-runs an upstream
     shuffle)."""
     import ray.data
@@ -439,13 +460,184 @@ def test_hash_join_with_schemas_adds_no_execution(ray_session,
         [{"rk": f"u{i}", "w": i} for i in range(0, 40, 3)]), "rk",
         [("w", "ascending")])
     count_executions.clear()
-    out = hash_join(
-        left, right, "k", "rk",
-        left_schema=pa.schema([("k", pa.string()), ("v", pa.int64())]),
-        right_schema=pa.schema([("rk", pa.string()), ("w", pa.int64())]))
+    out = hash_join(left, right, "k", "rk")
     got = sorted((r["k"], r["v"], r["w"]) for r in out.take_all())
     assert got == sorted((f"u{i}", 80 + i, i) for i in range(0, 40, 3))
     assert len(count_executions) == 1, count_executions
+
+
+def _duckdb_rows(left: pa.Table, right: pa.Table, how: str) -> pa.Table:
+    import duckdb
+
+    con = duckdb.connect()
+    con.register("l", left)
+    con.register("r", right)
+    return con.execute(_SQL_JOINS[how]).arrow()
+
+
+def _rows(records):
+    return sorted((tuple(r.values()) for r in records),
+                  key=lambda t: [(v is None, v) for v in t])
+
+
+@pytest.mark.parametrize("ltype,rtype", [(pa.int32(), pa.int64()),
+                                         (pa.string(), pa.large_string())])
+@pytest.mark.parametrize("how", list(_SQL_JOINS))
+def test_hash_join_across_key_widths_matches_duckdb(ray_session, how, ltype,
+                                                    rtype, bucket_count):
+    """Keys of one hash family but different types (int32 against int64,
+    string against large_string) meet in the same bucket: every join
+    type == DuckDB row for row, the key typed as on the left."""
+    import ray.data
+    from full_text_extractor_v6_ray.stages.joins import hash_join
+
+    def keys(vals, typ):
+        return pa.array(vals, pa.int64()).cast(typ)
+
+    left = pa.table({"k": keys([1, 2, None, 3, 2 ** 30], ltype),
+                     "lv": pa.array([_BIG + 1, _BIG + 3, 5, 7, 9])})
+    right = pa.table({"rk": keys([1, None, 4, 2, 2 ** 30, 2], rtype),
+                      "rv": pa.array([11, 13, 15, _BIG + 17, 19, 21])})
+    bucket_count(4)
+    got = hash_join(ray.data.from_arrow(left), ray.data.from_arrow(right),
+                    "k", "rk", how=how)
+    exp = _duckdb_rows(left, right, how)
+    assert _rows(got.take_all()) == _rows(exp.to_pylist())
+    assert got.schema().base_schema.field("k").type == ltype
+
+
+@pytest.mark.parametrize("empty", ["left", "right"])
+@pytest.mark.parametrize("how", list(_SQL_JOINS))
+def test_hash_join_with_one_side_empty_matches_duckdb(ray_session, how,
+                                                      empty, bucket_count):
+    """One side has no rows but a schema its plan knows (a materialized
+    empty table): every join type == DuckDB row for row, and the
+    output has the full column set (a left join pads the right columns
+    with typed nulls)."""
+    import ray.data
+    from full_text_extractor_v6_ray.stages.joins import hash_join
+
+    left = pa.table({"k": pa.array([1, 2, None], pa.int64()),
+                     "lv": pa.array([_BIG + 1, _BIG + 3, 5])})
+    right = pa.table({"rk": pa.array([1, None, 4], pa.int64()),
+                      "rv": pa.array([_BIG + 13, 15, -_BIG - 17])})
+    if empty == "left":
+        left = left.slice(0, 0)
+    else:
+        right = right.slice(0, 0)
+    bucket_count(4)
+    got = hash_join(ray.data.from_arrow(left).materialize(),
+                    ray.data.from_arrow(right).materialize(),
+                    "k", "rk", how=how)
+    exp = _duckdb_rows(left, right, how)
+    assert _rows(got.take_all()) == _rows(exp.to_pylist())
+    if exp.num_rows:
+        assert got.schema().names == exp.column_names
+        assert got.schema().base_schema.types == exp.schema.types
+
+
+def test_hash_join_with_a_rowless_lazy_side(ray_session, bucket_count):
+    """A side with no rows whose plan does not know its schema (a
+    ``map_batches`` that yields nothing): a left join keeps the left
+    rows with the left columns only, an outer join with no left rows
+    gives the right rows with the key in the left key column, and an
+    anti join keeps every left row."""
+    import ray.data
+    from full_text_extractor_v6_ray.stages.joins import hash_join
+
+    def none(ds):
+        return ds.map_batches(lambda b: b.slice(0, 0),
+                              batch_format="pyarrow")
+
+    left = pa.table({"k": pa.array([1, 2, None], pa.int64()),
+                     "lv": pa.array([10, 20, 30])})
+    right = pa.table({"rk": pa.array([1, 4], pa.int64()),
+                      "rv": pa.array([7, 8])})
+    bucket_count(4)
+    lds, rds = ray.data.from_arrow(left), ray.data.from_arrow(right)
+    got = hash_join(lds, none(rds), "k", "rk", how="left")
+    assert _rows(got.take_all()) == _rows(left.to_pylist())
+    assert got.schema().names == ["k", "lv"]
+    got = hash_join(lds, none(rds), "k", "rk", how="anti")
+    assert _rows(got.take_all()) == _rows(left.to_pylist())
+    got = hash_join(none(lds), rds, "k", "rk", how="outer")
+    assert _rows(got.take_all()) == [(1, 7), (4, 8)]
+    assert got.schema().names == ["k", "rv"]
+    assert hash_join(none(lds), rds, "k", "rk").take_all() == []
+
+
+def test_asof_join_with_a_rowless_lazy_side(ray_session, bucket_count):
+    """A side with no rows and no schema in its plan reaches the as-of
+    kernel as its key column alone: no left rows give no rows, no right
+    rows keep every left row (its columns only)."""
+    import ray.data
+    from full_text_extractor_v6_ray.stages.joins import asof_join
+
+    left = pa.table({"k": pa.array([1, 2], pa.int64()),
+                     "lts": pa.array([5, 6], pa.int64()),
+                     "lv": pa.array([7, 8], pa.int64())})
+    right = pa.table({"rk": pa.array([1], pa.int64()),
+                      "rts": pa.array([4], pa.int64()),
+                      "rv": pa.array([9], pa.int64())})
+    bucket_count(4)
+    def none(t: pa.Table):
+        return ray.data.from_arrow(t).map_batches(lambda b: b.slice(0, 0),
+                                                  batch_format="pyarrow")
+
+    got = asof_join(none(left), ray.data.from_arrow(right),
+                    "k", "rk", "lts", "rts")
+    assert got.take_all() == []
+    got = asof_join(ray.data.from_arrow(left), none(right),
+                    "k", "rk", "lts", "rts")
+    assert _rows(got.take_all()) == _rows(left.to_pylist())
+
+
+def test_hash_join_rejects_keys_that_hash_differently(ray_session,
+                                                      bucket_count):
+    """A float key against an int key could put equal keys in different
+    buckets: the exchange raises, naming both columns, inside a Ray
+    task."""
+    import ray
+    import ray.data
+    from full_text_extractor_v6_ray.stages.joins import hash_join
+
+    left = ray.data.from_arrow(pa.table({"k": pa.array([1.0, 2.0])}))
+    right = ray.data.from_arrow(pa.table({"rk": pa.array([1, 2]),
+                                          "w": pa.array([3, 4])}))
+    bucket_count(4)
+    with pytest.raises(ray.exceptions.RayTaskError,
+                       match="'k' \\(double\\) and 'rk' \\(int64\\)"):
+        hash_join(left, right, "k", "rk").take_all()
+
+
+def test_column_clash_raises_where_documented(ray_session, bucket_count):
+    """A name on both sides raises ``ValueError`` when the plan is built
+    if both plans know their schema. A lazy side defers it into a Ray
+    task: ``hash_join``'s first bucket raises a ``RayTaskError`` that is
+    also a ``ValueError``; ``broadcast_join``'s first batch raises one
+    wrapping Ray's ``UserCodeException``, which is not a
+    ``ValueError``."""
+    import ray
+    import ray.data
+    from full_text_extractor_v6_ray.stages.joins import (broadcast_join,
+                                                         hash_join)
+
+    left = pa.table({"k": pa.array([1, 2]), "v": pa.array([3, 4])})
+    right = pa.table({"rk": pa.array([1, 2]), "v": pa.array([5, 6])})
+    bucket_count(4)
+    known = ray.data.from_arrow(left)
+    lazy = known.map_batches(lambda b: b, batch_format="pyarrow")
+    with pytest.raises(ValueError, match="columns on both sides"):
+        hash_join(known, ray.data.from_arrow(right), "k", "rk")
+    with pytest.raises(ValueError, match="columns on both sides"):
+        broadcast_join(known, right, "k", "rk")
+    with pytest.raises(ValueError, match="columns on both sides") as err:
+        hash_join(lazy, ray.data.from_arrow(right), "k", "rk").take_all()
+    assert isinstance(err.value, ray.exceptions.RayTaskError)
+    with pytest.raises(ray.exceptions.RayTaskError,
+                       match="columns on both sides") as err:
+        broadcast_join(lazy, right, "k", "rk").take_all()
+    assert not isinstance(err.value, ValueError)
 
 
 @pytest.mark.parametrize("buckets", [None, 4, 1])

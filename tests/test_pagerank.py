@@ -64,3 +64,20 @@ def test_pagerank_empty_edges(ray_session, bucket_count):
     bucket_count(4)
     out = pagerank(ray.data.from_arrow(tbl), n_iter=3).to_pandas()
     assert len(out) == 0
+
+
+def test_links_pagerank_query_runs_no_join_probe(ray_session,
+                                                 count_executions):
+    """The ``links_pagerank`` query at sf0.001: no join starts a
+    one-row schema probe. 20 Ray executions with the one that consumes
+    it; the 8 ``limit=1`` ones left are Ray's own schema check inside
+    the dangling-mass ``Dataset.sum``, one per iteration."""
+    import __ray_entry__ as entry
+
+    count_executions.clear()
+    rows = entry.queries()["links_pagerank"]("/root/testdata/sf0.001")
+    assert rows.count() == 76
+    probes = [e.sites for e in count_executions if "limit=1" in e]
+    assert all(s[0].startswith("stages/pagerank.py:") for s in probes), probes
+    assert len(probes) == 8, probes
+    assert len(count_executions) == 20, count_executions

@@ -88,9 +88,9 @@ def test_sorted_lookup_empty_keys(ray_session):
 
 def test_q3_shipping_priority_is_one_execution(ray_session,
                                                count_executions):
-    """Both join sides' schemas are known from the plan: consuming the
-    query is ONE Ray execution (no one-row schema probe re-runs a
-    side), and it still matches its oracle."""
+    """No join schema is given, and none is probed: consuming the query
+    is ONE Ray execution (no one-row schema probe re-runs a side), and
+    it still matches its oracle."""
     from full_text_extractor_v6_ray import driver_queries as dq
 
     count_executions.clear()
@@ -130,3 +130,34 @@ def test_returned_revenue_bytes_do_not_depend_on_block_order(ray_session):
     got = [revenue(bs) for bs in (blocks, blocks[::-1])]
     assert got[0].to_pylist() == [{"o_custkey": 7, "revenue": 1428183.36}]
     assert got[1].equals(got[0])
+
+
+def test_returned_revenue_oracle_is_exact(ray_session):
+    """A customer whose exact revenue ends in half a cent: the query's
+    int64 sum and the oracle's DECIMAL sum both round 1707631.155 up to
+    .16 (every float summation order gives .15)."""
+    import duckdb
+    import pyarrow as pa
+    import ray.data
+
+    from full_text_extractor_v6_ray import driver_queries as dq
+
+    li = pa.table({"l_orderkey": pa.array(range(4), pa.int64()),
+                   "l_extendedprice": [111544.5, 715358.4, 597324.9,
+                                       370611.13],
+                   "l_discount": [0.0, 0.02, 0.06, 0.1]})
+    orders = pa.table({"o_orderkey": pa.array(range(4), pa.int64()),
+                       "o_custkey": pa.array([7] * 4, pa.int64())})
+    got = dq._revenue_by_customer(ray.data.from_arrow(li),
+                                  ray.data.from_arrow(orders)).take_all()
+    assert got == [{"o_custkey": 7, "revenue": 1707631.16}]
+
+    con = duckdb.connect()
+    con.register("lineitem", li.append_column(
+        "l_returnflag", pa.array(["R"] * 4)))
+    con.register("orders", orders)
+    con.register("customer", pa.table({"c_custkey": [7], "c_name": ["c7"],
+                                       "c_nationkey": [1]}))
+    con.register("nation", pa.table({"n_nationkey": [1], "n_name": ["n1"]}))
+    assert con.execute(dq.ORACLES["returned_revenue_topk"]).fetchall() == [
+        (7, "c7", "n1", 1707631.16)]
